@@ -1,8 +1,9 @@
-"""Hot numerical loops, jitted when numba is available.
+"""Hot numerical loops, jitted when numba is importable.
 
-Set GAPSPEC_NUMBA=0 to select the pure-Python/numpy fallback. The choice is
-made once at import; every kernel below is either compiled or plain, never a
-mix, so compiled kernels only ever call compiled kernels.
+Without numba every jitted kernel runs as plain Python and the wave stepper
+falls back to its vectorized numpy twin. The choice is made once at import;
+the jitted kernels are either all compiled or all plain, so compiled kernels
+only ever call compiled kernels, and the numpy routines are never compiled.
 
 Operator families are encoded for dispatch inside compiled code as an integer
 `code` plus two float parameters (kk, p):
@@ -27,17 +28,14 @@ so no subtraction of nearly equal quantities occurs anywhere on the domain.
 """
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("GAPSPEC_NUMBA", "1").strip().lower()
-USE_NUMBA = _flag not in ("0", "false", "no", "off")
-if USE_NUMBA:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        USE_NUMBA = False
+try:
+    from numba import njit as _njit
+    USE_NUMBA = True
+except ImportError:
+    USE_NUMBA = False
 
 if USE_NUMBA:
     def _jit(fn):
@@ -61,7 +59,6 @@ UNDERFLOW = 1
 MAXSTEPS = 2
 
 ZEROS_CAP = 8192
-LEDGER_CAP = 4096
 
 # Dormand-Prince 5(4) tableau, FSAL form
 _A21 = 0.2
@@ -165,16 +162,16 @@ def _dense(c1, c2, c3, c4, c5, th):
 @_jit
 def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
              rtol, atol, max_steps, max_step, store, localize):
-    """Adaptive RK5(4) for the shooting system, with magnitude ledger.
+    """Adaptive RK5(4) for the shooting system, with a running log scale.
 
-    Integrates from x0 to x1 (either direction). Rescales the state into
-    [1e-150, 1e150] whenever its magnitude leaves [1e-100, 1e100], recording
-    (sample index, log factor) so true values are exp(log) * stored. Zeros of
+    Integrates from x0 to x1 (either direction). Rescales the state to
+    magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
+    the running scale lg, so true values are exp(lg) * stored. Zeros of
     phi are counted at every sign change; when `localize` is set they are
     bisected on the 4th-order dense output to 1e-10 in x.
 
     Returns (status, nstored, xs, phis, chis, lgs, nzeros, zeros,
-             nled, led_idx, led_lg, x_end, phi_end, chi_end, lg_end).
+             x_end, phi_end, chi_end, lg_end).
     """
     ssize = max_steps + 2 if store else 1
     xs = np.empty(ssize)
@@ -182,8 +179,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
     chis = np.empty(ssize)
     lgs = np.empty(ssize)
     zeros = np.empty(ZEROS_CAP)
-    led_idx = np.empty(LEDGER_CAP, np.int64)
-    led_lg = np.empty(LEDGER_CAP)
 
     x = x0
     phi = phi0
@@ -200,7 +195,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         lgs[0] = lg
         nst = 1
     nzero = 0
-    nled = 0
     sgn = 1.0 if phi > 0.0 else (-1.0 if phi < 0.0 else 0.0)
 
     # first step: small relative to both the span and the start abscissa,
@@ -330,10 +324,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
                 k1p *= f
                 k1c *= f
                 lg += math.log(mag)
-                if nled < LEDGER_CAP:
-                    led_idx[nled] = nst
-                    led_lg[nled] = math.log(mag)
-                    nled += 1
 
             if store:
                 xs[nst] = x
@@ -356,8 +346,7 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
             h = max_step * direc
         steps += 1
 
-    return (status, nst, xs, phis, chis, lgs, nzero, zeros,
-            nled, led_idx, led_lg, x, phi, chi, lg)
+    return (status, nst, xs, phis, chis, lgs, nzero, zeros, x, phi, chi, lg)
 
 
 @_jit
@@ -368,7 +357,8 @@ def leapfrog_chunk(w, v, a, ueff, inv_h2, dt, nsteps,
 
     Mutates w, v, a in place; `a` must hold the acceleration of the incoming
     w. Records w[probe_idx] after each full step. The nonlinear source uses
-    delta = w * inv_ss (= sinh^k u) with the cancellation-guarded remainder.
+    delta = w * inv_ss (= sinh^k u) with the cancellation-guarded remainder;
+    this scalar loop is the compiled twin of `acceleration`.
     """
     n = w.shape[0]
     for step in range(nsteps):
@@ -389,16 +379,46 @@ def leapfrog_chunk(w, v, a, ueff, inv_h2, dt, nsteps,
                     else:
                         q = 0.5 * math.sin(2.0 * d) - d
                     rem = -sin2q[i] * sd * sd + cos2q[i] * q
-                    acc += -kk * kk * rem * inv_s32[i]
                 else:
                     rem = 0.5 * d * d * d + 1.5 * qm1[i] * d * d
-                    acc += -4.0 * rem * inv_s32[i]
+                acc += -kk * kk * rem * inv_s32[i]
             a[i] = acc
         a[0] = 0.0
         a[n - 1] = 0.0
         for i in range(n):
             v[i] += 0.5 * dt * a[i]
         probe_out[out_off + step] = w[probe_idx]
+
+
+def remainder(d, geom, sin2q, cos2q, qm1):
+    """Remainder of g g'(Q + d) beyond its linearization at Q, vectorized.
+
+    Sphere (geom 0): -sin(2Q) sin^2(d) + cos(2Q)(sin(2d)/2 - d), the odd part
+    guarded by its series for |d| < 1e-4; Yang-Mills (geom 1): the cubic
+    (3/2)(Q - 1) d^2 + d^3/2. Takes sin(2Q), cos(2Q) and Q - 1 precomputed.
+    """
+    if geom == 0:
+        sd = np.sin(d)
+        odd = np.where(np.abs(d) < 1e-4,
+                       d ** 3 * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
+                       0.5 * np.sin(2.0 * d) - d)
+        return -sin2q * sd * sd + cos2q * odd
+    return 0.5 * d ** 3 + 1.5 * qm1 * d * d
+
+
+def acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
+                 sin2q, cos2q, qm1):
+    """a = w_rr - ueff*w (+ nonlinear remainder source), Dirichlet ends.
+
+    Writes into `a`; the vectorized arithmetic of one leapfrog_chunk step."""
+    n = w.shape[0]
+    a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) * inv_h2 \
+        - ueff[1:-1] * w[1:-1]
+    if nonlin:
+        rem = remainder(w * inv_ss, geom, sin2q, cos2q, qm1)
+        a[1:-1] += -kk * kk * rem[1:-1] * inv_s32[1:-1]
+    a[0] = 0.0
+    a[n - 1] = 0.0
 
 
 def leapfrog_chunk_numpy(w, v, a, ueff, inv_h2, dt, nsteps,
@@ -412,23 +432,8 @@ def leapfrog_chunk_numpy(w, v, a, ueff, inv_h2, dt, nsteps,
         w += dt * v
         w[0] = 0.0
         w[n - 1] = 0.0
-        a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) * inv_h2 \
-            - ueff[1:-1] * w[1:-1]
-        if nonlin:
-            d = w * inv_ss
-            if geom == 0:
-                sd = np.sin(d)
-                small = np.abs(d) < 1e-4
-                q = np.where(small,
-                             d ** 3 * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
-                             0.5 * np.sin(2.0 * d) - d)
-                rem = -sin2q * sd * sd + cos2q * q
-                a[1:-1] += -kk * kk * rem[1:-1] * inv_s32[1:-1]
-            else:
-                rem = 0.5 * d ** 3 + 1.5 * qm1 * d * d
-                a[1:-1] += -4.0 * rem[1:-1] * inv_s32[1:-1]
-        a[0] = 0.0
-        a[n - 1] = 0.0
+        acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
+                     sin2q, cos2q, qm1)
         v += 0.5 * dt * a
         probe_out[out_off + step] = w[probe_idx]
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, GapspecError
 from .harmonic_maps import (SPHERE, YANG_MILLS, amplitude_bound,
                             endpoint, energy_closed_form, energy_quadrature,
-                            sphere, yang_mills)
+                            geometry)
 from .ode_engine import renormalized_f
 from .operators import half_line
 from .spectral import (_pool_map, find_gap_eigenvalues, largek_gap_scan,
@@ -123,23 +123,27 @@ def _emit(args, results, csv_header=None, csv_rows=None):
     return 0
 
 
-def _geometry_from(args):
+def _index(args):
+    """--k, else the family's own index (1 sphere, 2 ym); a kind/k pair the
+    family rejects is a configuration error, caught before any lambda."""
+    k = (2 if args.geometry == YANG_MILLS else 1) if args.k is None else args.k
     try:
-        if args.geometry == YANG_MILLS:
-            if args.k not in (None, 2):
-                raise DomainError("the gauge family is fixed at index 2")
-            return yang_mills
-        k = 1 if args.k is None else args.k
-        return lambda lam: sphere(k, lam)
+        geometry(args.geometry, k, 0.0)
     except DomainError as err:
         raise _ConfigError(str(err))
+    return k
+
+
+def _family_jobs(args):
+    """(k, jobs) for the pooled lambda-family commands."""
+    return _index(args), args.jobs or _default_jobs()
 
 
 def _cmd_hm(args):
-    make = _geometry_from(args)
+    k = _index(args)
     rows = []
     for lam in args.lam:
-        g = make(lam)
+        g = geometry(args.geometry, k, lam)
         closed = energy_closed_form(g)
         quad = energy_quadrature(g, r_max=args.r_max)
         rows.append({
@@ -158,9 +162,9 @@ def _cmd_hm(args):
 
 
 def _spectrum_job(params):
-    make_kind, k, lam, R, scans = params
-    g = yang_mills(lam) if make_kind == YANG_MILLS else sphere(k, lam)
-    rep = find_gap_eigenvalues(half_line(g), R=R, scans=scans)
+    kind, k, lam, R, scans = params
+    rep = find_gap_eigenvalues(half_line(geometry(kind, k, lam)), R=R,
+                               scans=scans)
     doc = dataclasses.asdict(rep)
     doc["negative_scan_clear"] = rep.negative_scan_clear
     doc["embedded_scan_clear"] = rep.embedded_scan_clear
@@ -168,9 +172,7 @@ def _spectrum_job(params):
 
 
 def _cmd_spectrum(args):
-    _geometry_from(args)     # validates the k/geometry combination
-    k = 1 if args.k is None else args.k
-    jobs = args.jobs or _default_jobs()
+    k, jobs = _family_jobs(args)
     reps = _pool_map(_spectrum_job,
                      [(args.geometry, k, lam, args.R, not args.no_scans)
                       for lam in args.lam], jobs)
@@ -178,9 +180,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_sweep(args):
-    _geometry_from(args)
-    k = 1 if args.k is None else args.k
-    jobs = args.jobs or _default_jobs()
+    k, jobs = _family_jobs(args)
     rep = sweep_lambda(args.geometry, k, args.lam, R=args.R, jobs=jobs,
                        bisect_to=args.bisect_to)
     doc = dataclasses.asdict(rep)
@@ -191,9 +191,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_migrate(args):
-    _geometry_from(args)
-    k = 1 if args.k is None else args.k
-    jobs = args.jobs or _default_jobs()
+    k, jobs = _family_jobs(args)
     rep = migration_curve(args.geometry, k, args.lam, jobs=jobs)
     doc = dataclasses.asdict(rep)
     header = ["lambda", "mu2", "wronskian_residual", "R_used"]
@@ -209,9 +207,8 @@ def _cmd_largek(args):
 
 
 def _cmd_renorm(args):
-    make = _geometry_from(args)
     lam = args.lam[0]
-    g = make(lam)
+    g = geometry(args.geometry, _index(args), lam)
     rho_max = args.rho_max if args.rho_max is not None else lam
     sol = renormalized_f(g, args.mu2, rho_max, n_grid=args.n_grid)
     rho, f = sol.grid, sol.f
@@ -244,8 +241,7 @@ def _cmd_renorm(args):
 
 
 def _cmd_evolve(args):
-    make = _geometry_from(args)
-    g = make(args.lam[0])
+    g = geometry(args.geometry, _index(args), args.lam[0])
     if args.initial == "eigenmode":
         data = GapEigenmode(mu2=args.mu2, index=args.index)
     else:

@@ -16,6 +16,7 @@ All point evaluators accept floats or numpy arrays and are exact at r = 0
 rather than limits of 0/0 quotients).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class GeometrySpec:
     """Which reduced problem, its equivariance class, and the family member.
 
     kind: "sphere" or "ym"; k: equivariance index (forced to 2 for "ym");
-    lam: family parameter >= 0 (0 is the trivial map).
+    lam: finite family parameter >= 0 (0 is the trivial map).
     """
 
     kind: str
@@ -45,8 +46,14 @@ class GeometrySpec:
             raise DomainError("Yang-Mills reduction has fixed index k=2")
         if int(self.k) != self.k or self.k < 1:
             raise DomainError(f"equivariance index must be integer >= 1, got {self.k}")
-        if not self.lam >= 0.0:
-            raise DomainError(f"family parameter must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise DomainError(
+                f"family parameter must be finite and >= 0, got {self.lam}")
+
+
+def geometry(kind, k, lam):
+    """Family member of either kind; GeometrySpec validates the kind/k pair."""
+    return GeometrySpec(kind, k, float(lam))
 
 
 def sphere(k, lam):

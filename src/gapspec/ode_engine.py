@@ -20,7 +20,7 @@ dies off like exp(-2 (L0 - L)) long before the matching region.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (DomainError, FitUnreliable, GapspecError,
                      TailNotAsymptotic, VolterraDiverged)
 from .harmonic_maps import GeometrySpec, sphere
 from .operators import (LARGE_K, RESCALED_RHO, OperatorSpec, continuum_edge,
-                        half_line, op_code, zero_mode)
+                        half_line, op_code, rescaled, zero_mode)
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -60,8 +60,7 @@ class ShootingTrace:
     direction: str
     grid: np.ndarray
     values: np.ndarray          # (n, 2) stored (phi, chi)
-    log_scale: np.ndarray       # (n,) cumulative ledger log per sample
-    scale_ledger: list = field(default_factory=list)
+    log_scale: np.ndarray       # (n,) cumulative log scale per sample
     zero_count: int = 0
     zeros: np.ndarray = None
 
@@ -200,8 +199,7 @@ def _largek_start(op, mu2, r0=None):
 
 def _shoot(op, mu2, start, x_end, rtol, atol, max_steps, max_step,
            store, localize):
-    """Kernel call with start normalization; returns the raw kernel tuple
-    plus the pre-normalization ledger entry (or None)."""
+    """Kernel call with start normalization; returns the raw kernel tuple."""
     if not isinstance(start, StartData):
         start = StartData(*start)
     code, kk, p = op_code(op)
@@ -210,23 +208,21 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_steps, max_step,
     if x_end == start.x:
         raise DomainError("empty integration interval")
     phi, chi, lg = start.phi, start.phi_prime, start.log_scale
-    pre = None
     mag = max(abs(phi), abs(chi))
     if mag > 0.0 and not (1e-2 <= mag <= 1e2):
         phi /= mag
         chi /= mag
         lg += math.log(mag)
-        pre = (0, math.log(mag))
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, phi, chi, lg,
                             x_end, rtol, atol, max_steps, max_step,
                             store, localize)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
-            f"step underflow at x={out[11]:.6g} (mu2={mu2:g})")
+            f"step underflow at x={out[8]:.6g} (mu2={mu2:g})")
     if status == _kernels.MAXSTEPS:
-        raise GapspecError(f"step budget {max_steps} exhausted at x={out[11]:.6g}")
-    return out, pre
+        raise GapspecError(f"step budget {max_steps} exhausted at x={out[8]:.6g}")
+    return out
 
 
 def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
@@ -237,12 +233,9 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
     1e-10 in the integration coordinate (s for large-k members, the family's
     own x otherwise).
     """
-    out, pre = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, max_step,
-                      store=True, localize=True)
-    (_, nst, xs, phis, chis, lgs, nzero, zeros,
-     nled, led_idx, led_lg, *_rest) = out
-    ledger = [] if pre is None else [pre]
-    ledger.extend((int(led_idx[i]), float(led_lg[i])) for i in range(nled))
+    (_, nst, xs, phis, chis, lgs, nzero, zeros, *_rest) = _shoot(
+        op, mu2, start, x_end, rtol, atol, max_steps, max_step,
+        store=True, localize=True)
     vals = np.empty((nst, 2))
     vals[:, 0] = phis[:nst]
     vals[:, 1] = chis[:nst]
@@ -251,24 +244,24 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
         operator=op, mu2=mu2,
         direction=FORWARD if x_end > sx else BACKWARD,
         grid=xs[:nst].copy(), values=vals, log_scale=lgs[:nst].copy(),
-        scale_ledger=ledger, zero_count=int(nzero),
+        zero_count=int(nzero),
         zeros=zeros[:min(nzero, _kernels.ZEROS_CAP)].copy())
 
 
 def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
                 max_steps=400_000):
     """Zero count of the shot without building a trace (Sturm counting)."""
-    out, _ = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
-                    store=False, localize=False)
+    out = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
+                 store=False, localize=False)
     return int(out[6])
 
 
 def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
                    max_steps=400_000):
     """End StartData of the shot without storing samples."""
-    out, _ = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
-                    store=False, localize=False)
-    return StartData(out[11], out[12], out[13], out[14])
+    out = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
+                 store=False, localize=False)
+    return StartData(out[8], out[9], out[10], out[11])
 
 
 def tail_start_decaying(op, mu2, R):
@@ -414,8 +407,6 @@ def _renorm_crosscheck(geometry, eps, rho, f):
     points, so the comparison interpolates only the slowly varying f and
     inherits no interpolation error from the fast profile itself.
     """
-    from .operators import RESCALED_RHO, rescaled, zero_mode  # import cycle
-
     op = rescaled(geometry)
     start = series_start(op, eps)
     tr = integrate(op, eps, start, float(rho[-1]), rtol=1e-12, atol=1e-15)

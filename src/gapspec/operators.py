@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .harmonic_maps import (SPHERE, YANG_MILLS, GeometrySpec, eval_Q,
-                            metric_g, metric_g_double_prime, metric_g_prime)
+from .harmonic_maps import (SPHERE, GeometrySpec, eval_Q, metric_g,
+                            metric_g_double_prime, metric_g_prime)
 
 HALF_LINE = "half_line"
 RESCALED = "rescaled"
@@ -197,8 +197,10 @@ def _effective_structural(op, x):
 def effective_potential(op, x, form="direct"):
     """Potential block U with phi'' = (U - mu2) phi (half-line families) or
     the large-k block 1/4 - omega^-2/(4k^2) + omega^-2 C(rho) in its rho
-    variable. `form` selects one of two independent algebraic assemblies;
-    they agree to 1e-12 and tests hold them to that.
+    variable. `form` selects one of two independent algebraic assemblies:
+    "direct" evaluates the integrator's own kernel (for large-k at
+    s = -log log(Theta/rho)), "structural" the geometric form; they agree
+    to 1e-11 and tests hold them to that.
     """
     arr = np.asarray(x, dtype=float)
     lo, hi = op.domain
@@ -210,18 +212,11 @@ def effective_potential(op, x, form="direct"):
     if form != "direct":
         raise DomainError(f"unknown form {form!r}")
     code, kk, p = op_code(op)
-    if code >= _kernels.LARGEK_FIN:
-        # kernels hold the s-coordinate version; evaluate the rho form here
-        L = np.log(op.theta / arr)
-        c = _structural_C(arr * arr)
-        if op.k == math.inf:
-            out = 0.25 + L * L * c
-        else:
-            om_inv = op.k * np.sinh(L / op.k)
-            out = 0.25 + (om_inv * om_inv) * c - np.sinh(L / op.k) ** 2 / 4.0
-        return float(out) if np.ndim(x) == 0 else out
+    if op.family == LARGE_K:
+        # the kernel holds the large-k block in s = -log log(Theta/rho)
+        arr = -np.log(np.log(op.theta / arr))
     if np.ndim(x) == 0:
-        return _kernels.pot(code, kk, p, float(x))
+        return _kernels.pot(code, kk, p, float(arr))
     flat = np.ascontiguousarray(arr.ravel())
     out = np.empty_like(flat)
     _kernels.pot_array(code, kk, p, flat, out)

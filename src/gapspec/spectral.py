@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
-from .harmonic_maps import SPHERE, YANG_MILLS, sphere, yang_mills
+from .harmonic_maps import geometry, sphere
 from .ode_engine import (ThresholdFit, count_zeros, endpoint_state,
                          fit_threshold, integrate, series_start,
                          tail_start_decaying)
@@ -160,17 +160,25 @@ def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
     return count_zeros(op, mu2, start, R, rtol=rtol, atol=atol)
 
 
-def _bisect_count(op, target, lo, hi, R, rtol, atol):
-    """Smallest mu2 with count >= target, bracketed to BRACKET_WIDTH.
-
-    Assumes count(lo) < target <= count(hi)."""
-    while hi - lo > BRACKET_WIDTH:
+def _bisect(above, lo, hi, width):
+    """Halve (lo, hi) down to `width`, keeping above(lo) false and
+    above(hi) true."""
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if count_eigenvalues_below(op, mid, R, rtol, atol) >= target:
+        if above(mid):
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+def _bisect_count(op, target, lo, hi, R, rtol, atol):
+    """Smallest mu2 with count >= target, bracketed to BRACKET_WIDTH.
+
+    Assumes count(lo) < target <= count(hi)."""
+    return _bisect(
+        lambda mu2: count_eigenvalues_below(op, mu2, R, rtol, atol) >= target,
+        lo, hi, BRACKET_WIDTH)
 
 
 def _matching_point(op, x0, R):
@@ -304,11 +312,7 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
         report.eigenvalues.append(
             _locate_eigenvalue(op, j, base, edge, R_count, rtol, atol))
     if threshold:
-        # cap the step so the fit window holds enough samples: at the edge
-        # the far field is affine and the controller would stride across it
-        tr = integrate(op, edge, series_start(op, edge), R_count,
-                       rtol=rtol, atol=atol, max_step=R_count / 100.0)
-        report.threshold = fit_threshold(tr)
+        report.threshold = _threshold_fit(op, R_count, rtol, atol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
             report.negative_scan.append(
@@ -318,6 +322,16 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
             report.embedded_scan.append(
                 (mu2, _embedded_flatness(op, mu2, edge, R_count, rtol, atol)))
     return report
+
+
+def _threshold_fit(op, R, rtol, atol):
+    """Affine tail fit of the regular shot at the continuum edge."""
+    edge = continuum_edge(op)
+    # cap the step so the fit window holds enough samples: at the edge
+    # the far field is affine and the controller would stride across it
+    tr = integrate(op, edge, series_start(op, edge), R,
+                   rtol=rtol, atol=atol, max_step=R / 100.0)
+    return fit_threshold(tr)
 
 
 def _embedded_flatness(op, mu2, edge, R, rtol, atol):
@@ -340,23 +354,13 @@ def _embedded_flatness(op, mu2, edge, R, rtol, atol):
     return float(np.max(amp) / np.min(amp) - 1.0)
 
 
-def _geometry(kind, k, lam):
-    if kind == SPHERE:
-        return sphere(k, lam)
-    if kind == YANG_MILLS:
-        return yang_mills(lam)
-    raise DomainError(f"unknown geometry kind {kind!r}")
-
-
 def _sweep_point(args):
     kind, k, lam, R, rtol, atol = args
-    op = half_line(_geometry(kind, k, lam))
-    edge = continuum_edge(op)
+    op = half_line(geometry(kind, k, lam))
     Rc = default_count_radius(op) if R is None else R
-    cnt = count_eigenvalues_below(op, edge - COUNT_MARGIN, Rc, rtol, atol)
-    tr = integrate(op, edge, series_start(op, edge), Rc,
-                   rtol=rtol, atol=atol, max_step=Rc / 100.0)
-    fit = fit_threshold(tr)
+    cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN, Rc,
+                                  rtol, atol)
+    fit = _threshold_fit(op, Rc, rtol, atol)
     return SweepPoint(lam, cnt, fit.a, fit.b, fit.fit_residual)
 
 
@@ -380,44 +384,30 @@ def sweep_lambda(kind, k, lam_grid, R=None, rtol=1e-11, atol=1e-13,
         raise DomainError("lambda grid must be increasing")
     pts = _pool_map(_sweep_point, [(kind, k, v, R, rtol, atol) for v in lams],
                     jobs)
-    report = SweepReport(kind, k, lams, pts)
 
-    def slope(lam):
-        return _sweep_point((kind, k, lam, R, rtol, atol)).resonance_b
+    def bracket(crosses, past):
+        # bisect the first grid interval (p, q) where crosses(p, q) holds;
+        # past(p, m) tells whether the point m lies beyond the transition
+        for p, q, lo, hi in zip(pts, pts[1:], lams, lams[1:]):
+            if crosses(p, q):
+                return _bisect(
+                    lambda lam: past(p, _sweep_point(
+                        (kind, k, lam, R, rtol, atol))),
+                    lo, hi, bisect_to)
+        return None
 
-    for i in range(len(pts) - 1):
-        if pts[i].resonance_b * pts[i + 1].resonance_b < 0.0:
-            lo, hi = lams[i], lams[i + 1]
-            slo = pts[i].resonance_b
-            while hi - lo > bisect_to:
-                mid = 0.5 * (lo + hi)
-                if slope(mid) * slo > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            report.slope_flip_bracket = (lo, hi)
-            break
-
-    def gapcount(lam):
-        return _sweep_point((kind, k, lam, R, rtol, atol)).count
-
-    for i in range(len(pts) - 1):
-        if pts[i].count == 0 and pts[i + 1].count > 0:
-            lo, hi = lams[i], lams[i + 1]
-            while hi - lo > bisect_to:
-                mid = 0.5 * (lo + hi)
-                if gapcount(mid) == 0:
-                    lo = mid
-                else:
-                    hi = mid
-            report.onset_bracket = (lo, hi)
-            break
-    return report
+    return SweepReport(
+        kind, k, lams, pts,
+        slope_flip_bracket=bracket(
+            lambda p, q: p.resonance_b * q.resonance_b < 0.0,
+            lambda p, m: not m.resonance_b * p.resonance_b > 0.0),
+        onset_bracket=bracket(lambda p, q: p.count == 0 and q.count > 0,
+                              lambda p, m: m.count != 0))
 
 
 def _migration_point(args):
     kind, k, lam, rtol, atol = args
-    op = half_line(_geometry(kind, k, lam))
+    op = half_line(geometry(kind, k, lam))
     rep = find_gap_eigenvalues(op, rtol=rtol, atol=atol,
                                scans=False, threshold=False)
     if not rep.eigenvalues:

@@ -112,32 +112,6 @@ class SpectrumSummary:
     n_samples: int
 
 
-def _acceleration(state):
-    """a = w_rr - ueff w (+ nonlinear remainder source), Dirichlet ends.
-
-    Mirrors the stepping kernel's arithmetic; used to prime state.a."""
-    w = state.w
-    a = np.zeros_like(w)
-    inv_h2 = 1.0 / state.h ** 2
-    a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) * inv_h2 \
-        - state.ueff[1:-1] * w[1:-1]
-    if state.nonlinear:
-        d = w * state.inv_ss
-        k = state.geometry.k
-        if state.geometry.kind == SPHERE:
-            sd = np.sin(d)
-            small = np.abs(d) < 1e-4
-            q = np.where(small,
-                         d ** 3 * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
-                         0.5 * np.sin(2.0 * d) - d)
-            rem = -state.sin2q * sd * sd + state.cos2q * q
-            a[1:-1] += -k * k * rem[1:-1] * state.inv_s32[1:-1]
-        else:
-            rem = 0.5 * d ** 3 + 1.5 * state.qm1 * d * d
-            a[1:-1] += -4.0 * rem[1:-1] * state.inv_s32[1:-1]
-    return a
-
-
 def nonlinear_source(geometry, r, u):
     """Exact remainder of the full radial equation beyond its linearization
     at the harmonic map, for the flat variable u with psi = Q + sinh^k r u.
@@ -154,17 +128,9 @@ def nonlinear_source(geometry, r, u):
     u = np.asarray(u, dtype=float)
     k = geometry.k
     sk = np.sinh(r) ** k
-    d = sk * u
     q = eval_Q(geometry, r)
-    if geometry.kind == SPHERE:
-        sd = np.sin(d)
-        small = np.abs(d) < 1e-4
-        odd = np.where(small,
-                       d ** 3 * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
-                       0.5 * np.sin(2.0 * d) - d)
-        rem = -np.sin(2.0 * q) * sd * sd + np.cos(2.0 * q) * odd
-    else:
-        rem = 0.5 * d ** 3 + 1.5 * (q - 1.0) * d * d
+    rem = _kernels.remainder(sk * u, 0 if geometry.kind == SPHERE else 1,
+                             np.sin(2.0 * q), np.cos(2.0 * q), q - 1.0)
     out = -(k * k) * rem / (sk * np.sinh(r) ** 2)
     return out if out.shape else float(out)
 
@@ -249,22 +215,28 @@ def init_state(geometry, R, n, initial, nonlinear=False,
 
     state = WaveState(
         geometry=geometry, grid=r, h=h, t=0.0,
-        w=w.astype(float), v=np.zeros(n), a=None, ueff=ueff,
+        w=w.astype(float), v=np.zeros(n), a=np.zeros(n), ueff=ueff,
         nonlinear=bool(nonlinear), probe_index=probe_index,
         dt_max=dt_max, mu2=mu2,
         inv_ss=inv_ss, inv_s32=inv_ss ** 3,
         sin2q=np.sin(2.0 * q), cos2q=np.cos(2.0 * q), qm1=q - 1.0)
-    state.a = _acceleration(state)
+    _kernels.acceleration(state.w, state.a, state.ueff, 1.0 / h ** 2,
+                          *_source_args(state))
     return state
 
 
+def _source_args(state):
+    """The kernels' trailing source arguments (nonlin, geom, kk, ...)."""
+    g = state.geometry
+    return (state.nonlinear, 0 if g.kind == SPHERE else 1, float(g.k),
+            state.inv_ss, state.inv_s32, state.sin2q, state.cos2q, state.qm1)
+
+
 def _run_chunk(state, dt, nsteps, probe_out, out_off):
-    geom = 0 if state.geometry.kind == SPHERE else 1
     _kernels.step_chunk(
         state.w, state.v, state.a, state.ueff, 1.0 / state.h ** 2,
         dt, nsteps, state.probe_index, probe_out, out_off,
-        state.nonlinear, geom, float(state.geometry.k),
-        state.inv_ss, state.inv_s32, state.sin2q, state.cos2q, state.qm1)
+        *_source_args(state))
     state.t += nsteps * dt
 
 

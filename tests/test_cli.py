@@ -132,6 +132,14 @@ def test_sweep_command_csv(tmp_path):
     assert b_half == pytest.approx(B_SPHERE_K1[0.5], rel=1e-4)
 
 
+def test_sweep_command_ym_index(capsys):
+    # the gauge family reports its own index, not the sphere default
+    doc = _json_out(capsys, ["sweep", "--geometry", "ym", "--lambda",
+                             "0.5,1.0", "--jobs", "1", "--no-timestamp"])
+    assert doc["results"]["k"] == 2
+    assert [p["lam"] for p in doc["results"]["points"]] == [0.5, 1.0]
+
+
 def test_migrate_command(capsys):
     doc = _json_out(capsys, ["migrate", "--k", "2", "--lambda", "5,10",
                              "--jobs", "1", "--no-timestamp"])

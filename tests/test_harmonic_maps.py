@@ -117,5 +117,9 @@ def test_geometry_validation():
         gs.sphere(2, -1.0)
     with pytest.raises(DomainError):
         gs.yang_mills(-1.0)
+    with pytest.raises(DomainError):
+        gs.sphere(2, math.inf)
+    with pytest.raises(DomainError):
+        gs.yang_mills(math.inf)
     # lambda = 0 is the trivial map and stays legal
     assert gs.endpoint(gs.yang_mills(0.0)) == 0.0

@@ -149,6 +149,9 @@ def test_sweep_flat_region_k1():
     assert bs[0.5] == pytest.approx(B_SPHERE_K1[0.5], rel=1e-5)
     with pytest.raises(DomainError):
         gs.sweep_lambda(gs.SPHERE, 1, [1.0, 0.5])
+    # the gauge family has index 2 only; another k is rejected, not relabelled
+    with pytest.raises(DomainError):
+        gs.sweep_lambda(gs.YANG_MILLS, 1, [0.5])
 
 
 def test_sweep_brackets_transitions_k1():
@@ -187,6 +190,8 @@ def test_migration_guards():
         gs.migration_curve(gs.SPHERE, 2, [1.0])
     with pytest.raises(DomainError):
         gs.migration_curve(gs.SPHERE, 2, [10.0, 5.0])
+    with pytest.raises(DomainError):
+        gs.migration_curve(gs.YANG_MILLS, 3, [5.0])
 
 
 def test_largek_scan_theta100():
