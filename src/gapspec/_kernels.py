@@ -58,8 +58,6 @@ OK = 0
 UNDERFLOW = 1
 MAXSTEPS = 2
 
-ZEROS_CAP = 8192
-
 # Dormand-Prince 5(4) tableau, FSAL form
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
@@ -74,13 +72,6 @@ _A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _E1, _E3, _E4 = 71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0
 _E5, _E6, _E7 = -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
-# 4th-order dense-output weights
-_D1 = -12715105075.0 / 11282082432.0
-_D3 = 87487479700.0 / 32700410799.0
-_D4 = -10690763975.0 / 1880347072.0
-_D5 = 701980252875.0 / 199316789632.0
-_D6 = -1453857185.0 / 822651844.0
-_D7 = 69997945.0 / 29380423.0
 
 
 @_jit
@@ -155,22 +146,17 @@ def pot_array(code, kk, p, xs, out):
 
 
 @_jit
-def _dense(c1, c2, c3, c4, c5, th):
-    return c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
-
-
-@_jit
 def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
-             rtol, atol, max_steps, max_step, store, localize):
+             rtol, atol, max_steps, max_step, store):
     """Adaptive RK5(4) for the shooting system, with a running log scale.
 
     Integrates from x0 to x1 (either direction). Rescales the state to
     magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
     the running scale lg, so true values are exp(lg) * stored. Zeros of
-    phi are counted at every sign change; when `localize` is set they are
-    bisected on the 4th-order dense output to 1e-10 in x.
+    phi are counted at every sign change. Accepted steps are stored only
+    when `store` is set; otherwise the sample arrays have length 1.
 
-    Returns (status, nstored, xs, phis, chis, lgs, nzeros, zeros,
+    Returns (status, nstored, xs, phis, chis, lgs, nzeros,
              x_end, phi_end, chi_end, lg_end).
     """
     ssize = max_steps + 2 if store else 1
@@ -178,7 +164,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
     phis = np.empty(ssize)
     chis = np.empty(ssize)
     lgs = np.empty(ssize)
-    zeros = np.empty(ZEROS_CAP)
 
     x = x0
     phi = phi0
@@ -281,30 +266,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
             news = 1.0 if y1p > 0.0 else (-1.0 if y1p < 0.0 else 0.0)
             if news != 0.0 and sgn != 0.0 and news != sgn:
                 nzero += 1
-                if localize and nzero <= ZEROS_CAP:
-                    c1 = phi
-                    c2 = y1p - phi
-                    c3 = h * k1p - c2
-                    c4 = c2 - h * k7p - c3
-                    c5 = h * (_D1 * k1p + _D3 * k3p + _D4 * k4p + _D5 * k5p
-                              + _D6 * k6p + _D7 * k7p)
-                    ta, tb = 0.0, 1.0
-                    va = phi
-                    it = 0
-                    while (tb - ta) * abs(h) > 1e-10 and it < 80:
-                        tm = 0.5 * (ta + tb)
-                        vm = _dense(c1, c2, c3, c4, c5, tm)
-                        if vm == 0.0:
-                            ta = tm
-                            tb = tm
-                            break
-                        if (va > 0.0) == (vm > 0.0):
-                            ta = tm
-                            va = vm
-                        else:
-                            tb = tm
-                        it += 1
-                    zeros[nzero - 1] = x + 0.5 * (ta + tb) * h
             if news != 0.0:
                 sgn = news
 
@@ -346,7 +307,7 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
             h = max_step * direc
         steps += 1
 
-    return (status, nst, xs, phis, chis, lgs, nzero, zeros, x, phi, chi, lg)
+    return (status, nst, xs, phis, chis, lgs, nzero, x, phi, chi, lg)
 
 
 @_jit

@@ -63,14 +63,14 @@ def _lambda_list(text):
 
 def _k_list(text):
     try:
-        out = []
-        for tok in text.split(","):
-            out.append(math.inf if tok.strip() in ("inf", "Inf") else
-                       int(tok))
+        out = [math.inf if tok.strip() in ("inf", "Inf") else int(tok)
+               for tok in text.split(",")]
+        if min(out) < 1:
+            raise ValueError
         return out
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers or 'inf', got {text!r}")
+            f"expected comma-separated integers >= 1 or 'inf', got {text!r}")
 
 
 def _jsonable(x):

@@ -1,11 +1,12 @@
 """Shooting infrastructure for the operator families.
 
-The integrator is a Dormand-Prince 5(4) pair with PI-free step control,
-4th-order dense output for zero localization, and a running magnitude ledger:
-whenever the state magnitude leaves [1e-100, 1e100] it is rescaled to 1 and
-the log factor recorded, so exponentially growing or decaying solutions are
-carried across hundreds of e-foldings without overflow. True values are
-stored * exp(log_scale).
+The integrator is a Dormand-Prince 5(4) pair with PI-free step control and
+a running magnitude ledger: whenever the state magnitude leaves
+[1e-100, 1e100] it is rescaled to 1 and the log factor recorded, so
+exponentially growing or decaying solutions are carried across hundreds of
+e-foldings without overflow. True values are stored * exp(log_scale). Each
+shot counts the sign changes of phi (the Sturm count) and returns its end
+state; `integrate` also keeps every accepted step.
 
 Regular starts come from the Frobenius series at the left endpoint,
 phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
@@ -32,8 +33,7 @@ from .harmonic_maps import GeometrySpec, sphere
 from .operators import (LARGE_K, RESCALED_RHO, OperatorSpec, continuum_edge,
                         half_line, op_code, rescaled, zero_mode)
 
-FORWARD = "forward"
-BACKWARD = "backward"
+MAX_STEPS = 400_000
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ class ShootingTrace:
 
     operator: OperatorSpec
     mu2: float
-    direction: str
     grid: np.ndarray
     values: np.ndarray          # (n, 2) stored (phi, chi)
     log_scale: np.ndarray       # (n,) cumulative log scale per sample
     zero_count: int = 0
-    zeros: np.ndarray = None
 
     @property
     def end(self):
@@ -197,8 +195,7 @@ def _largek_start(op, mu2, r0=None):
     return StartData(-math.log(L0), hs.phi, hs.phi_prime, 0.0)
 
 
-def _shoot(op, mu2, start, x_end, rtol, atol, max_steps, max_step,
-           store, localize):
+def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
     """Kernel call with start normalization; returns the raw kernel tuple."""
     if not isinstance(start, StartData):
         start = StartData(*start)
@@ -214,54 +211,39 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_steps, max_step,
         chi /= mag
         lg += math.log(mag)
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, phi, chi, lg,
-                            x_end, rtol, atol, max_steps, max_step,
-                            store, localize)
+                            x_end, rtol, atol, MAX_STEPS, max_step, store)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
-            f"step underflow at x={out[8]:.6g} (mu2={mu2:g})")
+            f"step underflow at x={out[7]:.6g} (mu2={mu2:g})")
     if status == _kernels.MAXSTEPS:
-        raise GapspecError(f"step budget {max_steps} exhausted at x={out[8]:.6g}")
+        raise GapspecError(f"step budget {MAX_STEPS} exhausted at x={out[7]:.6g}")
     return out
 
 
 def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
-              max_steps=400_000, max_step=0.0) -> ShootingTrace:
-    """Integrate the shooting system from `start` to x_end.
-
-    Direction is inferred from the endpoints. Zeros of phi are localized to
-    1e-10 in the integration coordinate (s for large-k members, the family's
-    own x otherwise).
-    """
-    (_, nst, xs, phis, chis, lgs, nzero, zeros, *_rest) = _shoot(
-        op, mu2, start, x_end, rtol, atol, max_steps, max_step,
-        store=True, localize=True)
+              max_step=0.0) -> ShootingTrace:
+    """Integrate the shooting system from `start` to x_end, storing every
+    accepted step. Direction is inferred from the endpoints."""
+    (_, nst, xs, phis, chis, lgs, nzero, *_rest) = _shoot(
+        op, mu2, start, x_end, rtol, atol, max_step, store=True)
     vals = np.empty((nst, 2))
     vals[:, 0] = phis[:nst]
     vals[:, 1] = chis[:nst]
-    sx = float(start.x if isinstance(start, StartData) else start[0])
     return ShootingTrace(
-        operator=op, mu2=mu2,
-        direction=FORWARD if x_end > sx else BACKWARD,
-        grid=xs[:nst].copy(), values=vals, log_scale=lgs[:nst].copy(),
-        zero_count=int(nzero),
-        zeros=zeros[:min(nzero, _kernels.ZEROS_CAP)].copy())
+        operator=op, mu2=mu2, grid=xs[:nst].copy(), values=vals,
+        log_scale=lgs[:nst].copy(), zero_count=int(nzero))
 
 
-def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
-                max_steps=400_000):
+def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     """Zero count of the shot without building a trace (Sturm counting)."""
-    out = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
-                 store=False, localize=False)
-    return int(out[6])
+    return int(_shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)[6])
 
 
-def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
-                   max_steps=400_000):
+def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     """End StartData of the shot without storing samples."""
-    out = _shoot(op, mu2, start, x_end, rtol, atol, max_steps, 0.0,
-                 store=False, localize=False)
-    return StartData(out[8], out[9], out[10], out[11])
+    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)
+    return StartData(*out[7:])
 
 
 def tail_start_decaying(op, mu2, R):

@@ -65,8 +65,8 @@ class OperatorSpec:
             if self.family == RESCALED and self.geometry.lam <= 0.0:
                 raise DomainError("rescaled coordinates need lambda > 0")
         if self.family == LARGE_K:
-            if self.theta is None or not self.theta > 0.0:
-                raise DomainError("large_k operator needs Theta > 0")
+            if self.theta is None or not 0.0 < self.theta < math.inf:
+                raise DomainError("large_k operator needs finite Theta > 0")
             if not (self.k == math.inf or (self.k == int(self.k) and self.k >= 1)):
                 raise DomainError("large_k index must be integer >= 1 or inf")
         elif self.k == math.inf or self.k < 1 or self.k != int(self.k):
@@ -314,8 +314,8 @@ def apply_operator(op, phi, x, phi_prime=None, phi_second=None, fd_step=None):
 def omega_weight(k, theta, rho):
     """Weight omega_{k,Theta}(rho) = 1/(k sinh(L/k)), L = log(Theta/rho);
     1/L at k = inf. Monotone increasing toward its k = inf envelope."""
-    if not theta > 0.0:
-        raise DomainError(f"Theta must be > 0, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"Theta must be finite and > 0, got {theta}")
     if not (k == math.inf or k >= 1):
         raise DomainError(f"index must be >= 1 or inf, got {k}")
     rho = np.asarray(rho, dtype=float)

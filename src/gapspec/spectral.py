@@ -324,7 +324,7 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
     return report
 
 
-def _threshold_fit(op, R, rtol, atol):
+def _threshold_fit(op, R, rtol=1e-11, atol=1e-13):
     """Affine tail fit of the regular shot at the continuum edge."""
     edge = continuum_edge(op)
     # cap the step so the fit window holds enough samples: at the edge
@@ -355,12 +355,11 @@ def _embedded_flatness(op, mu2, edge, R, rtol, atol):
 
 
 def _sweep_point(args):
-    kind, k, lam, R, rtol, atol = args
+    kind, k, lam, R = args
     op = half_line(geometry(kind, k, lam))
     Rc = default_count_radius(op) if R is None else R
-    cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN, Rc,
-                                  rtol, atol)
-    fit = _threshold_fit(op, Rc, rtol, atol)
+    cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN, Rc)
+    fit = _threshold_fit(op, Rc)
     return SweepPoint(lam, cnt, fit.a, fit.b, fit.fit_residual)
 
 
@@ -371,8 +370,8 @@ def _pool_map(fn, items, jobs):
         return list(ex.map(fn, items, chunksize=1))
 
 
-def sweep_lambda(kind, k, lam_grid, R=None, rtol=1e-11, atol=1e-13,
-                 jobs=1, bisect_to=1e-4) -> SweepReport:
+def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
+                 bisect_to=1e-4) -> SweepReport:
     """Track the threshold slope and gap count along a lambda grid.
 
     Two independent transition brackets are refined to width `bisect_to`:
@@ -382,8 +381,7 @@ def sweep_lambda(kind, k, lam_grid, R=None, rtol=1e-11, atol=1e-13,
     lams = [float(v) for v in lam_grid]
     if sorted(lams) != lams:
         raise DomainError("lambda grid must be increasing")
-    pts = _pool_map(_sweep_point, [(kind, k, v, R, rtol, atol) for v in lams],
-                    jobs)
+    pts = _pool_map(_sweep_point, [(kind, k, v, R) for v in lams], jobs)
 
     def bracket(crosses, past):
         # bisect the first grid interval (p, q) where crosses(p, q) holds;
@@ -391,8 +389,7 @@ def sweep_lambda(kind, k, lam_grid, R=None, rtol=1e-11, atol=1e-13,
         for p, q, lo, hi in zip(pts, pts[1:], lams, lams[1:]):
             if crosses(p, q):
                 return _bisect(
-                    lambda lam: past(p, _sweep_point(
-                        (kind, k, lam, R, rtol, atol))),
+                    lambda lam: past(p, _sweep_point((kind, k, lam, R))),
                     lo, hi, bisect_to)
         return None
 
@@ -406,10 +403,9 @@ def sweep_lambda(kind, k, lam_grid, R=None, rtol=1e-11, atol=1e-13,
 
 
 def _migration_point(args):
-    kind, k, lam, rtol, atol = args
+    kind, k, lam = args
     op = half_line(geometry(kind, k, lam))
-    rep = find_gap_eigenvalues(op, rtol=rtol, atol=atol,
-                               scans=False, threshold=False)
+    rep = find_gap_eigenvalues(op, scans=False, threshold=False)
     if not rep.eigenvalues:
         raise EigenvalueMissing(
             f"no gap eigenvalue for {kind} k={k} lambda={lam:g}")
@@ -417,8 +413,7 @@ def _migration_point(args):
     return MigrationPoint(lam, ev.mu2, ev.wronskian_residual, ev.R_used)
 
 
-def migration_curve(kind, k, lams, rtol=1e-11, atol=1e-13,
-                    jobs=1) -> MigrationReport:
+def migration_curve(kind, k, lams, jobs=1) -> MigrationReport:
     """Ground eigenvalue along increasing lambda, certified decreasing.
 
     Raises EigenvalueMissing where the gap is empty and
@@ -428,8 +423,7 @@ def migration_curve(kind, k, lams, rtol=1e-11, atol=1e-13,
     lams = [float(v) for v in lams]
     if sorted(lams) != lams or len(set(lams)) != len(lams):
         raise DomainError("lambda grid must be strictly increasing")
-    pts = _pool_map(_migration_point,
-                    [(kind, k, v, rtol, atol) for v in lams], jobs)
+    pts = _pool_map(_migration_point, [(kind, k, v) for v in lams], jobs)
     for p, q in zip(pts, pts[1:]):
         if not q.mu2 < p.mu2:
             raise InconsistentCertificate(
@@ -444,24 +438,21 @@ def migration_curve(kind, k, lams, rtol=1e-11, atol=1e-13,
 
 
 def _largek_point(args):
-    k, theta, rtol, atol = args
+    k, theta = args
     op = large_k(k, theta)
-    rep = find_gap_eigenvalues(op, rtol=rtol, atol=atol,
-                               scans=False, threshold=True)
+    rep = find_gap_eigenvalues(op, scans=False, threshold=True)
     mu2 = rep.eigenvalues[0].mu2 if rep.eigenvalues else math.nan
     hl_mu2, hl_cnt = math.nan, -1
     if k != math.inf:
         pull = half_line(sphere(int(k), theta ** (1.0 / k)))
-        hrep = find_gap_eigenvalues(pull, rtol=rtol, atol=atol,
-                                    scans=False, threshold=False)
+        hrep = find_gap_eigenvalues(pull, scans=False, threshold=False)
         hl_cnt = hrep.count
         if hrep.eigenvalues:
             hl_mu2 = hrep.eigenvalues[0].mu2
     return LargeKPoint(k, rep.count, mu2, rep.threshold.b, hl_mu2, hl_cnt)
 
 
-def largek_gap_scan(ks, theta, rtol=1e-11, atol=1e-13,
-                    jobs=1) -> LargeKReport:
+def largek_gap_scan(ks, theta, jobs=1) -> LargeKReport:
     """Gap spectrum of the large-k normal form for each k (inf allowed).
 
     Finite-k rows carry the spectrum of the half-line operator at
@@ -469,6 +460,6 @@ def largek_gap_scan(ks, theta, rtol=1e-11, atol=1e-13,
     consistency check.
     """
     rows = _pool_map(_largek_point,
-                     [(float(k) if k != math.inf else math.inf, theta,
-                       rtol, atol) for k in ks], jobs)
+                     [(float(k) if k != math.inf else math.inf, theta)
+                      for k in ks], jobs)
     return LargeKReport(theta, rows)

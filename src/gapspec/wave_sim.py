@@ -233,6 +233,9 @@ def _source_args(state):
 
 
 def _run_chunk(state, dt, nsteps, probe_out, out_off):
+    if dt > state.dt_max * (1.0 + 1e-12):
+        raise CFLViolation(
+            f"dt={dt:g} above the stability limit {state.dt_max:g}")
     _kernels.step_chunk(
         state.w, state.v, state.a, state.ueff, 1.0 / state.h ** 2,
         dt, nsteps, state.probe_index, probe_out, out_off,
@@ -242,9 +245,6 @@ def _run_chunk(state, dt, nsteps, probe_out, out_off):
 
 def step(state, dt, nsteps=1):
     """Advance nsteps of size dt; returns the probe samples of the chunk."""
-    if dt > state.dt_max * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt={dt:g} above the stability limit {state.dt_max:g}")
     if dt <= 0.0 or nsteps < 1:
         raise DomainError("need dt > 0 and nsteps >= 1")
     probe = np.empty(nsteps)
@@ -294,9 +294,6 @@ def run(state, t_final, dt=None, energy_stride=64) -> RunResult:
         raise DomainError("t_final must exceed the current time")
     nsteps = max(1, int(math.ceil((t_final - state.t) / dt - 1e-12)))
     dt = (t_final - state.t) / nsteps
-    if dt > state.dt_max * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt={dt:g} above the stability limit {state.dt_max:g}")
     t0 = state.t
     probe = np.empty(nsteps)
     e_times = [state.t]

@@ -34,8 +34,9 @@ def test_k_list_forms():
     assert _k_list("8,16") == [8, 16]
     assert _k_list("4,inf") == [4, math.inf]
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        _k_list("4,x")
+    for bad in ("4,x", "0", "8,-1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _k_list(bad)
 
 
 def test_jsonable_special_values():
@@ -107,6 +108,10 @@ def test_library_error_exits_3(capsys):
     rc = main(["evolve", "--lambda", "1.0", "--initial", "eigenmode"])
     assert rc == 3
     assert "NoEigenmode" in capsys.readouterr().err
+    # a non-finite Theta is rejected before any shot
+    rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
+    assert rc == 3
+    assert "DomainError" in capsys.readouterr().err
 
 
 def test_spectrum_command(capsys):

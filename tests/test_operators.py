@@ -35,6 +35,9 @@ def test_spec_validation():
         gs.large_k(2, 0.0)
     with pytest.raises(DomainError):
         gs.large_k(2.5, 10.0)
+    for k, theta in ((2, math.inf), (math.inf, math.inf), (2, math.nan)):
+        with pytest.raises(DomainError):
+            gs.large_k(k, theta)
     with pytest.raises(DomainError):
         gs.euclidean(math.inf)
     with pytest.raises(DomainError):
@@ -333,6 +336,8 @@ def test_omega_weight_validation():
         gs.omega_weight(2, 3.0, 0.0)
     with pytest.raises(DomainError):
         gs.omega_weight(2, -1.0, 0.5)
+    with pytest.raises(DomainError):
+        gs.omega_weight(math.inf, math.inf, 0.5)
     with pytest.raises(DomainError):
         gs.omega_weight(0.25, 3.0, 0.5)
 
