@@ -1,9 +1,10 @@
-"""Hot numerical loops, jitted when numba is importable.
+"""Hot numerical loops: the shooting kernels, jitted when numba is
+importable, and the wave stepper, vectorized in numpy.
 
-Without numba every jitted kernel runs as plain Python and the wave stepper
-falls back to its vectorized numpy twin. The choice is made once at import;
-the jitted kernels are either all compiled or all plain, so compiled kernels
-only ever call compiled kernels, and the numpy routines are never compiled.
+Without numba every jitted kernel runs as plain Python. The choice is made
+once at import; the jitted kernels are either all compiled or all plain, so
+compiled kernels only ever call compiled kernels, and the numpy routines
+(the remainder, the acceleration and the wave stepper) are never compiled.
 
 Operator families are encoded for dispatch inside compiled code as an integer
 `code` plus two float parameters (kk, p):
@@ -77,6 +78,12 @@ _E5, _E6, _E7 = -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
 @_jit
 def pot(code, kk, p, x):
     """Effective potential U at coordinate x (s for codes 5-6)."""
+    # 1/sinh^2 underflows to 0 long before sinh overflows past 710, so the
+    # potential sits at its limit there
+    if code < 2 and x > 710.0:
+        return 0.25
+    if (code == 2 or code == 3) and 2.0 * x > 710.0 * p:
+        return 1.0 / (p * p)
     if code == 0:
         sh = math.sinh(x)
         om2 = 1.0 / (sh * sh)
@@ -310,47 +317,6 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
     return (status, nst, xs, phis, chis, lgs, nzero, x, phi, chi, lg)
 
 
-@_jit
-def leapfrog_chunk(w, v, a, ueff, inv_h2, dt, nsteps,
-                   probe_idx, probe_out, out_off,
-                   nonlin, geom, kk, inv_ss, inv_s32, sin2q, cos2q, qm1):
-    """Velocity-Verlet chunk for w_tt = w_rr - ueff*w (+ source), Dirichlet.
-
-    Mutates w, v, a in place; `a` must hold the acceleration of the incoming
-    w. Records w[probe_idx] after each full step. The nonlinear source uses
-    delta = w * inv_ss (= sinh^k u) with the cancellation-guarded remainder;
-    this scalar loop is the compiled twin of `acceleration`.
-    """
-    n = w.shape[0]
-    for step in range(nsteps):
-        for i in range(n):
-            v[i] += 0.5 * dt * a[i]
-            w[i] += dt * v[i]
-        w[0] = 0.0
-        w[n - 1] = 0.0
-        for i in range(1, n - 1):
-            acc = (w[i - 1] - 2.0 * w[i] + w[i + 1]) * inv_h2 \
-                - ueff[i] * w[i]
-            if nonlin:
-                d = w[i] * inv_ss[i]
-                if geom == 0:
-                    sd = math.sin(d)
-                    if abs(d) < 1e-4:
-                        q = d * d * d * (-2.0 / 3.0 + 0.4 * d * d / 3.0)
-                    else:
-                        q = 0.5 * math.sin(2.0 * d) - d
-                    rem = -sin2q[i] * sd * sd + cos2q[i] * q
-                else:
-                    rem = 0.5 * d * d * d + 1.5 * qm1[i] * d * d
-                acc += -kk * kk * rem * inv_s32[i]
-            a[i] = acc
-        a[0] = 0.0
-        a[n - 1] = 0.0
-        for i in range(n):
-            v[i] += 0.5 * dt * a[i]
-        probe_out[out_off + step] = w[probe_idx]
-
-
 def remainder(d, geom, sin2q, cos2q, qm1):
     """Remainder of g g'(Q + d) beyond its linearization at Q, vectorized.
 
@@ -371,7 +337,7 @@ def acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
                  sin2q, cos2q, qm1):
     """a = w_rr - ueff*w (+ nonlinear remainder source), Dirichlet ends.
 
-    Writes into `a`; the vectorized arithmetic of one leapfrog_chunk step."""
+    Writes into `a`; the arithmetic of one step_chunk step."""
     n = w.shape[0]
     a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) * inv_h2 \
         - ueff[1:-1] * w[1:-1]
@@ -382,11 +348,14 @@ def acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
     a[n - 1] = 0.0
 
 
-def leapfrog_chunk_numpy(w, v, a, ueff, inv_h2, dt, nsteps,
-                         probe_idx, probe_out, out_off,
-                         nonlin, geom, kk, inv_ss, inv_s32,
-                         sin2q, cos2q, qm1):
-    """Vectorized twin of leapfrog_chunk; the pure-numpy fallback path."""
+def step_chunk(w, v, a, ueff, inv_h2, dt, nsteps, probe_idx, probe_out,
+               out_off, nonlin, geom, kk, inv_ss, inv_s32, sin2q, cos2q, qm1):
+    """Velocity-Verlet chunk for w_tt = w_rr - ueff*w (+ source), Dirichlet.
+
+    Mutates w, v, a in place; `a` must hold the acceleration of the incoming
+    w. Records w[probe_idx] into probe_out[out_off + step] after each full
+    step. The nonlinear source uses delta = w * inv_ss (= sinh^k u).
+    """
     n = w.shape[0]
     for step in range(nsteps):
         v += 0.5 * dt * a
@@ -397,7 +366,3 @@ def leapfrog_chunk_numpy(w, v, a, ueff, inv_h2, dt, nsteps,
                      sin2q, cos2q, qm1)
         v += 0.5 * dt * a
         probe_out[out_off + step] = w[probe_idx]
-
-
-# the stepper wave_sim actually binds: compiled loop or vectorized fallback
-step_chunk = leapfrog_chunk if USE_NUMBA else leapfrog_chunk_numpy

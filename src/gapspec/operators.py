@@ -347,8 +347,10 @@ def coordinate_maps(kind, k=None, theta=None, lam=None):
     Round trips hold to 1e-12 across each map's working range.
     """
     if kind == "largek_rho":
-        if theta is None or k is None or not theta > 0.0 or not k >= 1:
-            raise DomainError("largek_rho map needs k >= 1 and Theta > 0")
+        if (theta is None or k is None or not 0.0 < theta < math.inf
+                or not 1 <= k < math.inf):
+            raise DomainError(
+                "largek_rho map needs finite k >= 1 and finite Theta > 0")
 
         def fwd(r):
             return theta * np.tanh(0.5 * np.asarray(r, float)) ** k
@@ -361,8 +363,8 @@ def coordinate_maps(kind, k=None, theta=None, lam=None):
 
         return CoordinateMap(kind, fwd, inv)
     if kind == "loglog_s":
-        if theta is None or not theta > 0.0:
-            raise DomainError("loglog_s map needs Theta > 0")
+        if theta is None or not 0.0 < theta < math.inf:
+            raise DomainError("loglog_s map needs finite Theta > 0")
 
         def fwd(rho):
             return -np.log(np.log(theta / np.asarray(rho, float)))

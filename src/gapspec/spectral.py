@@ -2,20 +2,30 @@
 
 Every eigenvalue is established twice, by independent routes:
 
-  * a Sturm count bisection: the number of zeros of the regular shot is a
-    step function of the spectral parameter, jumping by one as each
-    eigenvalue is crossed, so bisecting the jump brackets the eigenvalue
-    with no cancellation;
+  * a Sturm count bisection: the number of zeros of the regular shot on
+    (0, R) is a step function of the spectral parameter, jumping by one as
+    each eigenvalue is crossed, so bisecting the jump brackets the
+    eigenvalue with no cancellation. Each count runs to a radius that
+    follows mu2 (forty decay lengths 1/sqrt(edge - mu2), at least the
+    operator's count radius and at most 200); the count grows with both
+    mu2 and R, so it stays monotone and one bisection suffices;
   * a matching refinement: the normalized Wronskian of the regular shot
     and the decaying tail shot changes sign across the eigenvalue, and a
     bracketed secant drives it below 1e-8.
 
-A result is reported only when the two agree: the zero counts at the final
-bracket ends must differ by exactly one (the oscillation certificate), and
-the matched root must land inside the count bracket. Threshold behavior is
-read off the affine tail of the shot at the continuum edge, whose slope b
-vanishes exactly when a resonance sits at the edge. Scans below the gap and
-into the continuum certify the absence of spurious point spectrum there.
+The zero mode is the regular solution at mu2 = 0 and has no zeros, so the
+count there must be 0; any other count raises InconsistentCertificate. A
+result is reported only when the zero counts at the final bracket ends
+differ by exactly one (the oscillation certificate) and the Wronskian
+residual is below 1e-8. The matched root is not required to lie inside the
+count bracket: while the mismatch keeps its sign across the bracket, the
+bracket is widened by its current width on each side (tripling it), up to
+ten times, and the secant then runs inside the widened bracket.
+
+Threshold behavior is read off the affine tail of the shot at the continuum
+edge, whose slope b vanishes exactly when a resonance sits at the edge.
+Scans below the gap and into the continuum certify the absence of spurious
+point spectrum there.
 """
 
 import math
@@ -35,7 +45,6 @@ from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
 
 COUNT_MARGIN = 1e-6        # counting offset below the continuum edge
 BRACKET_WIDTH = 1e-10      # count-bisection bracket width
-NEAR_THRESHOLD = 1e-8      # closer than this to the edge: report the bracket
 WRONSKIAN_TOL = 1e-8
 EMBEDDED_FACTORS = (1.04, 1.2, 1.6, 2.0, 2.8, 4.0)
 # 0.0 closes the sweep: the count there is exactly the number of
@@ -54,6 +63,7 @@ class GapEigenvalue:
     index: int
     oscillation: tuple
     R_used: float
+    # never set: the count stops COUNT_MARGIN below the edge
     near_threshold: bool = False
 
 
@@ -172,15 +182,6 @@ def _bisect(above, lo, hi, width):
     return lo, hi
 
 
-def _bisect_count(op, target, lo, hi, R, rtol, atol):
-    """Smallest mu2 with count >= target, bracketed to BRACKET_WIDTH.
-
-    Assumes count(lo) < target <= count(hi)."""
-    return _bisect(
-        lambda mu2: count_eigenvalues_below(op, mu2, R, rtol, atol) >= target,
-        lo, hi, BRACKET_WIDTH)
-
-
 def _matching_point(op, x0, R):
     """Abscissa for Wronskian matching: the potential minimum.
 
@@ -218,7 +219,8 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
 
 
 def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
-    """Bracketed secant on the Wronskian mismatch inside the count bracket."""
+    """Bracketed secant on the Wronskian mismatch, started from the count
+    bracket and widened until the mismatch changes sign across it."""
     # the mismatch loses relative accuracy as it crosses zero, so the
     # refinement shots run two decades tighter than the counting shots;
     # otherwise the located root inherits an O(rtol) bias that depends on
@@ -269,27 +271,27 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     return best, abs(vbest)
 
 
-def _locate_eigenvalue(op, index, base_count, edge, R_count, rtol, atol):
+def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
     """Full two-route location of the eigenvalue with the given index."""
-    target = base_count + index + 1
-    hi0 = edge - COUNT_MARGIN
-    lo, hi = _bisect_count(op, target, 0.0, hi0, R_count, rtol, atol)
-    if edge - hi < NEAR_THRESHOLD:
-        return GapEigenvalue(0.5 * (lo + hi), (lo, hi), math.nan, index,
-                             (target - 1, target), R_count,
-                             near_threshold=True)
-    m = math.sqrt(edge - 0.5 * (lo + hi))
-    R_fin = max(R_count, min(200.0, 40.0 / m))
-    if R_fin > R_count:
-        lo, hi = _bisect_count(op, target, 0.0, hi0, R_fin, rtol, atol)
-    c_lo = count_eigenvalues_below(op, lo, R_fin, rtol, atol)
-    c_hi = count_eigenvalues_below(op, hi, R_fin, rtol, atol)
+
+    def radius(mu2):
+        # forty decay lengths of a state at mu2; nondecreasing in mu2, so
+        # the count at this radius stays monotone in mu2
+        return max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
+
+    lo, hi = _bisect(
+        lambda mu2: count_eigenvalues_below(
+            op, mu2, radius(mu2), rtol, atol) > index,
+        0.0, edge - COUNT_MARGIN, BRACKET_WIDTH)
+    R = radius(0.5 * (lo + hi))
+    c_lo = count_eigenvalues_below(op, lo, R, rtol, atol)
+    c_hi = count_eigenvalues_below(op, hi, R, rtol, atol)
     if c_hi - c_lo != 1:
         raise InconsistentCertificate(
             f"zero count jumps by {c_hi - c_lo} across the bracket "
             f"({lo:.12g}, {hi:.12g}), expected 1")
-    mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_fin, rtol, atol)
-    return GapEigenvalue(mu2, (lo, hi), resid, index, (c_lo, c_hi), R_fin)
+    mu2, resid = _refine_eigenvalue(op, index, lo, hi, R, rtol, atol)
+    return GapEigenvalue(mu2, (lo, hi), resid, index, (c_lo, c_hi), R)
 
 
 def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
@@ -298,19 +300,25 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
 
     Returns a SpectralReport carrying the certified eigenvalues, the affine
     threshold fit at the continuum edge (when `threshold`), and the below-gap
-    and embedded-continuum clearance scans (when `scans`).
+    and embedded-continuum clearance scans (when `scans`). Raises
+    InconsistentCertificate when the count at mu2 = 0 is not 0 or when an
+    eigenvalue fails its certificate.
     """
     if op.family == EUCLIDEAN:
         raise DomainError("the euclidean family has no spectral gap")
     edge = continuum_edge(op)
     R_count = default_count_radius(op) if R is None else float(R)
-    base = count_eigenvalues_below(op, 0.0, R_count, rtol, atol)
-    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count,
-                                rtol, atol) - base
+    # the zero mode is the regular solution at mu2 = 0 and has no zeros,
+    # so by Sturm's theorem no eigenvalue lies below 0
+    zero = count_eigenvalues_below(op, 0.0, R_count, rtol, atol)
+    if zero != 0:
+        raise InconsistentCertificate(
+            f"zero count {zero} at mu2 = 0, where the zero mode has none")
+    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count, rtol, atol)
     report = SpectralReport(operator=op, edge=edge, count=n, R_count=R_count)
     for j in range(n):
         report.eigenvalues.append(
-            _locate_eigenvalue(op, j, base, edge, R_count, rtol, atol))
+            _locate_eigenvalue(op, j, edge, R_count, rtol, atol))
     if threshold:
         report.threshold = _threshold_fit(op, R_count, rtol, atol)
     if scans:

@@ -112,6 +112,10 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3
     assert "DomainError" in capsys.readouterr().err
+    # a nonzero count at mu2 = 0 is a failed count, not a base to subtract
+    rc = main(["spectrum", "--k", "2", "--lambda", "1000", "--jobs", "1"])
+    assert rc == 3
+    assert "InconsistentCertificate" in capsys.readouterr().err
 
 
 def test_spectrum_command(capsys):

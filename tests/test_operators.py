@@ -119,6 +119,17 @@ def test_effective_potential_domain_errors():
         gs.effective_potential(op, 1.0, form="midside")
 
 
+def test_effective_potential_finite_past_sinh_overflow():
+    # sinh overflows past 710, long after 1/sinh^2 has underflowed to 0
+    for op in (gs.half_line(gs.sphere(1, 3.5)),
+               gs.half_line(gs.yang_mills(10.0)),
+               gs.rescaled(gs.sphere(2, 2.0))):
+        for x in (710.0, 800.0, 3000.0):
+            assert gs.effective_potential(op, x) == gs.continuum_edge(op)
+    op = gs.half_line(gs.sphere(1, 3.5))
+    assert gs.tail_start_decaying(op, 0.2, 3000.0).x == 3000.0
+
+
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_effective_potential_two_assemblies_agree(data):
@@ -361,10 +372,14 @@ def test_coordinate_maps_round_trip():
     x = np.linspace(0.01, 40.0, 50)
     assert np.allclose(m.inverse(m.forward(x)), x, rtol=1e-14)
 
-    with pytest.raises(DomainError):
-        gs.coordinate_maps("largek_rho", k=2)
-    with pytest.raises(DomainError):
-        gs.coordinate_maps("mercator")
+    for kind, kw in (("largek_rho", dict(k=2)), ("mercator", {}),
+                     ("largek_rho", dict(k=2, theta=math.inf)),
+                     ("largek_rho", dict(k=math.inf, theta=4.0)),
+                     ("largek_rho", dict(k=2, theta=math.nan)),
+                     ("loglog_s", dict(theta=math.inf)),
+                     ("loglog_s", dict(theta=math.nan))):
+        with pytest.raises(DomainError):
+            gs.coordinate_maps(kind, **kw)
 
 
 def test_convexity_margin():

@@ -7,7 +7,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import gapspec as gs
-from gapspec.errors import DomainError, EigenvalueMissing
+from gapspec import spectral
+from gapspec.errors import (DomainError, EigenvalueMissing,
+                            InconsistentCertificate)
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM, B_SPHERE_K1)
@@ -46,6 +48,37 @@ def test_deep_well_eigenvalue_k3():
     ev = _certified(gs.sphere(3, 40.0))
     assert ev.mu2 == pytest.approx(MU2_SPHERE_K3_L40, rel=1e-8)
     assert ev.wronskian_residual < 1e-8
+
+
+def test_one_count_bisection_per_eigenvalue(monkeypatch):
+    # the check at mu2 = 0, the count below the edge, 32 halvings of
+    # (0, 1/4) down to 1e-10 and the recount of both bracket ends; bisecting
+    # again at a second radius would double the halvings
+    calls = []
+    real = spectral.count_zeros
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])   # mu2
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "count_zeros", counted)
+    rep = gs.find_gap_eigenvalues(gs.half_line(gs.sphere(2, 10.0)),
+                                  scans=False, threshold=False)
+    assert rep.count == 1
+    assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_SPHERE_K2[10.0],
+                                                   rel=1e-9)
+    assert len(calls) <= 36
+
+
+@pytest.mark.parametrize("kind,lam", [
+    (gs.SPHERE, 800.0), (gs.SPHERE, 1000.0), (gs.SPHERE, 1e4),
+    (gs.YANG_MILLS, 1e4)])
+def test_count_at_zero_must_vanish(kind, lam):
+    # the zero mode has no zeros, so a nonzero count at mu2 = 0 is a failed
+    # count; at these lambda the forward shot miscounts there
+    op = gs.half_line(gs.GeometrySpec(kind, 2, lam))
+    with pytest.raises(InconsistentCertificate, match="mu2 = 0"):
+        gs.find_gap_eigenvalues(op, scans=False, threshold=False)
 
 
 def test_matrix_oracle_k2_lambda5():

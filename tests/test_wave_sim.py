@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gapspec as gs
-from gapspec import _kernels, wave_sim
+from gapspec import wave_sim
 from gapspec.errors import (CFLViolation, DomainError, NoEigenmode,
                             TooFewSamples)
 
@@ -288,20 +288,3 @@ def test_probe_spectrum_synthetic():
     assert flat.dominant_omega is None and flat.decay_ratio == 0.0
     with pytest.raises(TooFewSamples):
         gs.probe_spectrum(t[:1000], np.cos(t[:1000]))
-
-
-def test_stepper_kernels_agree():
-    # compiled loop and vectorized fallback do identical arithmetic
-    for g, code in ((gs.sphere(2, 1.0), 0), (gs.yang_mills(1.0), 1)):
-        state = _bump_state(g, amp=0.4, nonlinear=True)
-        sets = []
-        for kernel in (_kernels.leapfrog_chunk, _kernels.leapfrog_chunk_numpy):
-            w, v, a = state.w.copy(), state.v.copy(), state.a.copy()
-            probe = np.empty(80)
-            kernel(w, v, a, state.ueff, 1.0 / state.h ** 2, state.dt_max,
-                   80, state.probe_index, probe, 0, True, code, float(g.k),
-                   state.inv_ss, state.inv_s32, state.sin2q, state.cos2q,
-                   state.qm1)
-            sets.append((w, v, probe))
-        for xa, xb in zip(*sets):
-            assert np.allclose(xa, xb, rtol=0.0, atol=1e-12)
