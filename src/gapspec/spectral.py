@@ -8,19 +8,33 @@ Every eigenvalue is established twice, by independent routes:
     eigenvalue with no cancellation. Each count runs to a radius that
     follows mu2 (forty decay lengths 1/sqrt(edge - mu2), at least the
     operator's count radius and at most 200); the count grows with both
-    mu2 and R, so it stays monotone and one bisection suffices;
+    mu2 and R, so it stays monotone and one bisection suffices. It runs at
+    two speeds. Shots at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until
+    the bracket is at most 1e-6 wide. Its ends are then counted at the
+    caller's tolerance; an end that this count puts on the wrong side of
+    the jump steps back outward through the brackets of that bisection,
+    each twice as wide as the last, until it is right ((0, edge - 1e-6)
+    ends the walk: like any bisection of it, this one takes the count at 0
+    as below the jump and at edge - 1e-6 as above). The bisection then
+    finishes at the caller's tolerance down to 1e-10. The loose shots only
+    choose where to look: every count the certificate rests on is a tight
+    one, and the bracket is the one a bisection at the caller's tolerance
+    alone would reach;
   * a matching refinement: the normalized Wronskian of the regular shot
-    and the decaying tail shot changes sign across the eigenvalue, and a
-    bracketed secant drives it below 1e-8.
+    and the decaying tail shot changes sign across the eigenvalue. It is
+    evaluated at the count bracket ends; while it keeps its sign the
+    secant through the last two points is stepped one bracket width past
+    its root, up to ten times. Illinois regula falsi then shrinks the sign
+    change to the mismatch's noise floor: two iterates in a row that do
+    not lower |mismatch|, a bracket below 1e-13 relative, or an exact zero.
 
 The zero mode is the regular solution at mu2 = 0 and has no zeros, so the
 count there must be 0; any other count raises InconsistentCertificate. A
-result is reported only when the zero counts at the final bracket ends
-differ by exactly one (the oscillation certificate) and the Wronskian
-residual is below 1e-8. The matched root is not required to lie inside the
-count bracket: while the mismatch keeps its sign across the bracket, the
-bracket is widened by its current width on each side (tripling it), up to
-ten times, and the secant then runs inside the widened bracket.
+result is reported only when the zero counts at the final bracket ends,
+recounted at the radius of its midpoint, differ by exactly one (the
+oscillation certificate) and the Wronskian residual is below 1e-8. The
+matched root is not required to lie inside the count bracket: the secant
+step-out above finds it outside, and no containment is checked.
 
 Threshold behavior is read off the affine tail of the shot at the continuum
 edge, whose slope b vanishes exactly when a resonance sits at the edge.
@@ -45,6 +59,11 @@ from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
 
 COUNT_MARGIN = 1e-6        # counting offset below the continuum edge
 BRACKET_WIDTH = 1e-10      # count-bisection bracket width
+# the count bisection isolates the jump with these cheaper shots, down to
+# ISOLATION_WIDTH, before it verifies and finishes at the caller's tolerance
+ISOLATION_RTOL = 1e-7
+ISOLATION_ATOL = 1e-9
+ISOLATION_WIDTH = 1e-6
 WRONSKIAN_TOL = 1e-8
 EMBEDDED_FACTORS = (1.04, 1.2, 1.6, 2.0, 2.8, 4.0)
 # 0.0 closes the sweep: the count there is exactly the number of
@@ -219,8 +238,22 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
 
 
 def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
-    """Bracketed secant on the Wronskian mismatch, started from the count
-    bracket and widened until the mismatch changes sign across it."""
+    """Illinois regula falsi on the Wronskian mismatch, started from the
+    count bracket.
+
+    The tail-matched root may lie outside the Dirichlet count bracket.
+    While the mismatch keeps its sign across the current pair of points,
+    the secant through them is extrapolated and stepped one count-bracket
+    width past its root, up to ten times, so the root ends up between the
+    last two points; if it never does, InconsistentCertificate is raised.
+    Illinois regula falsi (the retained end's mismatch is halved after
+    each step that lands on the newest point's side) then shrinks that
+    bracket until the mismatch hits its noise floor: it stops after two
+    iterates in a row that do not lower the smallest |mismatch| seen, when
+    the bracket is below 1e-13 relative, or on an exact zero. Returns the
+    point of smallest |mismatch| and that |mismatch|, which must be below
+    1e-8.
+    """
     # the mismatch loses relative accuracy as it crosses zero, so the
     # refinement shots run two decades tighter than the counting shots;
     # otherwise the located root inherits an O(rtol) bias that depends on
@@ -228,43 +261,46 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     rtol = max(rtol * 1e-2, 1e-14)
     atol = max(atol * 1e-2, 1e-15)
     xm = _matching_point(op, series_start(op, 0.5 * (lo + hi)).x, R)
-    fa = _wronskian_mismatch(op, lo, xm, R, rtol, atol)
-    fb = _wronskian_mismatch(op, hi, xm, R, rtol, atol)
-    grow = 0
-    while fa * fb > 0.0 and grow < 10:
-        # tail-matched root sits a hair outside the Dirichlet bracket
-        width = (hi - lo) or BRACKET_WIDTH
-        lo, hi = lo - width, hi + width
-        fa = _wronskian_mismatch(op, lo, xm, R, rtol, atol)
-        fb = _wronskian_mismatch(op, hi, xm, R, rtol, atol)
-        grow += 1
-    if fa * fb > 0.0:
+
+    def mismatch(mu2):
+        return _wronskian_mismatch(op, mu2, xm, R, rtol, atol)
+
+    width = (hi - lo) or BRACKET_WIDTH
+    a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
+    for _ in range(10):
+        if va * vb <= 0.0 or va == vb:
+            break
+        root = b - vb * (b - a) / (vb - va)
+        if root > b:
+            a, va = b, vb
+            b = root + width
+            vb = mismatch(b)
+        else:
+            b, vb = a, va
+            a = root - width
+            va = mismatch(a)
+    if va * vb > 0.0:
         raise InconsistentCertificate(
             f"no Wronskian sign change around count bracket for index {index}")
-    a, b, va, vb = lo, hi, fa, fb
     best, vbest = (a, va) if abs(va) < abs(vb) else (b, vb)
-    last_side, stale = 0, 0
+    stale = 0
     for _ in range(80):
-        if vb == va or stale >= 2:
-            mid, stale = 0.5 * (a + b), 0
-        else:
-            mid = b - vb * (b - a) / (vb - va)
-            if not (a < mid < b):
-                mid = 0.5 * (a + b)
-        vm = _wronskian_mismatch(op, mid, xm, R, rtol, atol)
-        if abs(vm) < abs(vbest):
-            best, vbest = mid, vm
-        side = 1 if va * vm <= 0.0 else -1
-        if side == 1:
-            b, vb = mid, vm
-        else:
-            a, va = mid, vm
-        stale = stale + 1 if side == last_side else 0
-        last_side = side
         # termination is relative: small eigenvalues at the foot of a deep
         # well need mu2 resolved far below any absolute 1e-15
-        if b - a < 1e-13 * max(abs(a), abs(b), 1e-12) or vm == 0.0:
+        if (stale >= 2 or vbest == 0.0
+                or abs(b - a) < 1e-13 * max(abs(a), abs(b), 1e-12)):
             break
+        c = b - vb * (b - a) / (vb - va)
+        vc = mismatch(c)
+        if abs(vc) < abs(vbest):
+            best, vbest, stale = c, vc, 0
+        else:
+            stale += 1
+        if vc * vb < 0.0:
+            a, va = b, vb
+        else:
+            va *= 0.5
+        b, vb = c, vc
     if abs(vbest) >= WRONSKIAN_TOL:
         raise InconsistentCertificate(
             f"Wronskian residual {abs(vbest):.3g} not below {WRONSKIAN_TOL:g}")
@@ -273,16 +309,46 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
 
 def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
     """Full two-route location of the eigenvalue with the given index."""
+    top = edge - COUNT_MARGIN
 
     def radius(mu2):
         # forty decay lengths of a state at mu2; nondecreasing in mu2, so
         # the count at this radius stays monotone in mu2
         return max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
 
-    lo, hi = _bisect(
-        lambda mu2: count_eigenvalues_below(
-            op, mu2, radius(mu2), rtol, atol) > index,
-        0.0, edge - COUNT_MARGIN, BRACKET_WIDTH)
+    def above(mu2, rtol, atol):
+        return count_eigenvalues_below(op, mu2, radius(mu2), rtol,
+                                       atol) > index
+
+    # isolation: cheap counts halve (0, top), keeping every bracket
+    path = [(0.0, top)]
+    while path[-1][1] - path[-1][0] > ISOLATION_WIDTH:
+        lo, hi = path[-1]
+        mid = 0.5 * (lo + hi)
+        path.append((lo, mid) if above(mid, ISOLATION_RTOL, ISOLATION_ATOL)
+                    else (mid, hi))
+    # like any bisection of (0, top), take the count at 0 as below the jump
+    # and at top as above it
+    known = {0.0: False, top: True}
+
+    def tight(mu2):
+        if mu2 not in known:
+            known[mu2] = above(mu2, rtol, atol)
+        return known[mu2]
+
+    # verification: an end that counts at the caller's tolerance put on the
+    # wrong side backs out through those brackets, each twice as wide as
+    # the last, until it is right; the count is monotone, so the other end
+    # stays right. That bracket, and so the one the bisection finishes
+    # with, is the one a bisection at the caller's tolerance alone reaches
+    lo, hi = path.pop()
+    if tight(lo):
+        while tight(lo):
+            lo, hi = path.pop()
+    else:
+        while not tight(hi):
+            lo, hi = path.pop()
+    lo, hi = _bisect(tight, lo, hi, BRACKET_WIDTH)
     R = radius(0.5 * (lo + hi))
     c_lo = count_eigenvalues_below(op, lo, R, rtol, atol)
     c_hi = count_eigenvalues_below(op, hi, R, rtol, atol)
@@ -323,8 +389,10 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
         report.threshold = _threshold_fit(op, R_count, rtol, atol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
-            report.negative_scan.append(
-                (mu2, count_eigenvalues_below(op, mu2, R_count, rtol, atol)))
+            # the check above already counted at mu2 = 0 at this radius
+            c = zero if mu2 == 0.0 else count_eigenvalues_below(
+                op, mu2, R_count, rtol, atol)
+            report.negative_scan.append((mu2, c))
         for fac in EMBEDDED_FACTORS:
             mu2 = edge * fac
             report.embedded_scan.append(

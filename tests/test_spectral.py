@@ -51,14 +51,14 @@ def test_deep_well_eigenvalue_k3():
 
 
 def test_one_count_bisection_per_eigenvalue(monkeypatch):
-    # the check at mu2 = 0, the count below the edge, 32 halvings of
-    # (0, 1/4) down to 1e-10 and the recount of both bracket ends; bisecting
-    # again at a second radius would double the halvings
-    calls = []
+    # isolation: 18 halvings of (0, 1/4) down to 1e-6; certification: the
+    # check at mu2 = 0, the count below the edge, both isolation bracket
+    # ends, 14 halvings down to 1e-10 and the recount of both bracket ends
+    shots = {}
     real = spectral.count_zeros
 
     def counted(*args, **kwargs):
-        calls.append(args[1])   # mu2
+        shots[kwargs["rtol"]] = shots.get(kwargs["rtol"], 0) + 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "count_zeros", counted)
@@ -67,7 +67,59 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
     assert rep.count == 1
     assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_SPHERE_K2[10.0],
                                                    rel=1e-9)
-    assert len(calls) <= 36
+    assert set(shots) == {1e-11, spectral.ISOLATION_RTOL}
+    assert shots[1e-11] <= 20
+    assert shots[spectral.ISOLATION_RTOL] <= 18
+
+
+@pytest.mark.parametrize("wrong", [0, 1])
+@pytest.mark.parametrize("geom,want,rel", [
+    (gs.sphere(2, 10.0), MU2_SPHERE_K2[10.0], 1e-9),
+    (gs.sphere(3, 40.0), MU2_SPHERE_K3_L40, 1e-8)])
+def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
+                                                    want, rel):
+    # the isolation shots may land the jump anywhere (count 0 or index + 1
+    # at every mu2); the tight verification walks out to the true jump
+    real = spectral.count_zeros
+
+    def lying(*args, **kwargs):
+        if kwargs["rtol"] == spectral.ISOLATION_RTOL:
+            return wrong
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "count_zeros", lying)
+    ev = _certified(geom)
+    assert ev.oscillation == (0, 1)
+    assert ev.bracket[1] - ev.bracket[0] <= spectral.BRACKET_WIDTH
+    assert ev.mu2 == pytest.approx(want, rel=rel)
+    assert ev.wronskian_residual < 1e-8
+
+
+@pytest.mark.parametrize("shift", [-10, 10])
+def test_refine_steps_out_to_root_outside_bracket(shift):
+    # the deep-well shape: the count bracket lies ten widths off the root
+    op = gs.half_line(gs.sphere(2, 40.0))
+    mu2 = MU2_SPHERE_K2[40.0]
+    w = spectral.BRACKET_WIDTH
+    lo = mu2 + (shift - 0.5) * w
+    got, resid = spectral._refine_eigenvalue(op, 0, lo, lo + w, 80.0,
+                                             1e-11, 1e-13)
+    assert got == pytest.approx(mu2, rel=1e-9)
+    assert resid < 1e-8
+
+
+@pytest.mark.parametrize("geom", [gs.sphere(2, 40.0), gs.yang_mills(40.0)])
+def test_match_shots_per_eigenvalue(monkeypatch, geom):
+    calls = []
+    real = spectral.endpoint_state
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])   # mu2
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "endpoint_state", counted)
+    _certified(geom)
+    assert len(calls) <= 16
 
 
 @pytest.mark.parametrize("kind,lam", [
@@ -100,11 +152,23 @@ def test_matrix_oracle_k2_lambda5():
     assert abs(lam0 - MU2_SPHERE_K2[5.0]) < 5e-6
 
 
-def test_clear_operator_k1_lambda1():
+def test_clear_operator_k1_lambda1(monkeypatch):
+    zero_shots = []
+    real = spectral.count_zeros
+
+    def counted(*args, **kwargs):
+        if args[1] == 0.0:
+            zero_shots.append(args[3])   # radius
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "count_zeros", counted)
     rep = gs.find_gap_eigenvalues(gs.half_line(gs.sphere(1, 1.0)))
     assert rep.count == 0
     assert rep.eigenvalues == []
     assert rep.negative_scan_clear
+    # the check at mu2 = 0 is also the scan's last probe, shot once
+    assert rep.negative_scan[-1] == (0.0, 0)
+    assert len(zero_shots) == 1
     assert rep.embedded_scan_clear
     assert rep.threshold.b == pytest.approx(B_SPHERE_K1[1.0], rel=1e-5)
 
