@@ -243,22 +243,23 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         k5p = yc / g
         k5c = (pot(code, kk, p, xa) - mu2) * yp / g
 
+        # stage 6 and the FSAL stage 7 share the abscissa x + h
         xa = x + h
         yp = phi + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
                         + _A65 * k5p)
         yc = chi + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c
                         + _A65 * k5c)
         g = gamma_weight(code, kk, xa)
+        um = pot(code, kk, p, xa) - mu2
         k6p = yc / g
-        k6c = (pot(code, kk, p, xa) - mu2) * yp / g
+        k6c = um * yp / g
 
         y1p = phi + h * (_A71 * k1p + _A73 * k3p + _A74 * k4p + _A75 * k5p
                          + _A76 * k6p)
         y1c = chi + h * (_A71 * k1c + _A73 * k3c + _A74 * k4c + _A75 * k5c
                          + _A76 * k6c)
-        g = gamma_weight(code, kk, xa)
         k7p = y1c / g
-        k7c = (pot(code, kk, p, xa) - mu2) * y1p / g
+        k7c = um * y1p / g
 
         ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
                   + _E7 * k7p)

@@ -30,8 +30,9 @@ from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
                      TailNotAsymptotic, VolterraDiverged)
 from .harmonic_maps import GeometrySpec, sphere
-from .operators import (LARGE_K, RESCALED_RHO, OperatorSpec, continuum_edge,
-                        half_line, op_code, rescaled, zero_mode)
+from .operators import (LARGE_K, RESCALED, RESCALED_RHO, OperatorSpec,
+                        continuum_edge, half_line, op_code, rescaled,
+                        zero_mode)
 
 MAX_STEPS = 400_000
 
@@ -235,9 +236,62 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
         log_scale=lgs[:nst].copy(), zero_count=int(nzero))
 
 
+def _asymptotic(code, kk, p, edge, m2, x):
+    """True where the shooting system at x is phi'' = m^2 phi to 1e-12:
+    |U - edge| < 1e-12 m^2, and gamma = 1 to 1e-12 (only finite large-k
+    has gamma != 1)."""
+    return (abs(_kernels.pot(code, kk, p, x) - edge) < 1e-12 * m2
+            and abs(_kernels.gamma_weight(code, kk, x) - 1.0) < 1e-12)
+
+
+def asymptotic_radius(op, mu2, x_end):
+    """Smallest point of the grid x_end - j h, j = 0, 1, ..., past which the
+    potential sits at its asymptote for a state at mu2 (see _asymptotic).
+
+    The grid is scanned backward from x_end and the scan stops at the first
+    point that fails: U crosses the edge inside the well, so a forward search
+    or a bisection would stop at that crossing. h = 0.5 in r and s, where
+    U - edge decays like exp(-2x), and lambda/4 in rho, the same step in r.
+    Returns x_end itself when the potential has not flattened there, and
+    always when mu2 >= edge.
+    """
+    code, kk, p = op_code(op)
+    edge = continuum_edge(op)
+    h = 0.25 * p if op.family == RESCALED else 0.5
+    x = float(x_end)
+    while _asymptotic(code, kk, p, edge, edge - mu2, x - h):
+        x -= h
+    return x
+
+
 def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
-    """Zero count of the shot without building a trace (Sturm counting)."""
-    return int(_shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)[6])
+    """Sturm count: zeros of the shot from `start` on (start, x_end],
+    without building a trace.
+
+    Below the edge the shot stops at x_a = asymptotic_radius(op, mu2,
+    x_end). Past x_a the solution is phi_a cosh(m t) + (chi_a/m) sinh(m t),
+    t = x - x_a, m = sqrt(edge - mu2) (in s, chi = gamma phi_s with
+    gamma = 1 there), so it has at most one zero on (x_a, x_end], and it
+    has one iff phi_a chi_a < 0 and |chi_a| tanh(m (x_end - x_a)) >
+    m |phi_a|. A shot that ends on phi_a = 0 ends on a simple zero that the
+    kernel has not counted yet: it counts a zero when phi next takes a sign
+    other than the last nonzero one, and past x_a phi takes the sign of
+    chi_a. The count is the one the shot to x_end would make, up to where
+    the last zero sits within the shot's error of x_end.
+    """
+    if not isinstance(start, StartData):
+        start = StartData(*start)
+    x_a = asymptotic_radius(op, mu2, x_end)
+    if not start.x < x_a < x_end:
+        return int(_shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)[6])
+    out = _shoot(op, mu2, start, x_a, rtol, atol, 0.0, False)
+    zeros, phi, chi = int(out[6]), out[8], out[9]
+    if phi == 0.0:
+        return zeros + (chi != 0.0)
+    m = math.sqrt(continuum_edge(op) - mu2)
+    tail = ((phi < 0.0) != (chi < 0.0)
+            and abs(chi) * math.tanh(m * (x_end - x_a)) > m * abs(phi))
+    return zeros + tail
 
 
 def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
@@ -258,11 +312,11 @@ def tail_start_decaying(op, mu2, R):
         raise DomainError(f"need mu2 < {edge} for a decaying tail, got {mu2}")
     m = math.sqrt(edge - mu2)
     code, kk, p = op_code(op)
-    u = _kernels.pot(code, kk, p, float(R))
-    if abs(u - edge) >= 1e-12 * m * m:
+    if not _asymptotic(code, kk, p, edge, m * m, float(R)):
+        u = _kernels.pot(code, kk, p, float(R))
         raise TailNotAsymptotic(
             f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
-            f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}")
+            f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}, or gamma(R) != 1")
     return StartData(float(R), 1.0, -m, -m * float(R))
 
 

@@ -8,9 +8,14 @@ Every eigenvalue is established twice, by independent routes:
     eigenvalue with no cancellation. Each count runs to a radius that
     follows mu2 (forty decay lengths 1/sqrt(edge - mu2), at least the
     operator's count radius and at most 200); the count grows with both
-    mu2 and R, so it stays monotone and one bisection suffices. It runs at
-    two speeds. Shots at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until
-    the bracket is at most 1e-6 wide. Its ends are then counted at the
+    mu2 and R, so it stays monotone and one bisection suffices. Only the
+    shot to the asymptotic radius is integrated: a grid scanned backward
+    from R finds where the potential has reached the edge to 1e-12 m^2
+    (backward, because the potential crosses the edge inside the well).
+    Past that point the equation is phi'' = m^2 phi, and its solution has
+    at most one zero, counted in closed form. The count runs at two
+    speeds. Shots at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until the
+    bracket is at most 1e-6 wide. Its ends are then counted at the
     caller's tolerance; an end that this count puts on the wrong side of
     the jump steps back outward through the brackets of that bisection,
     each twice as wide as the last, until it is right ((0, edge - 1e-6)
@@ -181,7 +186,10 @@ def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
     """Sturm count: zeros of the regular shot on (0, R).
 
     Equals the number of eigenvalues below mu2 once R is past the region
-    where the potential still sits below mu2.
+    where the potential still sits below mu2. Below the edge the shot is
+    integrated only up to the asymptotic radius, found by a backward scan
+    from R, and the zero of the constant-coefficient tail on the rest of
+    (0, R) is counted in closed form (ode_engine.count_zeros).
     """
     if R is None:
         R = default_count_radius(op)

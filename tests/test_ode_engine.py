@@ -11,9 +11,11 @@ from scipy.integrate import quad, solve_ivp
 import gapspec as gs
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic, VolterraDiverged)
-from gapspec.ode_engine import _cumquad
+from gapspec.ode_engine import _cumquad, asymptotic_radius
+from gapspec.spectral import default_count_radius
 
-from conftest import B_SPHERE_K1, MU2_SPHERE_K2
+from conftest import (B_SPHERE_K1, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
+                      MU2_YM)
 
 
 def test_series_start_euclidean_leading_power():
@@ -100,6 +102,35 @@ def test_count_zeros_matches_trace():
         start = gs.series_start(op, mu2)
         tr = gs.integrate(op, mu2, start, 25.0)
         assert gs.count_zeros(op, mu2, start, 25.0) == tr.zero_count
+    # count shots stop at the asymptotic radius and count the tail's zero
+    # in closed form; the whole trace to the count radius counts them all.
+    # The eigenvalues are in each operator's own parameter, and the offsets
+    # and probes scale with its edge
+    cases = [
+        (gs.half_line(gs.sphere(2, 5.0)), MU2_SPHERE_K2[5.0]),
+        (gs.half_line(gs.yang_mills(10.0)), MU2_YM[10.0]),
+        (gs.large_k(math.inf, 100.0), MU2_LARGEK_INF_100),
+        (gs.rescaled(gs.sphere(2, 5.0)), 4.0 * MU2_SPHERE_K2[5.0] / 25.0)]
+    for op, ev in cases:
+        edge = gs.continuum_edge(op)
+        R_count = default_count_radius(op)
+        probes = [ev + 4.0 * edge * d for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
+        probes += [4.0 * edge * f for f in (0.1, 0.2, 0.249)]
+        for mu2 in probes:
+            # the count radius of the certification at this mu2
+            R = max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
+            x_a = asymptotic_radius(op, mu2, R)
+            assert x_a < R
+            start = gs.series_start(op, mu2)
+            tr = gs.integrate(op, mu2, start, R)
+            assert gs.count_zeros(op, mu2, start, R) == tr.zero_count
+            assert tr.zero_count == (mu2 > ev)
+            if mu2 == probes[2]:
+                # just above the eigenvalue the zero sits past x_a, so the
+                # closed-form branch decides it
+                phi = tr.values[:, 0]
+                last = np.nonzero(phi[1:] * phi[:-1] < 0.0)[0][-1]
+                assert tr.grid[last] > x_a
 
 
 @given(data=st.data())

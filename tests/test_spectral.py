@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import gapspec as gs
-from gapspec import spectral
+from gapspec import _kernels, spectral
 from gapspec.errors import (DomainError, EigenvalueMissing,
                             InconsistentCertificate)
+from gapspec.ode_engine import asymptotic_radius
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM, B_SPHERE_K1)
@@ -70,6 +71,40 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
     assert set(shots) == {1e-11, spectral.ISOLATION_RTOL}
     assert shots[1e-11] <= 20
     assert shots[spectral.ISOLATION_RTOL] <= 18
+
+
+def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
+    # every count shot ends where the potential has flattened, short of the
+    # count radius; the tail's zero past it is counted in closed form
+    op = gs.half_line(gs.sphere(2, 10.0))
+    R_count = spectral.default_count_radius(op)
+    kernel_ends, counts = [], []
+    real_shoot = _kernels.rk_shoot
+    real_count = spectral.count_zeros
+
+    def shoot(*args):
+        out = real_shoot(*args)
+        kernel_ends.append((args[8], out[7]))       # (x1, end abscissa)
+        return out
+
+    def counted(op, mu2, start, x_end, **kwargs):
+        kernel_ends.clear()
+        n = real_count(op, mu2, start, x_end, **kwargs)
+        counts.append((mu2, x_end, list(kernel_ends)))
+        return n
+
+    monkeypatch.setattr(_kernels, "rk_shoot", shoot)
+    monkeypatch.setattr(spectral, "count_zeros", counted)
+    ev = _certified(op.geometry)
+    assert ev.mu2 == pytest.approx(MU2_SPHERE_K2[10.0], rel=1e-9)
+    assert len(counts) > 20
+    for mu2, x_end, shots in counts:
+        x_a = asymptotic_radius(op, mu2, x_end)
+        assert x_end >= R_count > x_a
+        assert len(shots) == 1
+        x1, end = shots[0]
+        assert x1 == x_a
+        assert end == pytest.approx(x_a, rel=1e-12)
 
 
 @pytest.mark.parametrize("wrong", [0, 1])
