@@ -11,13 +11,23 @@ state; `integrate` also keeps every accepted step.
 Regular starts come from the Frobenius series at the left endpoint,
 phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
 the constant and quadratic potential coefficients of each family and the
-start radius chosen so the first dropped term is below 1e-12. Large-k members
-start in their s coordinate: finite k is seeded through the exact coordinate
-map from the half-line series (the finite-k normal form is the exact pullback
-of the half-line problem at lambda = Theta^(1/k)), and k = inf starts on the
-exact far-field solution rho log^(-1/2)(Theta/rho); either way the start sits
-deep enough (log(Theta/rho) >= 22) that any admixture of the singular branch
-dies off like exp(-2 (L0 - L)) long before the matching region.
+start radius chosen so the first dropped term is below 1e-12. The half-line
+sphere family has a second exact start: the closed-form regular solution of
+its operator with V = 0,
+
+    phi0 = 2^k sinh^(1/2)(r) tanh^k(r/2) 2F1(a, b; k+1; -sinh^2(r/2)),
+    a + b = 1, ab = mu2,
+
+which V perturbs by a relative 2 (lambda tanh(r/2))^(2k); with no explicit
+radius the shot starts on whichever of the two is exact farther out. At
+large k that is phi0, at r up to 1 instead of 1e-3, which saves the steps a
+shot would spend following phi ~ r^(k+1/2) out of the series region.
+Large-k members start in their s coordinate: finite k maps its half-line
+pullback's start through the exact coordinate map (the finite-k normal form
+is the exact pullback of the half-line problem at lambda = Theta^(1/k)), and
+k = inf starts on the exact far-field solution rho log^(-1/2)(Theta/rho) at
+log(Theta/rho) = 25, where any admixture of the singular branch dies off
+like exp(-2 (L0 - L)) long before the matching region.
 """
 
 import math
@@ -147,13 +157,48 @@ def _series_radius(nu, u0, u2):
     return max(r0, 1e-7), c2, c4
 
 
-def series_start(op, mu2, r0=None):
-    """Frobenius start for the regular solution, leading coefficient 1.
+def _free_radius(k, lam):
+    """Largest r <= 1 at which phi0 is exact to 1e-12: the variation of
+    constants bound 2 (lambda tanh(r/2))^(2k) on the V term is <= 1e-12."""
+    t = math.tanh(0.5)
+    if lam != 0.0:
+        t = min(t, 5e-13 ** (0.5 / k) / abs(lam))
+    return 2.0 * math.atanh(t)
 
-    With no r0 the radius is chosen adaptively; an explicit r0 beyond the
-    series' validity raises SeriesRadiusExceeded. For large-k operators this
-    returns the s-coordinate start described in the module docstring (r0, if
-    given, is the half-line seed radius of the finite-k pullback).
+
+def _free_start(k, mu2, r):
+    """phi0 at r (see the module docstring), leading coefficient 1.
+
+    2F1 is summed to 1e-17 with the term ratio -z (n^2 + n + mu2) /
+    ((n+1)(n+k+1)), z = sinh^2(r/2), which is real for every mu2. The power
+    k log(2 tanh(r/2)) goes to log_scale, so no power overflows at large k.
+    """
+    z = math.sinh(0.5 * r) ** 2
+    f, nf, term, n = 1.0, 0.0, 1.0, 0
+    while True:
+        term *= -z * (n * n + n + mu2) / ((n + 1.0) * (n + k + 1.0))
+        n += 1
+        f += term
+        nf += n * term
+        if abs(term) <= 1e-17 * abs(f) and n * n > abs(mu2):
+            break
+    # d/dr of 2F1(-z) is coth(r/2) sum n t_n
+    sh = math.sinh(r)
+    val = math.sqrt(sh) * f
+    der = math.sqrt(sh) * (f * (0.5 * math.cosh(r) + k) / sh
+                           + nf / math.tanh(0.5 * r))
+    return StartData(r, val, der, k * math.log(2.0 * math.tanh(0.5 * r)))
+
+
+def series_start(op, mu2, r0=None):
+    """Exact start for the regular solution, leading coefficient 1.
+
+    With no r0 the Frobenius series starts at its adaptive radius; for the
+    half-line sphere family, phi0 starts instead at _free_radius when that
+    reaches farther. An explicit r0 always takes the series, and raises
+    SeriesRadiusExceeded beyond its validity. For large-k operators this
+    returns the s-coordinate start described in the module docstring (r0,
+    if given, is the series start radius in r of the finite-k pullback).
     """
     if op.family == LARGE_K:
         return _largek_start(op, mu2, r0)
@@ -161,6 +206,10 @@ def series_start(op, mu2, r0=None):
     rmax, c2, c4 = _series_radius(nu, u0, u2)
     if r0 is None:
         r0 = rmax
+        if op_code(op)[0] == _kernels.HALF_SPHERE:
+            rf = _free_radius(op.k, op.lam)
+            if rf > rmax:
+                return _free_start(op.k, mu2, rf)
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")
@@ -174,6 +223,9 @@ def series_start(op, mu2, r0=None):
 
 
 def _largek_start(op, mu2, r0=None):
+    """Finite k: the pullback's series_start(.., r0) mapped into s, where
+    L = -k log tanh(r/2), phi is unchanged and chi = d(phi)/dr. k = inf:
+    the frozen far-field solution at L0 = 25."""
     if op.k == math.inf:
         # exact solution of the frozen far equation psi'' = (L^2 + 1/4) psi
         # is rho log^(-1/2)(Theta/rho); relative start error is O(mu2/L0)
@@ -181,19 +233,10 @@ def _largek_start(op, mu2, r0=None):
         L0 = 25.0
         return StartData(-math.log(L0), 1.0, L0 + 0.5,
                          -L0 - 0.5 * math.log(L0))
-    lam = op.theta ** (1.0 / op.k)
-    pull = half_line(sphere(int(op.k), lam))
-    nu, u0, u2 = _series_coeffs(pull, mu2)
-    rmax, c2, c4 = _series_radius(nu, u0, u2)
-    seed = min(rmax, 2.0 * math.atanh(math.exp(-22.0 / op.k)))
-    if r0 is not None:
-        if r0 > rmax * (1.0 + 1e-12):
-            raise SeriesRadiusExceeded(
-                f"r0={r0:g} beyond series radius {rmax:g}")
-        seed = min(r0, seed)
-    hs = series_start(pull, mu2, seed)
-    L0 = -op.k * math.log(math.tanh(0.5 * seed))
-    return StartData(-math.log(L0), hs.phi, hs.phi_prime, 0.0)
+    pull = half_line(sphere(int(op.k), op.theta ** (1.0 / op.k)))
+    hs = series_start(pull, mu2, r0)
+    L0 = -op.k * math.log(math.tanh(0.5 * hs.x))
+    return StartData(-math.log(L0), hs.phi, hs.phi_prime, hs.log_scale)
 
 
 def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
@@ -325,6 +368,11 @@ def fit_threshold(trace, window=None):
 
     Defaults to [0.5, 0.9] of the trace span. The residual is the RMS misfit
     relative to max(|a|, |b| * window length); FitUnreliable at >= 1e-6.
+    a and b are taken relative to the log scale at the start of the window,
+    so they are defined only up to a positive factor that depends on where
+    the shot starts (for sphere(16, 1.33), a is 5.2e6 from phi0 and 4.8e48
+    from the series start at 1e-3); only the sign of b and b/a are
+    invariant.
     """
     xs = trace.grid
     xmax = float(xs[-1])

@@ -122,6 +122,10 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """Gap count and threshold fit at one lambda. resonance_a and
+    resonance_b are scale-relative (see ode_engine.fit_threshold): only the
+    sign of b and b/a are invariant."""
+
     lam: float
     count: int
     resonance_a: float
@@ -159,6 +163,9 @@ class MigrationReport:
 
 @dataclass(frozen=True)
 class LargeKPoint:
+    """One row of a large-k scan. resonance_b is scale-relative (see
+    ode_engine.fit_threshold): only its sign is invariant."""
+
     k: float                 # math.inf for the limit member
     count: int
     mu2: float               # nan when the gap is empty

@@ -34,7 +34,8 @@ import numpy as np
 from . import _kernels
 from .errors import (CFLViolation, DomainError, NoEigenmode, TooFewSamples)
 from .harmonic_maps import SPHERE, EnergyBreakdown, eval_Q, metric_g
-from .ode_engine import integrate, series_start, tail_start_decaying
+from .ode_engine import (_free_start, integrate, series_start,
+                         tail_start_decaying)
 from .operators import PHYSICAL_R, half_line, zero_mode
 from .spectral import _matching_point, find_gap_eigenvalues
 
@@ -158,9 +159,16 @@ def _eigenmode_profile(geometry, mu2, index, r):
     ratio = vf[-1] / vb[0]
     w = np.where(r <= xm, np.interp(r, gf, vf),
                  ratio * np.interp(r, gb, vb))
-    head = r < gf[0]
-    nu = geometry.k + 0.5
-    w[head] = vf[0] * (r[head] / gf[0]) ** nu
+    head = (r > 0.0) & (r < gf[0])
+    if start.log_scale:
+        # only phi0 starts with a log scale, and it is exact below its
+        # radius too
+        for i in np.flatnonzero(head):
+            s = _free_start(geometry.k, mu2, float(r[i]))
+            w[i] = vf[0] * s.phi / start.phi * math.exp(
+                s.log_scale - start.log_scale)
+    else:
+        w[head] = vf[0] * (r[head] / gf[0]) ** (geometry.k + 0.5)
     w[0] = 0.0
     w[-1] = 0.0
     return w / np.max(np.abs(w)), mu2

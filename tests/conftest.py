@@ -32,7 +32,10 @@ MU2_LARGEK_100 = {8: 7.943794009437e-03, 16: 7.415132251538e-03}
 MU2_LARGEK_INF_100 = 7.243283890948e-03
 
 # threshold fit slopes b for sphere k=1 (normalization: positive leading
-# Frobenius coefficient of the regular solution)
+# Frobenius coefficient of the regular solution). b is taken relative to the
+# log scale at the start of the fit window, so it holds for the shot from
+# these members' default start, the series start at its radius; from
+# another start only the sign of b and b/a are the same
 B_SPHERE_K1 = {
     0.25: 1.640510,
     0.5: 1.275100,

@@ -11,11 +11,16 @@ from scipy.integrate import quad, solve_ivp
 import gapspec as gs
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic, VolterraDiverged)
-from gapspec.ode_engine import _cumquad, asymptotic_radius
+from gapspec.ode_engine import (_cumquad, _free_radius, _free_start,
+                                asymptotic_radius)
 from gapspec.spectral import default_count_radius
 
-from conftest import (B_SPHERE_K1, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
-                      MU2_YM)
+from conftest import (B_SPHERE_K1, MU2_LARGEK_100, MU2_LARGEK_INF_100,
+                      MU2_SPHERE_K2, MU2_SPHERE_K3_L40, MU2_YM)
+
+# mu2 probes of the free start: the zero mode, a gap eigenvalue, the edge
+# and the continuum
+FREE_MU2 = (0.0, 0.0079, 0.2499, 0.5)
 
 
 def test_series_start_euclidean_leading_power():
@@ -45,6 +50,92 @@ def test_series_start_guards():
         gs.series_start(op, 0.1, 0.5)
     with pytest.raises(DomainError):
         gs.series_start(op, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("k", [3, 8, 16, 30])
+def test_free_start_hypergeometric_oracle(k):
+    # phi0 = 2^k sinh^(1/2)(r) tanh^k(r/2) 2F1(a, b; k+1; -sinh^2(r/2)),
+    # a + b = 1, ab = mu2, is the default start of the Theta = 100 pullback
+    lam = 100.0 ** (1.0 / k)
+    op = gs.half_line(gs.sphere(k, lam))
+    rf = _free_radius(k, lam)
+    assert rf > 1e-3
+
+    def phi0(r, mu2):
+        a = (1 + mpmath.sqrt(1 - 4 * mpmath.mpf(mu2))) / 2
+        return (2 ** k * mpmath.sqrt(mpmath.sinh(r)) * mpmath.tanh(r / 2) ** k
+                * mpmath.hyp2f1(a, 1 - a, k + 1, -mpmath.sinh(r / 2) ** 2))
+
+    with mpmath.workdps(30):
+        for mu2 in FREE_MU2:
+            assert gs.series_start(op, mu2) == _free_start(k, mu2, rf)
+            for r in (1e-3, rf, 1.0):
+                st = _free_start(k, mu2, r)
+                lift = math.exp(st.log_scale)
+                ref = mpmath.re(phi0(mpmath.mpf(r), mu2))
+                dref = mpmath.re(mpmath.diff(lambda x: phi0(x, mu2),
+                                             mpmath.mpf(r)))
+                assert st.phi * lift == pytest.approx(float(ref), rel=1e-13)
+                assert st.phi_prime * lift == pytest.approx(float(dref),
+                                                            rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [3, 8, 16, 30])
+def test_free_start_matches_tight_series_shot(k):
+    # V perturbs phi0 by a relative 2 (lambda tanh(r/2))^(2k) <= 1e-12 at
+    # its start radius: a tight shot from the series start at 1e-3 reaches
+    # it with the same log-derivative and the same normalization
+    op = gs.half_line(gs.sphere(k, 100.0 ** (1.0 / k)))
+    for mu2 in FREE_MU2:
+        st = gs.series_start(op, mu2)
+        end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, 1e-3),
+                                st.x, rtol=1e-14, atol=0.0)
+        assert end.phi_prime / end.phi == pytest.approx(
+            st.phi_prime / st.phi, rel=2e-12)
+        assert end.phi * math.exp(end.log_scale - st.log_scale) == \
+            pytest.approx(st.phi, rel=2e-12)
+
+
+def test_frozen_members_keep_series_start():
+    # phi0 is exact only where 2 (lambda tanh(r/2))^(2k) <= 1e-12, inside
+    # the series radius for every frozen half-line member: their shots,
+    # and so their certificates and threshold fits, keep the series start
+    # at the series radius (a radius 1e-11 beyond it is refused)
+    members = ([(gs.sphere(2, lam), ev) for lam, ev in MU2_SPHERE_K2.items()]
+               + [(gs.yang_mills(lam), ev) for lam, ev in MU2_YM.items()]
+               + [(gs.sphere(3, 40.0), MU2_SPHERE_K3_L40)]
+               + [(gs.sphere(1, lam), 0.25) for lam in B_SPHERE_K1])
+    for geom, ev in members:
+        op = gs.half_line(geom)
+        for mu2 in (0.0, ev, 0.25):
+            st = gs.series_start(op, mu2)
+            assert st.log_scale == 0.0
+            assert st == gs.series_start(op, mu2, st.x)
+            with pytest.raises(SeriesRadiusExceeded):
+                gs.series_start(op, mu2, st.x * (1.0 + 1e-11))
+
+
+def test_high_k_count_shot_starts_late():
+    # at Theta = 100 and k = 16, phi0 starts the count shot at r = 0.64
+    # (log(Theta/rho) = 18.8) instead of 1e-3 and skips the stretch where
+    # the shot follows phi ~ r^(k+1/2); integrate takes the count shot's
+    # steps and stores them
+    mu2 = MU2_LARGEK_100[16]
+    lk, pull = gs.large_k(16, 100.0), gs.half_line(
+        gs.sphere(16, 100.0 ** (1.0 / 16)))
+    # the large-k start is the pullback's, mapped to s = -log L with
+    # L = -k log tanh(r/2): same phi, chi = d(phi)/dr and log scale
+    a, b = gs.series_start(lk, mu2), gs.series_start(pull, mu2)
+    assert a.x == -math.log(-16 * math.log(math.tanh(0.5 * b.x)))
+    assert (a.phi, a.phi_prime, a.log_scale) == (b.phi, b.phi_prime,
+                                                 b.log_scale)
+    for op in (lk, pull):
+        R = max(default_count_radius(op),
+                min(200.0, 40.0 / math.sqrt(0.25 - mu2)))
+        x_a = asymptotic_radius(op, mu2, R)
+        steps = [gs.integrate(op, mu2, gs.series_start(op, mu2, r0),
+                              x_a).grid.size - 1 for r0 in (None, 1e-3)]
+        assert steps[0] <= 0.3 * steps[1]
 
 
 def test_integrate_zero_energy_stays_positive():
@@ -80,7 +171,11 @@ def test_integrate_matches_scipy_reference():
     def rhs(x, y):
         return [y[1], (gs.effective_potential(op, x) - mu2) * y[0]]
 
-    ref = solve_ivp(rhs, (start.x, 10.0), [start.phi, start.phi_prime],
+    # phi0 starts this member at r = 1.7e-3 and carries (2 tanh(r/2))^2 in
+    # its log scale; scipy gets the true values
+    lift = math.exp(start.log_scale)
+    ref = solve_ivp(rhs, (start.x, 10.0),
+                    [start.phi * lift, start.phi_prime * lift],
                     method="DOP853", rtol=1e-11, atol=1e-13)
     tr = gs.integrate(op, mu2, start, 10.0)
     mine = tr.values[-1] * np.exp(tr.log_scale[-1])
@@ -184,6 +279,21 @@ def test_fit_threshold_free_operator_slope():
     assert gs.fit_threshold(tr).b > 0.0
 
 
+@pytest.mark.parametrize("k,lam", [(16, 1.33), (2, 1.35)])
+def test_fit_threshold_scale_invariants(k, lam):
+    # a and b are relative to the log scale at the start of the fit window,
+    # so they depend on where the shot starts (for sphere(16, 1.33) a is
+    # 5.2e6 from phi0 and 4.8e48 from the series start at 1e-3); b/a and
+    # the sign of b do not
+    op = gs.half_line(gs.sphere(k, lam))
+    assert gs.series_start(op, 0.25).x > 1e-3
+    new, old = (gs.fit_threshold(gs.integrate(
+        op, 0.25, gs.series_start(op, 0.25, r0), 60.0, max_step=0.6))
+        for r0 in (None, 1e-3))
+    assert new.b / new.a == pytest.approx(old.b / old.a, rel=1e-10)
+    assert (new.b > 0.0) == (old.b > 0.0)
+
+
 def test_fit_threshold_window_guard():
     op = gs.half_line(gs.sphere(1, 1.0))
     tr = gs.integrate(op, 0.25, gs.series_start(op, 0.25), 60.0, max_step=0.6)
@@ -253,12 +363,14 @@ def test_endpoint_state_matches_trace_end():
 
 
 def test_scale_ledger_reconstruction():
-    # high-index operator: the regular branch spans ~270 decades, forcing a
-    # mid-flight rescale; reconstruction across it must match an independent
+    # high-index operator: from the series start at 1e-3 the regular branch
+    # spans over a hundred decades, forcing a mid-flight rescale (from the
+    # default start, phi0 at r = 1, the shot would not rescale before
+    # r = 2); reconstruction across it must match an independent
     # high-precision integration over a window straddling the event
     k, mu2 = 40, 0.1
     op = gs.half_line(gs.sphere(k, 1.0))
-    tr = gs.integrate(op, mu2, gs.series_start(op, mu2), 2.0)
+    tr = gs.integrate(op, mu2, gs.series_start(op, mu2, 1e-3), 2.0)
     # every rescale shows as a jump of the running log scale
     events = np.flatnonzero(np.diff(tr.log_scale)) + 1
     assert events.size, "expected at least one mid-flight rescale"

@@ -56,6 +56,29 @@ def test_eigenmode_profile_normalized():
     assert not np.any(state.v)
 
 
+def test_eigenmode_head_below_free_start():
+    # phi0 starts the k = 16, Theta = 100 pullback at r = 0.64; the nodes
+    # below that carry the regular solution's own shape there, checked
+    # against shots from the series start at 1e-3
+    k, mu2 = 16, 7.415132251538e-03
+    geom = gs.sphere(k, 100.0 ** (1.0 / k))
+    op = gs.half_line(geom)
+    rf = gs.series_start(op, mu2).x
+    state = gs.init_state(geom, 40.0, 4096, gs.GapEigenmode(mu2=mu2))
+    head = np.flatnonzero((state.grid > 0.0) & (state.grid < rf))
+    assert head.size > 50
+
+    def phi(r):
+        end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, 1e-3), r,
+                                rtol=1e-13)
+        return end.phi * math.exp(end.log_scale)
+
+    last = head[-1]
+    for i in head[::20]:
+        assert state.w[i] / state.w[last] == pytest.approx(
+            phi(state.grid[i]) / phi(state.grid[last]), rel=1e-10)
+
+
 def test_eigenmode_located_on_demand():
     state = gs.init_state(gs.sphere(2, 5.0), 60.0, 1024, gs.GapEigenmode())
     assert state.mu2 == pytest.approx(MU2_K2L5, rel=1e-9)
