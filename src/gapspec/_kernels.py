@@ -17,7 +17,8 @@ Operator families are encoded for dispatch inside compiled code as an integer
     5  large-k, finite k (s)   kk = k,  p = Theta
     6  large-k, k = inf (s)    p = Theta
 
-Codes 0-4 integrate phi'' = (U - mu2) phi in their own coordinate. Codes 5-6
+Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Codes 0-4
+integrate phi'' = (U - mu2) phi in their own coordinate. Codes 5-6
 integrate in s = -log log(Theta/rho), where with L = exp(-s) the problem is
 the first-order system phi_s = chi/gamma, chi_s = (P - mu2) phi/gamma with
 gamma = sinh(L/kk)/(L/kk) (gamma = 1 at k = inf); chi is the invariantly
@@ -79,11 +80,9 @@ _E5, _E6, _E7 = -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
 def pot(code, kk, p, x):
     """Effective potential U at coordinate x (s for codes 5-6)."""
     # 1/sinh^2 underflows to 0 long before sinh overflows past 710, so the
-    # potential sits at its limit there
+    # potential sits at its limit there (codes 2-3 reach this test at r)
     if code < 2 and x > 710.0:
         return 0.25
-    if (code == 2 or code == 3) and 2.0 * x > 710.0 * p:
-        return 1.0 / (p * p)
     if code == 0:
         sh = math.sinh(x)
         om2 = 1.0 / (sh * sh)
@@ -101,24 +100,8 @@ def pot(code, kk, p, x):
         y = t * t
         opy = 1.0 + y
         return 0.25 + 3.75 * om2 - 24.0 * y * om2 / (opy * opy)
-    if code == 2:
-        sh = math.sinh(2.0 * x / p)
-        om2 = 1.0 / (sh * sh)
-        xi = (p * math.tanh(x / p)) ** kk
-        if xi <= 0.0:
-            v = 0.0
-        else:
-            s = xi + 1.0 / xi
-            v = -8.0 * kk * kk * om2 / (s * s)
-        return (1.0 + (4.0 * kk * kk - 1.0) * om2) / (p * p) + 4.0 * v / (p * p)
-    if code == 3:
-        sh = math.sinh(2.0 * x / p)
-        om2 = 1.0 / (sh * sh)
-        t = p * math.tanh(x / p)
-        y = t * t
-        opy = 1.0 + y
-        w = -24.0 * y * om2 / (opy * opy)
-        return (1.0 + 15.0 * om2) / (p * p) + 4.0 * w / (p * p)
+    if code < 4:
+        return 4.0 / (p * p) * pot(code - 2, kk, p, 2.0 * x / p)
     if code == 4:
         xi = x ** kk
         s = xi + 1.0 / xi

@@ -44,7 +44,7 @@ class GeometrySpec:
             raise DomainError(f"unknown geometry kind {self.kind!r}")
         if self.kind == YANG_MILLS and self.k != 2:
             raise DomainError("Yang-Mills reduction has fixed index k=2")
-        if int(self.k) != self.k or self.k < 1:
+        if not (float(self.k).is_integer() and self.k >= 1):
             raise DomainError(f"equivariance index must be integer >= 1, got {self.k}")
         if not 0.0 <= self.lam < math.inf:
             raise DomainError(

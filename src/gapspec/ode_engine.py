@@ -1,7 +1,7 @@
 """Shooting infrastructure for the operator families.
 
 The integrator is a Dormand-Prince 5(4) pair with PI-free step control and
-a running magnitude ledger: whenever the state magnitude leaves
+a running log scale: whenever the state magnitude leaves
 [1e-100, 1e100] it is rescaled to 1 and the log factor recorded, so
 exponentially growing or decaying solutions are carried across hundreds of
 e-foldings without overflow. True values are stored * exp(log_scale). Each
@@ -11,7 +11,8 @@ state; `integrate` also keeps every accepted step.
 Regular starts come from the Frobenius series at the left endpoint,
 phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
 the constant and quadratic potential coefficients of each family and the
-start radius chosen so the first dropped term is below 1e-12. The half-line
+start radius chosen so the dropped c6 term is below 1e-12 (for k >= 3 that
+bound ignores the map's potential; see _series_radius). The half-line
 sphere family has a second exact start: the closed-form regular solution of
 its operator with V = 0,
 
@@ -105,9 +106,14 @@ class RenormalizedSolution:
 def _series_coeffs(op, mu2):
     """(nu, u0, u2): effective potential = (nu^2-1/4)/x^2 + u0 + mu2 + u2 x^2.
 
-    u0 absorbs -mu2. Quadratic coefficients vanish for k >= 3 where the
-    potential itself is O(x^(2k-2)).
+    u0 absorbs -mu2. For k >= 3 they leave out the map's potential, which is
+    O(x^(2k-2)). A rescaled operator, the half-line one at r = 2 rho/lambda
+    times 4/lambda^2, takes the half-line coefficients at mu2 lambda^2/4.
     """
+    if op.family == RESCALED:
+        s = 4.0 / op.lam ** 2
+        nu, u0, u2 = _series_coeffs(half_line(op.geometry), mu2 / s)
+        return nu, s * u0, s * s * u2
     code, kk, p = op_code(op)
     k = kk
     k2q = k * k - 0.25
@@ -122,19 +128,6 @@ def _series_coeffs(op, mu2):
         return k + 0.5, 0.25 - k2q / 3.0 + v0 - mu2, k2q / 15.0 + v2
     if code == _kernels.HALF_YM:
         return 2.5, -1.0 - 6.0 * p * p - mu2, 0.25 + 3.0 * p * p * (1.0 + p * p)
-    if code == _kernels.RESC_SPHERE:
-        v0 = -8.0 if k == 1 else 0.0
-        if k == 1:
-            v2 = 16.0 * (1.0 + p * p) / (p * p)
-        elif k == 2:
-            v2 = -32.0
-        else:
-            v2 = 0.0
-        u0 = 1.0 / p ** 2 - k2q * 4.0 / (3.0 * p * p) + v0 - mu2
-        return k + 0.5, u0, k2q * 16.0 / (15.0 * p ** 4) + v2
-    if code == _kernels.RESC_YM:
-        u0 = -4.0 / (p * p) - 24.0 - mu2
-        return 2.5, u0, 4.0 / p ** 4 + 48.0 * (1.0 + p * p) / (p * p)
     if code == _kernels.EUCLIDEAN:
         v0 = -8.0 if k == 1 else 0.0
         if k == 1:
@@ -148,7 +141,10 @@ def _series_coeffs(op, mu2):
 
 
 def _series_radius(nu, u0, u2):
-    """Largest r0 with the dropped c6 term below 1e-12 of the kept ones."""
+    """Largest r0 with the dropped c6 term below 1e-12 of the kept ones.
+
+    For k >= 3 this ignores the map's potential, of the order of c6 at
+    k = 3 (the start's log-derivative errs by 1.1e-10 for sphere(3, 40))."""
     kfac = nu - 0.5
     c2 = u0 / (4.0 * kfac + 4.0)
     c4 = (u0 * c2 + u2) / (8.0 * kfac + 16.0)
@@ -436,8 +432,9 @@ def renormalized_f(geometry, mu2, rho_max, n_grid=6000):
     independent direct shot of the rescaled operator.
     """
     lam = geometry.lam
-    if lam <= 0.0 or rho_max <= 0.0:
-        raise DomainError("need lambda > 0 and rho_max > 0")
+    if lam <= 0.0 or rho_max <= 0.0 or n_grid < 4:
+        # the cross-check interpolates through four neighbouring nodes
+        raise DomainError("need lambda > 0, rho_max > 0 and n_grid >= 4")
     eps = 4.0 * mu2 / lam ** 2
     k = geometry.k
     rho = np.geomspace(rho_max * 1e-8, rho_max, n_grid)

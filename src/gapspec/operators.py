@@ -67,9 +67,10 @@ class OperatorSpec:
         if self.family == LARGE_K:
             if self.theta is None or not 0.0 < self.theta < math.inf:
                 raise DomainError("large_k operator needs finite Theta > 0")
-            if not (self.k == math.inf or (self.k == int(self.k) and self.k >= 1)):
+            if not (self.k == math.inf
+                    or (float(self.k).is_integer() and self.k >= 1)):
                 raise DomainError("large_k index must be integer >= 1 or inf")
-        elif self.k == math.inf or self.k < 1 or self.k != int(self.k):
+        elif not (float(self.k).is_integer() and self.k >= 1):
             raise DomainError("index k must be a finite integer >= 1")
 
     @property

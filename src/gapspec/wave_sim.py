@@ -185,6 +185,8 @@ def init_state(geometry, R, n, initial, nonlinear=False,
         raise DomainError(f"need at least 512 nodes, got {n}")
     if not R >= 40.0:
         raise DomainError("the domain must reach at least R = 40")
+    if probe_r is not None and not math.isfinite(probe_r):
+        raise DomainError(f"probe_r must be finite, got {probe_r}")
     r = np.linspace(0.0, float(R), int(n))
     h = float(r[1] - r[0])
     zeta = zero_mode(geometry, PHYSICAL_R, r)
@@ -253,7 +255,7 @@ def _run_chunk(state, dt, nsteps, probe_out, out_off):
 
 def step(state, dt, nsteps=1):
     """Advance nsteps of size dt; returns the probe samples of the chunk."""
-    if dt <= 0.0 or nsteps < 1:
+    if not dt > 0.0 or nsteps < 1:
         raise DomainError("need dt > 0 and nsteps >= 1")
     probe = np.empty(nsteps)
     _run_chunk(state, dt, int(nsteps), probe, 0)
@@ -298,8 +300,13 @@ def run(state, t_final, dt=None, energy_stride=64) -> RunResult:
     every `energy_stride` steps (plus both endpoints)."""
     if dt is None:
         dt = state.dt_max
-    if not t_final > state.t:
-        raise DomainError("t_final must exceed the current time")
+    if not dt > 0.0:
+        raise DomainError(f"need dt > 0, got {dt}")
+    if not state.t < t_final < math.inf:
+        raise DomainError("t_final must be finite and exceed the current time")
+    if not (float(energy_stride).is_integer() and energy_stride >= 1):
+        raise DomainError(
+            f"energy_stride must be an integer >= 1, got {energy_stride}")
     nsteps = max(1, int(math.ceil((t_final - state.t) / dt - 1e-12)))
     dt = (t_final - state.t) / nsteps
     t0 = state.t

@@ -116,6 +116,19 @@ def test_library_error_exits_3(capsys):
     rc = main(["spectrum", "--k", "2", "--lambda", "1000", "--jobs", "1"])
     assert rc == 3
     assert "InconsistentCertificate" in capsys.readouterr().err
+    # arguments that would hang or crash the stepper are rejected before
+    # any stepping
+    bump = ["evolve", "--lambda", "1", "--initial", "bump", "--n", "1024",
+            "--t-final", "52"]
+    for extra in (["--energy-stride", "0"], ["--energy-stride", "-3"],
+                  ["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
+                  ["--probe-r", "nan"]):
+        assert main(bump + extra) == 3, extra
+        assert "DomainError" in capsys.readouterr().err
+    for n_grid in ("2", "0"):
+        rc = main(["renorm", "--k", "2", "--lambda", "5", "--n-grid", n_grid])
+        assert rc == 3
+        assert "DomainError" in capsys.readouterr().err
 
 
 def test_spectrum_command(capsys):

@@ -121,5 +121,8 @@ def test_geometry_validation():
         gs.sphere(2, math.inf)
     with pytest.raises(DomainError):
         gs.yang_mills(math.inf)
+    for k in (math.inf, math.nan, 2.5):
+        with pytest.raises(DomainError):
+            gs.sphere(k, 1.0)
     # lambda = 0 is the trivial map and stays legal
     assert gs.endpoint(gs.yang_mills(0.0)) == 0.0

@@ -12,6 +12,7 @@ import gapspec as gs
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic, VolterraDiverged)
 from gapspec.ode_engine import (_cumquad, _free_radius, _free_start,
+                                _series_coeffs, _series_radius,
                                 asymptotic_radius)
 from gapspec.spectral import default_count_radius
 
@@ -50,6 +51,29 @@ def test_series_start_guards():
         gs.series_start(op, 0.1, 0.5)
     with pytest.raises(DomainError):
         gs.series_start(op, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("geom", [gs.sphere(1, 1.0), gs.sphere(2, 1.0),
+                                  gs.sphere(3, 1.0), gs.yang_mills(1.0)],
+                         ids=["sphere1", "sphere2", "sphere3", "ym"])
+@pytest.mark.parametrize("lam", [0.5, 5.0, 40.0])
+def test_rescaled_series_is_half_line_series(geom, lam):
+    # the rescaled operator is the half-line one at r = 2 rho/lambda times
+    # 4/lambda^2, so its regular solution at eps is the half-line one at
+    # mu2 = lambda^2 eps/4, with leading coefficient (lambda/2)^nu
+    g = type(geom)(geom.kind, geom.k, lam)
+    res, half = gs.rescaled(g), gs.half_line(g)
+    edge = 1.0 / lam ** 2
+    nu = g.k + 0.5
+    for eps in (0.0, 0.5 * edge, edge, 2.0 * edge):
+        mu2 = 0.25 * lam * lam * eps
+        rho0 = min(_series_radius(*_series_coeffs(res, eps))[0],
+                   0.5 * lam * _series_radius(*_series_coeffs(half, mu2))[0])
+        a = gs.series_start(res, eps, rho0)
+        b = gs.series_start(half, mu2, 2.0 * rho0 / lam)
+        assert a.phi / b.phi == pytest.approx((0.5 * lam) ** nu, rel=1e-14)
+        ratio = (a.phi_prime / a.phi) / (b.phi_prime / b.phi)
+        assert ratio == pytest.approx(2.0 / lam, rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [3, 8, 16, 30])
@@ -336,6 +360,10 @@ def test_renormalized_sign_change_before_lambda(lam):
 def test_renormalized_divergence_guard():
     with pytest.raises(VolterraDiverged):
         gs.renormalized_f(gs.sphere(2, 2.0), 0.25, 200.0)
+    # the quadrature and the cross-check's interpolant need four nodes
+    for n_grid in (3, 2, 0):
+        with pytest.raises(DomainError):
+            gs.renormalized_f(gs.sphere(2, 5.0), 0.25, 5.0, n_grid=n_grid)
 
 
 def test_cumquad_quadrature():

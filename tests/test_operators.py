@@ -38,8 +38,11 @@ def test_spec_validation():
     for k, theta in ((2, math.inf), (math.inf, math.inf), (2, math.nan)):
         with pytest.raises(DomainError):
             gs.large_k(k, theta)
+    for k in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gs.euclidean(k)
     with pytest.raises(DomainError):
-        gs.euclidean(math.inf)
+        gs.large_k(math.nan, 2.0)
     with pytest.raises(DomainError):
         gs.OperatorSpec("hexagonal", 1)
 

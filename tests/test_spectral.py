@@ -258,13 +258,16 @@ def test_eigenvalue_R_independence():
 
 def test_rescaled_family_scales_eigenvalue():
     # the rescaled member carries the same eigenvalue at 4 mu2 / lambda^2
-    lam = 5.0
-    rep = gs.find_gap_eigenvalues(gs.rescaled(gs.sphere(2, lam)),
-                                  scans=False, threshold=False)
-    assert rep.count == 1
-    assert rep.edge == pytest.approx(1.0 / lam ** 2)
-    want = 4.0 * MU2_SPHERE_K2[lam] / lam ** 2
-    assert rep.eigenvalues[0].mu2 == pytest.approx(want, rel=1e-7)
+    for g, mu2 in ((gs.sphere(2, 5.0), MU2_SPHERE_K2[5.0]),
+                   (gs.sphere(2, 20.0), MU2_SPHERE_K2[20.0]),
+                   (gs.yang_mills(10.0), MU2_YM[10.0])):
+        lam = g.lam
+        rep = gs.find_gap_eigenvalues(gs.rescaled(g), scans=False,
+                                      threshold=False)
+        assert rep.count == 1
+        assert rep.edge == pytest.approx(1.0 / lam ** 2)
+        want = 4.0 * mu2 / lam ** 2
+        assert rep.eigenvalues[0].mu2 == pytest.approx(want, rel=1e-9)
 
 
 def test_euclidean_family_rejected():

@@ -35,6 +35,9 @@ def test_init_state_guards():
         gs.init_state(g, 60.0, 1024, gs.CustomProfile(lambda r: r[:-1]))
     with pytest.raises(DomainError):
         gs.init_state(g, 60.0, 1024, object())
+    for probe_r in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.init_state(g, 60.0, 1024, gs.GaussianBump(), probe_r=probe_r)
 
 
 def test_eigenmode_requires_existing_level():
@@ -103,8 +106,18 @@ def test_step_and_run_guards():
     state = _bump_state(gs.sphere(2, 1.0))
     with pytest.raises(CFLViolation):
         gs.step(state, state.dt_max * 1.01)
-    with pytest.raises(DomainError):
-        gs.step(state, 0.0)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            gs.step(state, dt)
+        with pytest.raises(DomainError):
+            gs.run(state, 5.0, dt=dt)
+    # a stride below 1 would never advance the stepping loop
+    for stride in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            gs.run(state, 5.0, energy_stride=stride)
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gs.run(state, t_final)
     with pytest.raises(DomainError):
         gs.step(state, state.dt_max, 0)
     with pytest.raises(DomainError):
