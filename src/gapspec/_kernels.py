@@ -18,7 +18,9 @@ Operator families are encoded for dispatch inside compiled code as an integer
     6  large-k, k = inf (s)    p = Theta
 
 Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Codes 0-4
-integrate phi'' = (U - mu2) phi in their own coordinate. Codes 5-6
+integrate phi'' = (U - mu2) phi in their own coordinate. Codes 0-3 have a
+closed-form zero mode zeta > 0 with log-derivative W (logder), U = W^2 + W',
+and can also integrate f = phi/zeta: f'' = -2W f' - mu2 f. Codes 5-6
 integrate in s = -log log(Theta/rho), where with L = exp(-s) the problem is
 the first-order system phi_s = chi/gamma, chi_s = (P - mu2) phi/gamma with
 gamma = sinh(L/kk)/(L/kk) (gamma = 1 at k = inf); chi is the invariantly
@@ -130,6 +132,27 @@ def gamma_weight(code, kk, x):
 
 
 @_jit
+def logder(code, kk, p, x):
+    """Log-derivative W = zeta'/zeta of the closed-form zero mode, codes 0-3.
+
+    W = kk (1 - t)/((1 + t) sinh r) + coth(r)/2 with t = (lambda T)^(2k)
+    for the sphere and (lambda T)^2 for Yang-Mills, T = tanh(r/2), written
+    through T alone (sinh r = 2T/(1 - T^2), coth r = (1 + T^2)/(2T)) so
+    nothing overflows at large r, and (1 - t)/(1 + t) as 2/(1 + t) - 1 so
+    an overflowing t gives -1. W^2 + W' = U.
+    """
+    if code < 2:
+        T = math.tanh(0.5 * x)
+        y = p * T
+        if code == 0:
+            y = y ** kk
+        t = y * y
+        return (kk * (2.0 / (1.0 + t) - 1.0) * (1.0 - T * T)
+                + 0.5 * (1.0 + T * T)) / (2.0 * T)
+    return 2.0 / p * logder(code - 2, kk, p, 2.0 * x / p)
+
+
+@_jit
 def pot_array(code, kk, p, xs, out):
     for i in range(xs.shape[0]):
         out[i] = pot(code, kk, p, xs[i])
@@ -137,10 +160,12 @@ def pot_array(code, kk, p, xs, out):
 
 @_jit
 def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
-             rtol, atol, max_steps, max_step, store):
+             rtol, atol, max_steps, max_step, store, factored=False):
     """Adaptive RK5(4) for the shooting system, with a running log scale.
 
-    Integrates from x0 to x1 (either direction). Rescales the state to
+    Integrates from x0 to x1 (either direction), in phi or, when `factored`
+    is set, in f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3, see
+    logder; the zeros of f are those of phi). Rescales the state to
     magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
     the running scale lg, so true values are exp(lg) * stored. Zeros of
     phi are counted at every sign change. Accepted steps are stored only
@@ -181,9 +206,13 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         h = min(h, max_step)
     h *= direc
 
-    g = gamma_weight(code, kk, x)
-    k1p = chi / g
-    k1c = (pot(code, kk, p, x) - mu2) * phi / g
+    if factored:
+        k1p = chi
+        k1c = -mu2 * phi - 2.0 * logder(code, kk, p, x) * chi
+    else:
+        g = gamma_weight(code, kk, x)
+        k1p = chi / g
+        k1c = (pot(code, kk, p, x) - mu2) * phi / g
 
     status = OK
     steps = 0
@@ -201,48 +230,74 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         xa = x + _C2 * h
         yp = phi + h * _A21 * k1p
         yc = chi + h * _A21 * k1c
-        g = gamma_weight(code, kk, xa)
-        k2p = yc / g
-        k2c = (pot(code, kk, p, xa) - mu2) * yp / g
+        if factored:
+            k2p = yc
+            k2c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
+        else:
+            g = gamma_weight(code, kk, xa)
+            k2p = yc / g
+            k2c = (pot(code, kk, p, xa) - mu2) * yp / g
 
         xa = x + _C3 * h
         yp = phi + h * (_A31 * k1p + _A32 * k2p)
         yc = chi + h * (_A31 * k1c + _A32 * k2c)
-        g = gamma_weight(code, kk, xa)
-        k3p = yc / g
-        k3c = (pot(code, kk, p, xa) - mu2) * yp / g
+        if factored:
+            k3p = yc
+            k3c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
+        else:
+            g = gamma_weight(code, kk, xa)
+            k3p = yc / g
+            k3c = (pot(code, kk, p, xa) - mu2) * yp / g
 
         xa = x + _C4 * h
         yp = phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
         yc = chi + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c)
-        g = gamma_weight(code, kk, xa)
-        k4p = yc / g
-        k4c = (pot(code, kk, p, xa) - mu2) * yp / g
+        if factored:
+            k4p = yc
+            k4c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
+        else:
+            g = gamma_weight(code, kk, xa)
+            k4p = yc / g
+            k4c = (pot(code, kk, p, xa) - mu2) * yp / g
 
         xa = x + _C5 * h
         yp = phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
         yc = chi + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
-        g = gamma_weight(code, kk, xa)
-        k5p = yc / g
-        k5c = (pot(code, kk, p, xa) - mu2) * yp / g
+        if factored:
+            k5p = yc
+            k5c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
+        else:
+            g = gamma_weight(code, kk, xa)
+            k5p = yc / g
+            k5c = (pot(code, kk, p, xa) - mu2) * yp / g
 
-        # stage 6 and the FSAL stage 7 share the abscissa x + h
+        # stage 6 and the FSAL stage 7 share the abscissa x + h, and so the
+        # coefficients
         xa = x + h
         yp = phi + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
                         + _A65 * k5p)
         yc = chi + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c
                         + _A65 * k5c)
-        g = gamma_weight(code, kk, xa)
-        um = pot(code, kk, p, xa) - mu2
-        k6p = yc / g
-        k6c = um * yp / g
+        if factored:
+            w2 = -2.0 * logder(code, kk, p, xa)
+            k6p = yc
+            k6c = -mu2 * yp + w2 * yc
+        else:
+            g = gamma_weight(code, kk, xa)
+            um = pot(code, kk, p, xa) - mu2
+            k6p = yc / g
+            k6c = um * yp / g
 
         y1p = phi + h * (_A71 * k1p + _A73 * k3p + _A74 * k4p + _A75 * k5p
                          + _A76 * k6p)
         y1c = chi + h * (_A71 * k1c + _A73 * k3c + _A74 * k4c + _A75 * k5c
                          + _A76 * k6c)
-        k7p = y1c / g
-        k7c = um * y1p / g
+        if factored:
+            k7p = y1c
+            k7c = -mu2 * y1p + w2 * y1c
+        else:
+            k7p = y1c / g
+            k7c = um * y1p / g
 
         ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
                   + _E7 * k7p)

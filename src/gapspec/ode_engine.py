@@ -6,15 +6,21 @@ a running log scale: whenever the state magnitude leaves
 exponentially growing or decaying solutions are carried across hundreds of
 e-foldings without overflow. True values are stored * exp(log_scale). Each
 shot counts the sign changes of phi (the Sturm count) and returns its end
-state; `integrate` also keeps every accepted step.
+state; `integrate` also keeps every accepted step. The half-line and
+rescaled families, whose zero mode zeta > 0 is closed-form, can also shoot
+f = phi/zeta (`factored`): f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta.
+There mu2 enters directly, the regular solution at mu2 = 0 is f = 1, and
+the second solution, the integral of zeta^-2 from x to infinity, decreases,
+so it does not grow out of start and step errors.
 
 Regular starts come from the Frobenius series at the left endpoint,
 phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
 the constant and quadratic potential coefficients of each family and the
-start radius chosen so the dropped c6 term is below 1e-12 (for k >= 3 that
-bound ignores the map's potential; see _series_radius). The half-line
-sphere family has a second exact start: the closed-form regular solution of
-its operator with V = 0,
+start radius chosen so the dropped c6 term is below 1e-12 (for the
+half-line sphere at k >= 3, whose coefficients leave out the map's
+potential, also so that potential's relative effect is below 1e-12). The
+half-line sphere family has a second exact start: the closed-form regular
+solution of its operator with V = 0,
 
     phi0 = 2^k sinh^(1/2)(r) tanh^k(r/2) 2F1(a, b; k+1; -sinh^2(r/2)),
     a + b = 1, ab = mu2,
@@ -41,11 +47,14 @@ from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
                      TailNotAsymptotic, VolterraDiverged)
 from .harmonic_maps import GeometrySpec, sphere
-from .operators import (LARGE_K, RESCALED, RESCALED_RHO, OperatorSpec,
-                        continuum_edge, half_line, op_code, rescaled,
-                        zero_mode)
+from .operators import (HALF_LINE, LARGE_K, RESCALED, RESCALED_RHO,
+                        OperatorSpec, continuum_edge, half_line, op_code,
+                        rescaled, zero_mode)
 
 MAX_STEPS = 400_000
+# families with a closed-form zero mode zeta (kernel codes 0-3), whose
+# shots can run in f = phi/zeta
+FACTORED_FAMILIES = (HALF_LINE, RESCALED)
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,8 @@ class StartData:
 
     phi_prime is d(phi)/dx for the second-order families and the invariant
     derivative omega^-1 rho d(phi)/drho (= gamma d(phi)/ds) for large-k.
-    True values are (phi, phi_prime) * exp(log_scale).
+    True values are (phi, phi_prime) * exp(log_scale). A factored shot
+    keeps (f, f') of f = phi/zeta in the same fields.
     """
 
     x: float
@@ -144,7 +154,9 @@ def _series_radius(nu, u0, u2):
     """Largest r0 with the dropped c6 term below 1e-12 of the kept ones.
 
     For k >= 3 this ignores the map's potential, of the order of c6 at
-    k = 3 (the start's log-derivative errs by 1.1e-10 for sphere(3, 40))."""
+    k = 3. series_start caps it for the half-line sphere; in rho (rescaled
+    and Euclidean) that potential's relative effect, at most 2 rho^(2k), is
+    below 1e-12 anyway for rho <= 1e-3."""
     kfac = nu - 0.5
     c2 = u0 / (4.0 * kfac + 4.0)
     c4 = (u0 * c2 + u2) / (8.0 * kfac + 16.0)
@@ -186,31 +198,50 @@ def _free_start(k, mu2, r):
     return StartData(r, val, der, k * math.log(2.0 * math.tanh(0.5 * r)))
 
 
-def series_start(op, mu2, r0=None):
+def series_start(op, mu2, r0=None, factored=False):
     """Exact start for the regular solution, leading coefficient 1.
 
     With no r0 the Frobenius series starts at its adaptive radius; for the
     half-line sphere family, phi0 starts instead at _free_radius when that
-    reaches farther. An explicit r0 always takes the series, and raises
-    SeriesRadiusExceeded beyond its validity. For large-k operators this
-    returns the s-coordinate start described in the module docstring (r0,
-    if given, is the series start radius in r of the finite-k pullback).
+    reaches farther. At k >= 3 the series leaves out the map's potential V,
+    so its radius is capped by _free_radius, where V's relative effect
+    2 (lambda tanh(r/2))^(2k) is 1e-12. An explicit r0 always takes the
+    series, and raises SeriesRadiusExceeded beyond its validity. For
+    large-k operators this returns the s-coordinate start described in the
+    module docstring (r0, if given, is the series start radius in r of the
+    finite-k pullback).
+
+    With `factored` (families in FACTORED_FAMILIES) it starts f = phi/zeta
+    instead, at the same radius: on the series f = 1 - mu2 x^2/(4 nu + 2)
+    + O(x^4), from f'' + 2W f' + mu2 f = 0 with W = nu/x + O(x), or on
+    f = 1, f' = phi0'/phi0 - W where phi0 starts. Any start error along the
+    second solution, the integral of zeta^-2 from x to infinity, shrinks
+    relative to f like (zeta(x0)/zeta(x))^2 as the shot moves out.
     """
     if op.family == LARGE_K:
         return _largek_start(op, mu2, r0)
     nu, u0, u2 = _series_coeffs(op, mu2)
     rmax, c2, c4 = _series_radius(nu, u0, u2)
+    half_sphere = op_code(op)[0] == _kernels.HALF_SPHERE
+    rf = _free_radius(op.k, op.lam) if half_sphere else 0.0
+    if half_sphere and op.k >= 3:
+        rmax = min(rmax, rf)
     if r0 is None:
         r0 = rmax
-        if op_code(op)[0] == _kernels.HALF_SPHERE:
-            rf = _free_radius(op.k, op.lam)
-            if rf > rmax:
-                return _free_start(op.k, mu2, rf)
+        if rf > rmax:
+            st = _free_start(op.k, mu2, rf)
+            if not factored:
+                return st
+            w = _kernels.logder(*op_code(op), rf)
+            return StartData(rf, 1.0, st.phi_prime / st.phi - w, 0.0)
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")
     elif r0 <= 0.0:
         raise DomainError(f"r0 must be positive, got {r0}")
+    if factored:
+        c = -mu2 / (4.0 * nu + 2.0)
+        return StartData(r0, 1.0 + c * r0 * r0, 2.0 * c * r0, 0.0)
     r2 = r0 * r0
     val = r0 ** nu * (1.0 + c2 * r2 + c4 * r2 * r2)
     der = r0 ** (nu - 1.0) * (nu + (nu + 2.0) * c2 * r2
@@ -235,11 +266,15 @@ def _largek_start(op, mu2, r0=None):
     return StartData(-math.log(L0), hs.phi, hs.phi_prime, hs.log_scale)
 
 
-def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
+def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store,
+           factored=False):
     """Kernel call with start normalization; returns the raw kernel tuple."""
     if not isinstance(start, StartData):
         start = StartData(*start)
     code, kk, p = op_code(op)
+    if factored and op.family not in FACTORED_FAMILIES:
+        raise DomainError("only the half-line and rescaled families have a "
+                          "closed-form zero mode to factor out")
     if op.family != LARGE_K and (start.x <= 0.0 or x_end <= 0.0):
         raise DomainError("half-line coordinates must be positive")
     if x_end == start.x:
@@ -251,7 +286,8 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
         chi /= mag
         lg += math.log(mag)
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, phi, chi, lg,
-                            x_end, rtol, atol, MAX_STEPS, max_step, store)
+                            x_end, rtol, atol, MAX_STEPS, max_step, store,
+                            factored)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
@@ -333,18 +369,21 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     return zeros + tail
 
 
-def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
-    """End StartData of the shot without storing samples."""
-    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)
+def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
+                   factored=False):
+    """End StartData of the shot without storing samples; with `factored`
+    the shot and both states are in f = phi/zeta (see series_start)."""
+    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False, factored)
     return StartData(*out[7:])
 
 
-def tail_start_decaying(op, mu2, R):
+def tail_start_decaying(op, mu2, R, factored=False):
     """Decaying-branch start at x = R: stored (1, -m), true scale exp(-mR).
 
     m = sqrt(edge - mu2) with edge the family's continuum edge. Requires the
     potential to have reached its asymptote at R to 1e-12 m^2, else
-    TailNotAsymptotic.
+    TailNotAsymptotic. With `factored` the start is f = phi/zeta, stored
+    (1, -m - W(R)) with the same log scale (the factor 1/zeta(R) left out).
     """
     edge = continuum_edge(op)
     if not mu2 < edge:
@@ -356,6 +395,10 @@ def tail_start_decaying(op, mu2, R):
         raise TailNotAsymptotic(
             f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
             f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}, or gamma(R) != 1")
+    if factored:
+        return StartData(float(R), 1.0,
+                         -m - _kernels.logder(code, kk, p, float(R)),
+                         -m * float(R))
     return StartData(float(R), 1.0, -m, -m * float(R))
 
 

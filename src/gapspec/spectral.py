@@ -26,12 +26,22 @@ Every eigenvalue is established twice, by independent routes:
     one, and the bracket is the one a bisection at the caller's tolerance
     alone would reach;
   * a matching refinement: the normalized Wronskian of the regular shot
-    and the decaying tail shot changes sign across the eigenvalue. It is
-    evaluated at the count bracket ends; while it keeps its sign the
-    secant through the last two points is stepped one bracket width past
-    its root, up to ten times. Illinois regula falsi then shrinks the sign
-    change to the mismatch's noise floor: two iterates in a row that do
-    not lower |mismatch|, a bracket below 1e-13 relative, or an exact zero.
+    and the decaying tail shot, taken at the potential minimum, changes
+    sign across the eigenvalue. The tail shot runs backward from the
+    asymptotic radius x_a, where the count shots stop: past it the
+    potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
+    For the half-line and rescaled families both legs shoot f = phi/zeta
+    over the closed-form zero mode zeta, whose second solution decreases
+    outward, so neither leg amplifies its start or step errors; the
+    forward leg starts on the series f = 1 - mu2 x^2/(4 nu + 2), or on
+    f'/f = phi0'/phi0 - zeta'/zeta where phi0 starts. The Wronskian of f
+    is that of phi divided by zeta^2, so the normalized mismatch is the
+    same number in either form; large-k members shoot phi. It is evaluated
+    at the count bracket ends; while it keeps its sign the secant through
+    the last two points is stepped one bracket width past its root, up to
+    ten times. Illinois regula falsi then shrinks the sign change to the
+    mismatch's noise floor: two iterates in a row that do not lower
+    |mismatch|, a bracket below 1e-13 relative, or an exact zero.
 
 The zero mode is the regular solution at mu2 = 0 and has no zeros, so the
 count there must be 0; any other count raises InconsistentCertificate. A
@@ -56,7 +66,8 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
 from .harmonic_maps import geometry, sphere
-from .ode_engine import (ThresholdFit, count_zeros, endpoint_state,
+from .ode_engine import (FACTORED_FAMILIES, ThresholdFit,
+                         asymptotic_radius, count_zeros, endpoint_state,
                          fit_threshold, integrate, series_start,
                          tail_start_decaying)
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
@@ -223,8 +234,10 @@ def _matching_point(op, x0, R):
     under the centrifugal barrier, so a forward shot carried further picks
     up the growing solution at the barrier's amplification factor and the
     mismatch turns noisy; at the minimum both legs still run in their
-    stable directions (the outward decay is shot backward from R). Only a
-    sliver is clamped off each end to keep both legs nonempty.
+    stable directions (the outward decay is shot backward from the
+    asymptotic radius x_a, which lies past the well). The result is
+    clamped to [x0 + 1e-4 (R - x0), (x0 + R)/2], so the forward leg is
+    never empty.
 
     The scan unions a uniform net with a geometric cluster at the left
     end: the wells narrow like 1/lambda around 2 artanh(1/lambda), so a
@@ -241,11 +254,24 @@ def _matching_point(op, x0, R):
 
 
 def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
-    """Signed normalized Wronskian of the regular and decaying shots at xm."""
-    fwd = endpoint_state(op, mu2, series_start(op, mu2), xm,
-                         rtol=rtol, atol=atol)
-    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, R), xm,
-                         rtol=rtol, atol=atol)
+    """Signed normalized Wronskian of the regular and decaying shots at xm.
+
+    The decaying leg starts at the asymptotic radius x_a, past which the
+    tail is exact. Families with a closed-form zero mode shoot both legs in
+    f = phi/zeta, where (f1 g2 - g1 f2)/(|f1| |f2| m) is the same number as
+    the phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m): zeta^2 and
+    the W terms cancel. f is about 1 and f' about mu2 x, so there the
+    absolute tolerance is taken in units of |mu2|; otherwise it, and not
+    rtol, would bound the error of f' in deep wells.
+    """
+    factored = op.family in FACTORED_FAMILIES
+    if factored:
+        atol = max(atol * abs(mu2), 1e-300)
+    x_a = asymptotic_radius(op, mu2, R)
+    fwd = endpoint_state(op, mu2, series_start(op, mu2, factored=factored),
+                         xm, rtol=rtol, atol=atol, factored=factored)
+    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a, factored),
+                         xm, rtol=rtol, atol=atol, factored=factored)
     m = math.sqrt(continuum_edge(op) - mu2)
     w = fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi
     denom = max(abs(fwd.phi) * abs(bwd.phi) * m, 1e-300)

@@ -204,6 +204,10 @@ def init_state(geometry, R, n, initial, nonlinear=False,
     if isinstance(initial, GapEigenmode):
         w, mu2 = _eigenmode_profile(geometry, initial.mu2, initial.index, r)
     elif isinstance(initial, GaussianBump):
+        fields = (initial.amplitude, initial.center, initial.width)
+        if not all(math.isfinite(v) for v in fields) or initial.width <= 0.0:
+            raise DomainError("a bump needs a finite amplitude and center and "
+                              f"a finite positive width, got {initial}")
         w = initial.amplitude * np.exp(
             -0.5 * ((r - initial.center) / initial.width) ** 2)
         w[0] = 0.0

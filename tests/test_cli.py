@@ -122,7 +122,7 @@ def test_library_error_exits_3(capsys):
             "--t-final", "52"]
     for extra in (["--energy-stride", "0"], ["--energy-stride", "-3"],
                   ["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
-                  ["--probe-r", "nan"]):
+                  ["--probe-r", "nan"], ["--width", "0"], ["--width", "nan"]):
         assert main(bump + extra) == 3, extra
         assert "DomainError" in capsys.readouterr().err
     for n_grid in ("2", "0"):

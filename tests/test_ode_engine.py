@@ -120,6 +120,22 @@ def test_free_start_matches_tight_series_shot(k):
             pytest.approx(st.phi, rel=2e-12)
 
 
+@pytest.mark.parametrize("lam", [40.0, 100.0])
+def test_k3_series_start_holds_the_map_potential(lam):
+    # at k = 3 the series leaves out V, whose leading term enters at the
+    # order of c6; the radius is capped where V's relative effect
+    # 2 (lambda tanh(r/2))^(2k) is 1e-12, so a tight shot from a series
+    # start twenty times farther in reaches it with the same log-derivative
+    op = gs.half_line(gs.sphere(3, lam))
+    for mu2 in (0.0, MU2_SPHERE_K3_L40, 0.2499):
+        st = gs.series_start(op, mu2)
+        assert st.x == _free_radius(3, lam)
+        end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, st.x / 20),
+                                st.x, rtol=1e-14, atol=0.0)
+        assert end.phi_prime / end.phi == pytest.approx(
+            st.phi_prime / st.phi, rel=1e-12, abs=0.0)
+
+
 def test_frozen_members_keep_series_start():
     # phi0 is exact only where 2 (lambda tanh(r/2))^(2k) <= 1e-12, inside
     # the series radius for every frozen half-line member: their shots,

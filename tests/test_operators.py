@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gapspec as gs
+from gapspec import _kernels
 from gapspec.errors import DomainError
-from gapspec.operators import FROM_HALF_LINE, TO_HALF_LINE
+from gapspec.operators import FROM_HALF_LINE, TO_HALF_LINE, op_code
 
 
 def test_spec_frobenius_and_domains():
@@ -181,6 +182,21 @@ def test_zero_mode_derivatives_against_mpmath(geom):
         assert val == pytest.approx(float(f(mpmath.mpf(x))), rel=1e-12)
         assert d1 == pytest.approx(float(mpmath.diff(f, x)), rel=1e-9)
         assert d2 == pytest.approx(float(mpmath.diff(f, x, 2)), rel=1e-8)
+
+
+@pytest.mark.parametrize("geom", [gs.sphere(1, 3.0), gs.sphere(2, 40.0),
+                                  gs.sphere(3, 40.0), gs.yang_mills(10.0)])
+def test_kernel_logder_is_zero_mode_log_derivative(geom):
+    # W = zeta'/zeta drives the factored shot; codes 2-3 evaluate it at
+    # r = 2 rho/lambda
+    for fam, coord in ((gs.half_line, gs.PHYSICAL_R),
+                       (gs.rescaled, gs.RESCALED_RHO)):
+        code, kk, p = op_code(fam(geom))
+        for r in (1e-3, 0.05, 1.0, 7.0, 30.0):
+            x = r if coord == gs.PHYSICAL_R else 0.5 * geom.lam * r
+            val, d1, _ = gs.zero_mode(geom, coord, x, derivatives=True)
+            assert _kernels.logder(code, kk, p, x) == pytest.approx(
+                d1 / val, rel=1e-13, abs=0.0)
 
 
 def test_zero_mode_positive_with_frobenius_power():

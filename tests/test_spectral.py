@@ -47,7 +47,7 @@ def test_certified_eigenvalues_yang_mills(lam):
 def test_deep_well_eigenvalue_k3():
     # the k=3 lambda=40 well pushes mu2 to 3e-6; certification must survive
     ev = _certified(gs.sphere(3, 40.0))
-    assert ev.mu2 == pytest.approx(MU2_SPHERE_K3_L40, rel=1e-8)
+    assert ev.mu2 == pytest.approx(MU2_SPHERE_K3_L40, rel=1e-9, abs=0.0)
     assert ev.wronskian_residual < 1e-8
 
 
@@ -107,10 +107,51 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
         assert end == pytest.approx(x_a, rel=1e-12)
 
 
+@pytest.mark.parametrize("op", [gs.half_line(gs.sphere(2, 10.0)),
+                                gs.large_k(math.inf, 100.0)])
+def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
+    # the decaying leg of every Wronskian match starts where the count
+    # shots stop, short of R; the half-line family shoots it in f = phi/zeta
+    backward = []
+    real_shoot = _kernels.rk_shoot
+
+    def shoot(*args):
+        if args[8] < args[4]:       # x1 < x0
+            backward.append(args)
+        return real_shoot(*args)
+
+    monkeypatch.setattr(_kernels, "rk_shoot", shoot)
+    ev = gs.find_gap_eigenvalues(op, scans=False,
+                                 threshold=False).eigenvalues[0]
+    assert len(backward) > 2
+    for args in backward:
+        mu2, x0 = args[3], args[4]
+        assert x0 == asymptotic_radius(op, mu2, ev.R_used) < ev.R_used
+        assert args[14] == (op.family == "half_line")
+
+
+@pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
+def test_factored_mismatch_is_the_phi_wronskian(mu2):
+    # zeta^2 and W cancel from the normalized Wronskian, so the factored
+    # legs give the number a tight phi-form match from R gives; the
+    # mismatch is of order one, and 0.0768 sits next to the root
+    op = gs.half_line(gs.sphere(2, 5.0))
+    xm = spectral._matching_point(op, gs.series_start(op, mu2).x, 80.0)
+    fwd = gs.endpoint_state(op, mu2, gs.series_start(op, mu2), xm,
+                            rtol=1e-13, atol=0.0)
+    bwd = gs.endpoint_state(op, mu2, gs.tail_start_decaying(op, mu2, 80.0),
+                            xm, rtol=1e-13, atol=0.0)
+    m = math.sqrt(0.25 - mu2)
+    phi_form = ((fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi)
+                / (abs(fwd.phi) * abs(bwd.phi) * m))
+    got = spectral._wronskian_mismatch(op, mu2, xm, 80.0, 1e-13, 1e-15)
+    assert got == pytest.approx(phi_form, rel=0.0, abs=1e-11)
+
+
 @pytest.mark.parametrize("wrong", [0, 1])
 @pytest.mark.parametrize("geom,want,rel", [
     (gs.sphere(2, 10.0), MU2_SPHERE_K2[10.0], 1e-9),
-    (gs.sphere(3, 40.0), MU2_SPHERE_K3_L40, 1e-8)])
+    (gs.sphere(3, 40.0), MU2_SPHERE_K3_L40, 1e-9)])
 def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
                                                     want, rel):
     # the isolation shots may land the jump anywhere (count 0 or index + 1
@@ -126,7 +167,7 @@ def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
     ev = _certified(geom)
     assert ev.oscillation == (0, 1)
     assert ev.bracket[1] - ev.bracket[0] <= spectral.BRACKET_WIDTH
-    assert ev.mu2 == pytest.approx(want, rel=rel)
+    assert ev.mu2 == pytest.approx(want, rel=rel, abs=0.0)
     assert ev.wronskian_residual < 1e-8
 
 

@@ -38,6 +38,13 @@ def test_init_state_guards():
     for probe_r in (math.nan, math.inf):
         with pytest.raises(DomainError):
             gs.init_state(g, 60.0, 1024, gs.GaussianBump(), probe_r=probe_r)
+    for bump in (gs.GaussianBump(width=0.0), gs.GaussianBump(width=-0.5),
+                 gs.GaussianBump(width=math.nan),
+                 gs.GaussianBump(width=math.inf),
+                 gs.GaussianBump(amplitude=math.nan),
+                 gs.GaussianBump(center=math.inf)):
+        with pytest.raises(DomainError):
+            gs.init_state(g, 60.0, 1024, bump)
 
 
 def test_eigenmode_requires_existing_level():
