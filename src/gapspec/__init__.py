@@ -8,8 +8,7 @@ from .errors import (BoundOutOfRange, CFLViolation, DomainError,
                      EigenvalueMissing, FitUnreliable, GapspecError,
                      InconsistentCertificate, NoEigenmode,
                      QuadratureNotConverged, SeriesRadiusExceeded,
-                     StepSizeUnderflow, TailNotAsymptotic, TooFewSamples,
-                     VolterraDiverged)
+                     StepSizeUnderflow, TailNotAsymptotic, TooFewSamples)
 from .harmonic_maps import (SPHERE, YANG_MILLS, EnergyBreakdown, GeometrySpec,
                             amplitude_bound, endpoint, energy_closed_form,
                             energy_quadrature, eval_Q, eval_Q_prime,

@@ -22,7 +22,7 @@ from .errors import DomainError, GapspecError
 from .harmonic_maps import (SPHERE, YANG_MILLS, amplitude_bound,
                             endpoint, energy_closed_form, energy_quadrature,
                             geometry)
-from .ode_engine import renormalized_f
+from .ode_engine import _interp4, renormalized_f
 from .operators import half_line
 from .spectral import (_pool_map, find_gap_eigenvalues, largek_gap_scan,
                        migration_curve, sweep_lambda)
@@ -210,7 +210,7 @@ def _cmd_renorm(args):
     lam = args.lam[0]
     g = geometry(args.geometry, _index(args), lam)
     rho_max = args.rho_max if args.rho_max is not None else lam
-    sol = renormalized_f(g, args.mu2, rho_max, n_grid=args.n_grid)
+    sol = renormalized_f(g, args.mu2, rho_max)
     rho, f = sol.grid, sol.f
     imin = int(np.argmin(f))
     neg = np.nonzero(f < 0.0)[0]
@@ -233,8 +233,8 @@ def _cmd_renorm(args):
     if lam > 1.0:
         rho0 = lam * math.atanh(1.0 / lam)
         summary["rho_bulk"] = rho0
-        summary["f_at_bulk"] = float(np.interp(rho0, rho, f))
-        summary["f_prime_at_bulk"] = float(np.interp(rho0, rho, sol.f_prime))
+        summary["f_at_bulk"] = float(_interp4(rho0, rho, f))
+        summary["f_prime_at_bulk"] = float(_interp4(rho0, rho, sol.f_prime))
     header = ["rho", "f", "f_prime", "zeta"]
     rows = np.column_stack([rho, f, sol.f_prime, sol.zeta]).tolist()
     return _emit(args, summary, csv_header=header, csv_rows=rows)
@@ -337,7 +337,6 @@ def build_parser():
     _add_common(q)
     q.add_argument("--mu2", type=float, default=0.25)
     q.add_argument("--rho-max", type=float, default=None)
-    q.add_argument("--n-grid", type=int, default=6000)
     q.set_defaults(func=_cmd_renorm)
 
     q = sp.add_parser("evolve", help="radial wave evolution diagnostics")

@@ -37,10 +37,6 @@ class FitUnreliable(GapspecError):
     """Threshold fit residual exceeds the acceptance level."""
 
 
-class VolterraDiverged(GapspecError):
-    """Picard sweeps for the renormalized solution failed to contract."""
-
-
 class InconsistentCertificate(GapspecError):
     """Oscillation count and Wronskian matching disagree at an eigenvalue."""
 

@@ -8,17 +8,21 @@ e-foldings without overflow. True values are stored * exp(log_scale). Each
 shot counts the sign changes of phi (the Sturm count) and returns its end
 state; `integrate` also keeps every accepted step. The half-line and
 rescaled families, whose zero mode zeta > 0 is closed-form, can also shoot
-f = phi/zeta (`factored`): f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta.
-There mu2 enters directly, the regular solution at mu2 = 0 is f = 1, and
-the second solution, the integral of zeta^-2 from x to infinity, decreases,
-so it does not grow out of start and step errors.
+f = phi/zeta: f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta. There mu2
+enters directly, the regular solution at mu2 = 0 is f = 1, and the second
+solution, the integral of zeta^-2 from x to infinity, decreases, so it does
+not grow out of start and step errors. The variable travels with the
+state: a start made `factored` (series_start, tail_start_decaying) is shot,
+counted and returned in f, and f is about 1 with f' about mu2 x, so such a
+shot takes its absolute tolerance in units of |mu2|.
 
 Regular starts come from the Frobenius series at the left endpoint,
 phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
 the constant and quadratic potential coefficients of each family and the
 start radius chosen so the dropped c6 term is below 1e-12 (for the
 half-line sphere at k >= 3, whose coefficients leave out the map's
-potential, also so that potential's relative effect is below 1e-12). The
+potential, and for its factored start at every k, also so that potential's
+relative effect is below 1e-12). The
 half-line sphere family has a second exact start: the closed-form regular
 solution of its operator with V = 0,
 
@@ -45,7 +49,7 @@ import numpy as np
 from . import _kernels
 from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
-                     TailNotAsymptotic, VolterraDiverged)
+                     TailNotAsymptotic)
 from .harmonic_maps import GeometrySpec, sphere
 from .operators import (HALF_LINE, LARGE_K, RESCALED, RESCALED_RHO,
                         OperatorSpec, continuum_edge, half_line, op_code,
@@ -63,14 +67,16 @@ class StartData:
 
     phi_prime is d(phi)/dx for the second-order families and the invariant
     derivative omega^-1 rho d(phi)/drho (= gamma d(phi)/ds) for large-k.
-    True values are (phi, phi_prime) * exp(log_scale). A factored shot
-    keeps (f, f') of f = phi/zeta in the same fields.
+    True values are (phi, phi_prime) * exp(log_scale). A `factored` state
+    keeps (f, f') of f = phi/zeta in the same fields, and a shot from it
+    runs in f.
     """
 
     x: float
     phi: float
     phi_prime: float
     log_scale: float = 0.0
+    factored: bool = False
 
 
 @dataclass
@@ -83,11 +89,13 @@ class ShootingTrace:
     values: np.ndarray          # (n, 2) stored (phi, chi)
     log_scale: np.ndarray       # (n,) cumulative log scale per sample
     zero_count: int = 0
+    factored: bool = False      # values are (f, f') of f = phi/zeta
 
     @property
     def end(self):
         return StartData(float(self.grid[-1]), float(self.values[-1, 0]),
-                         float(self.values[-1, 1]), float(self.log_scale[-1]))
+                         float(self.values[-1, 1]), float(self.log_scale[-1]),
+                         self.factored)
 
 
 @dataclass(frozen=True)
@@ -211,12 +219,14 @@ def series_start(op, mu2, r0=None, factored=False):
     module docstring (r0, if given, is the series start radius in r of the
     finite-k pullback).
 
-    With `factored` (families in FACTORED_FAMILIES) it starts f = phi/zeta
-    instead, at the same radius: on the series f = 1 - mu2 x^2/(4 nu + 2)
+    With `factored` (families in FACTORED_FAMILIES) it returns a factored
+    start of f = phi/zeta instead: on the series f = 1 - mu2 x^2/(4 nu + 2)
     + O(x^4), from f'' + 2W f' + mu2 f = 0 with W = nu/x + O(x), or on
-    f = 1, f' = phi0'/phi0 - W where phi0 starts. Any start error along the
-    second solution, the integral of zeta^-2 from x to infinity, shrinks
-    relative to f like (zeta(x0)/zeta(x))^2 as the shot moves out.
+    f = 1, f' = phi0'/phi0 - W where phi0 starts. That series leaves the
+    map's part of W out at every k, so for the half-line sphere its radius
+    is capped by _free_radius at every k. Any start error along the second
+    solution, the integral of zeta^-2 from x to infinity, shrinks relative
+    to f like (zeta(x0)/zeta(x))^2 as the shot moves out.
     """
     if op.family == LARGE_K:
         return _largek_start(op, mu2, r0)
@@ -224,7 +234,7 @@ def series_start(op, mu2, r0=None, factored=False):
     rmax, c2, c4 = _series_radius(nu, u0, u2)
     half_sphere = op_code(op)[0] == _kernels.HALF_SPHERE
     rf = _free_radius(op.k, op.lam) if half_sphere else 0.0
-    if half_sphere and op.k >= 3:
+    if half_sphere and (op.k >= 3 or factored):
         rmax = min(rmax, rf)
     if r0 is None:
         r0 = rmax
@@ -233,7 +243,7 @@ def series_start(op, mu2, r0=None, factored=False):
             if not factored:
                 return st
             w = _kernels.logder(*op_code(op), rf)
-            return StartData(rf, 1.0, st.phi_prime / st.phi - w, 0.0)
+            return StartData(rf, 1.0, st.phi_prime / st.phi - w, 0.0, True)
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")
@@ -241,7 +251,7 @@ def series_start(op, mu2, r0=None, factored=False):
         raise DomainError(f"r0 must be positive, got {r0}")
     if factored:
         c = -mu2 / (4.0 * nu + 2.0)
-        return StartData(r0, 1.0 + c * r0 * r0, 2.0 * c * r0, 0.0)
+        return StartData(r0, 1.0 + c * r0 * r0, 2.0 * c * r0, 0.0, True)
     r2 = r0 * r0
     val = r0 ** nu * (1.0 + c2 * r2 + c4 * r2 * r2)
     der = r0 ** (nu - 1.0) * (nu + (nu + 2.0) * c2 * r2
@@ -266,15 +276,18 @@ def _largek_start(op, mu2, r0=None):
     return StartData(-math.log(L0), hs.phi, hs.phi_prime, hs.log_scale)
 
 
-def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store,
-           factored=False):
-    """Kernel call with start normalization; returns the raw kernel tuple."""
-    if not isinstance(start, StartData):
-        start = StartData(*start)
+def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
+    """Kernel call with start normalization; returns the raw kernel tuple.
+
+    The shot runs in the start's variable. A factored one takes atol in
+    units of |mu2|: f is about 1 and f' about mu2 x, so otherwise atol, and
+    not rtol, would bound the error of f' in deep wells."""
     code, kk, p = op_code(op)
-    if factored and op.family not in FACTORED_FAMILIES:
-        raise DomainError("only the half-line and rescaled families have a "
-                          "closed-form zero mode to factor out")
+    if start.factored:
+        if op.family not in FACTORED_FAMILIES:
+            raise DomainError("only the half-line and rescaled families have "
+                              "a closed-form zero mode to factor out")
+        atol = max(atol * abs(mu2), 1e-300)
     if op.family != LARGE_K and (start.x <= 0.0 or x_end <= 0.0):
         raise DomainError("half-line coordinates must be positive")
     if x_end == start.x:
@@ -287,7 +300,7 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store,
         lg += math.log(mag)
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, phi, chi, lg,
                             x_end, rtol, atol, MAX_STEPS, max_step, store,
-                            factored)
+                            start.factored)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
@@ -300,7 +313,10 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store,
 def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
               max_step=0.0) -> ShootingTrace:
     """Integrate the shooting system from `start` to x_end, storing every
-    accepted step. Direction is inferred from the endpoints."""
+    accepted step, in the start's variable. Direction is inferred from the
+    endpoints."""
+    if not isinstance(start, StartData):
+        start = StartData(*start)
     (_, nst, xs, phis, chis, lgs, nzero, *_rest) = _shoot(
         op, mu2, start, x_end, rtol, atol, max_step, store=True)
     vals = np.empty((nst, 2))
@@ -308,7 +324,8 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
     vals[:, 1] = chis[:nst]
     return ShootingTrace(
         operator=op, mu2=mu2, grid=xs[:nst].copy(), values=vals,
-        log_scale=lgs[:nst].copy(), zero_count=int(nzero))
+        log_scale=lgs[:nst].copy(), zero_count=int(nzero),
+        factored=start.factored)
 
 
 def _asymptotic(code, kk, p, edge, m2, x):
@@ -340,19 +357,22 @@ def asymptotic_radius(op, mu2, x_end):
 
 
 def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
-    """Sturm count: zeros of the shot from `start` on (start, x_end],
-    without building a trace.
+    """Sturm count: zeros of the shot from `start`, without building a
+    trace. A factored start counts the zeros of f = phi/zeta, which are
+    those of phi because zeta > 0.
 
-    Below the edge the shot stops at x_a = asymptotic_radius(op, mu2,
-    x_end). Past x_a the solution is phi_a cosh(m t) + (chi_a/m) sinh(m t),
-    t = x - x_a, m = sqrt(edge - mu2) (in s, chi = gamma phi_s with
-    gamma = 1 there), so it has at most one zero on (x_a, x_end], and it
-    has one iff phi_a chi_a < 0 and |chi_a| tanh(m (x_end - x_a)) >
-    m |phi_a|. A shot that ends on phi_a = 0 ends on a simple zero that the
-    kernel has not counted yet: it counts a zero when phi next takes a sign
-    other than the last nonzero one, and past x_a phi takes the sign of
-    chi_a. The count is the one the shot to x_end would make, up to where
-    the last zero sits within the shot's error of x_end.
+    Below the edge, once the potential has flattened by x_end, the shot
+    stops at x_a = asymptotic_radius(op, mu2, x_end) and the count is on
+    the whole half-line (start, inf). Past x_a the solution is
+    phi_a cosh(m t) + (chi_a/m) sinh(m t), t = x - x_a,
+    m = sqrt(edge - mu2) (in s, chi = gamma phi_s with gamma = 1 there; in
+    f, (phi_a, chi_a) is zeta (f, W f + f') at x_a), so it has at most one
+    zero on (x_a, inf), and it has one iff phi_a chi_a < 0 and
+    |chi_a| > m |phi_a|. A shot that ends on phi_a = 0 ends on a simple
+    zero that the kernel has not counted yet: it counts a zero when phi
+    next takes a sign other than the last nonzero one, and past x_a phi
+    takes the sign of chi_a. Otherwise (mu2 at or above the edge, or a
+    potential not yet flat at x_end) the count is on (start, x_end].
     """
     if not isinstance(start, StartData):
         start = StartData(*start)
@@ -363,18 +383,19 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     zeros, phi, chi = int(out[6]), out[8], out[9]
     if phi == 0.0:
         return zeros + (chi != 0.0)
+    if start.factored:
+        chi += _kernels.logder(*op_code(op), x_a) * phi
     m = math.sqrt(continuum_edge(op) - mu2)
-    tail = ((phi < 0.0) != (chi < 0.0)
-            and abs(chi) * math.tanh(m * (x_end - x_a)) > m * abs(phi))
-    return zeros + tail
+    return zeros + ((phi < 0.0) != (chi < 0.0) and abs(chi) > m * abs(phi))
 
 
-def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
-                   factored=False):
-    """End StartData of the shot without storing samples; with `factored`
-    the shot and both states are in f = phi/zeta (see series_start)."""
-    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False, factored)
-    return StartData(*out[7:])
+def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
+    """End StartData of the shot without storing samples, in the start's
+    variable (a factored start gives a factored end)."""
+    if not isinstance(start, StartData):
+        start = StartData(*start)
+    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)
+    return StartData(*out[7:], start.factored)
 
 
 def tail_start_decaying(op, mu2, R, factored=False):
@@ -382,8 +403,9 @@ def tail_start_decaying(op, mu2, R, factored=False):
 
     m = sqrt(edge - mu2) with edge the family's continuum edge. Requires the
     potential to have reached its asymptote at R to 1e-12 m^2, else
-    TailNotAsymptotic. With `factored` the start is f = phi/zeta, stored
-    (1, -m - W(R)) with the same log scale (the factor 1/zeta(R) left out).
+    TailNotAsymptotic. With `factored` it is a factored start of
+    f = phi/zeta, stored (1, -m - W(R)) with the same log scale (the factor
+    1/zeta(R) left out).
     """
     edge = continuum_edge(op)
     if not mu2 < edge:
@@ -398,7 +420,7 @@ def tail_start_decaying(op, mu2, R, factored=False):
     if factored:
         return StartData(float(R), 1.0,
                          -m - _kernels.logder(code, kk, p, float(R)),
-                         -m * float(R))
+                         -m * float(R), True)
     return StartData(float(R), 1.0, -m, -m * float(R))
 
 
@@ -437,75 +459,34 @@ def fit_threshold(trace, window=None):
     return ThresholdFit(a, b, rel, (float(w0), float(w1)))
 
 
-def _cumquad(x, y):
-    """Cumulative integral on a nonuniform grid, local parabola per interval.
-
-    Each subinterval [x_i, x_{i+1}] is integrated with the quadratic through
-    its neighboring triple; the first interval uses the leading triple.
-    Returns I with I[0] = 0.
-    """
-    h1 = np.diff(x[:-1])
-    h2 = np.diff(x[1:])
-    # weights for int_{x1}^{x2} over triples (y0, y1, y2)
-    c0 = -h2 ** 3 / (6.0 * h1 * (h1 + h2))
-    c1 = h2 * (3.0 * h1 + h2) / (6.0 * h1)
-    c2 = h2 * (2.0 * h2 + 3.0 * h1) / (6.0 * (h1 + h2))
-    seg = np.empty(x.size - 1)
-    seg[1:] = c0 * y[:-2] + c1 * y[1:-1] + c2 * y[2:]
-    # first interval from the same leading parabola
-    a1, a2 = x[1] - x[0], x[2] - x[1]
-    seg[0] = (a1 * (2.0 * a1 + 3.0 * a2) / (6.0 * (a1 + a2)) * y[0]
-              + a1 * (a1 + 3.0 * a2) / (6.0 * a2) * y[1]
-              - a1 ** 3 / (6.0 * (a1 + a2) * a2) * y[2])
-    out = np.empty(x.size)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
-
-
-def renormalized_f(geometry, mu2, rho_max, n_grid=6000):
+def renormalized_f(geometry, mu2, rho_max):
     """Renormalize the gap-edge shot by the zero mode: f = phi/zeta.
 
-    Solves the Volterra form of (f' zeta^2)' = -(4 mu2/lambda^2) zeta^2 f
-    with f(0) = 1, f'(0) = 0 by Picard sweeps on a geometric grid until
-    successive sweeps differ by < 1e-10 uniformly (VolterraDiverged if they
-    fail to contract). mu2 is in the half-line convention, so mu2 = 1/4
-    probes the rescaled family's continuum edge 1/lambda^2 and mu2 = 0 gives
-    f identically 1. The result carries the relative residual against an
-    independent direct shot of the rescaled operator.
+    One factored shot of the rescaled operator, (f' zeta^2)' =
+    -(4 mu2/lambda^2) zeta^2 f, from its series start f = 1 - O(rho^2) out
+    to rho_max, sampled at its accepted steps (the step is capped at
+    rho_max/100, so the profile has at least a hundred samples). mu2 is in
+    the half-line convention, so mu2 = 1/4 probes the rescaled family's
+    continuum edge 1/lambda^2 and mu2 = 0 gives f identically 1. The result
+    carries the relative residual against an independent direct phi-shot of
+    the rescaled operator.
     """
     lam = geometry.lam
-    if lam <= 0.0 or rho_max <= 0.0 or n_grid < 4:
-        # the cross-check interpolates through four neighbouring nodes
-        raise DomainError("need lambda > 0, rho_max > 0 and n_grid >= 4")
+    if not lam > 0.0:
+        raise DomainError(f"need lambda > 0, got {lam}")
     eps = 4.0 * mu2 / lam ** 2
-    k = geometry.k
-    rho = np.geomspace(rho_max * 1e-8, rho_max, n_grid)
-    zeta = zero_mode(geometry, RESCALED_RHO, rho)
-    z2 = zeta * zeta
-    inv_z2 = 1.0 / z2
-    head_in = z2[0] * rho[0] / (2.0 * k + 2.0)
-
-    f = np.ones(n_grid)
-    inner = None
-    for sweep in range(300):
-        inner = head_in * f[0] + _cumquad(rho, z2 * f)
-        integ = inner * inv_z2
-        outer = integ[0] * rho[0] / 2.0 + _cumquad(rho, integ)
-        f_new = 1.0 - eps * outer
-        delta = float(np.max(np.abs(f_new - f)))
-        f = f_new
-        if not np.isfinite(delta) or np.max(np.abs(f)) > 1e8:
-            raise VolterraDiverged(
-                f"Picard sweeps blew up by sweep {sweep} (rho_max too large?)")
-        if delta < 1e-10:
-            break
-    else:
-        raise VolterraDiverged("Picard sweeps did not contract to 1e-10")
-    inner = head_in * f[0] + _cumquad(rho, z2 * f)
-    f_prime = -eps * inner * inv_z2
-
-    sol = RenormalizedSolution(geometry, mu2, rho, f, f_prime, zeta)
+    op = rescaled(geometry)
+    start = series_start(op, eps, factored=True)
+    if not rho_max > start.x:
+        raise DomainError(f"need rho_max beyond the series start "
+                          f"{start.x:g}, got {rho_max}")
+    tr = integrate(op, eps, start, rho_max, rtol=1e-12, atol=1e-15,
+                   max_step=rho_max / 100.0)
+    scale = np.exp(tr.log_scale)
+    rho = tr.grid
+    f = tr.values[:, 0] * scale
+    sol = RenormalizedSolution(geometry, mu2, rho, f, tr.values[:, 1] * scale,
+                               zero_mode(geometry, RESCALED_RHO, rho))
     sol.shoot_residual = _renorm_crosscheck(geometry, eps, rho, f)
     return sol
 

@@ -2,18 +2,19 @@
 
 Every eigenvalue is established twice, by independent routes:
 
-  * a Sturm count bisection: the number of zeros of the regular shot on
-    (0, R) is a step function of the spectral parameter, jumping by one as
-    each eigenvalue is crossed, so bisecting the jump brackets the
-    eigenvalue with no cancellation. Each count runs to a radius that
-    follows mu2 (forty decay lengths 1/sqrt(edge - mu2), at least the
-    operator's count radius and at most 200); the count grows with both
-    mu2 and R, so it stays monotone and one bisection suffices. Only the
-    shot to the asymptotic radius is integrated: a grid scanned backward
-    from R finds where the potential has reached the edge to 1e-12 m^2
-    (backward, because the potential crosses the edge inside the well).
-    Past that point the equation is phi'' = m^2 phi, and its solution has
-    at most one zero, counted in closed form. The count runs at two
+  * a Sturm count bisection: the number of zeros of the regular solution
+    on the whole half-line (0, inf) is a step function of the spectral
+    parameter, jumping by one as each eigenvalue is crossed, so bisecting
+    the jump brackets the eigenvalue with no cancellation. Every count
+    runs to the operator's one count radius R: a grid scanned backward
+    from R finds the asymptotic radius x_a, where the potential has reached
+    the edge to 1e-12 m^2 (backward, because the potential crosses the
+    edge inside the well). Only the shot to x_a is integrated; past it the
+    equation is phi'' = m^2 phi, and its solution has at most one zero on
+    (x_a, inf), counted in closed form. For the half-line and
+    rescaled families the count shoots f = phi/zeta over the closed-form
+    zero mode zeta > 0, the variable of the match below, whose zeros are
+    those of phi; at mu2 = 0 it is f = 1 exactly. The count runs at two
     speeds. Shots at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until the
     bracket is at most 1e-6 wide. Its ends are then counted at the
     caller's tolerance; an end that this count puts on the wrong side of
@@ -30,26 +31,23 @@ Every eigenvalue is established twice, by independent routes:
     sign across the eigenvalue. The tail shot runs backward from the
     asymptotic radius x_a, where the count shots stop: past it the
     potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
-    For the half-line and rescaled families both legs shoot f = phi/zeta
-    over the closed-form zero mode zeta, whose second solution decreases
-    outward, so neither leg amplifies its start or step errors; the
-    forward leg starts on the series f = 1 - mu2 x^2/(4 nu + 2), or on
-    f'/f = phi0'/phi0 - zeta'/zeta where phi0 starts. The Wronskian of f
-    is that of phi divided by zeta^2, so the normalized mismatch is the
-    same number in either form; large-k members shoot phi. It is evaluated
-    at the count bracket ends; while it keeps its sign the secant through
-    the last two points is stepped one bracket width past its root, up to
-    ten times. Illinois regula falsi then shrinks the sign change to the
-    mismatch's noise floor: two iterates in a row that do not lower
-    |mismatch|, a bracket below 1e-13 relative, or an exact zero.
+    For the half-line and rescaled families both legs shoot f = phi/zeta,
+    whose second solution decreases outward, so neither leg amplifies its
+    start or step errors; the forward leg starts on the series
+    f = 1 - mu2 x^2/(4 nu + 2), or on f'/f = phi0'/phi0 - zeta'/zeta where
+    phi0 starts. The Wronskian of f is that of phi divided by zeta^2, so
+    the normalized mismatch is the same number in either form; large-k
+    members shoot phi. The mismatch must change sign across the count
+    bracket, else InconsistentCertificate is raised. Illinois regula falsi
+    then shrinks that sign change to the mismatch's noise floor: two
+    iterates in a row that do not lower |mismatch|, a bracket below 1e-13
+    relative, or an exact zero.
 
-The zero mode is the regular solution at mu2 = 0 and has no zeros, so the
-count there must be 0; any other count raises InconsistentCertificate. A
-result is reported only when the zero counts at the final bracket ends,
-recounted at the radius of its midpoint, differ by exactly one (the
-oscillation certificate) and the Wronskian residual is below 1e-8. The
-matched root is not required to lie inside the count bracket: the secant
-step-out above finds it outside, and no containment is checked.
+Both routes solve the same problem on the same half-line, so the matched
+root lies inside the count bracket, and that containment is enforced. A
+result is reported only when the zero counts at the final bracket ends
+differ by exactly one (the oscillation certificate) and the Wronskian
+residual is below 1e-8.
 
 Threshold behavior is read off the affine tail of the shot at the continuum
 edge, whose slope b vanishes exactly when a resonance sits at the edge.
@@ -192,26 +190,29 @@ class LargeKReport:
 
 
 def default_count_radius(op):
-    """Endpoint far enough that the zero count has saturated."""
+    """Radius from which the asymptotic radius of every count is scanned;
+    far enough that the potential has flattened there. The rescaled one is
+    the half-line's 60 at r = 2 rho/lambda."""
     if op.family == RESCALED:
-        return max(60.0, 2.0 * op.lam)
+        return 30.0 * op.lam
     if op.family == LARGE_K:
         return 20.0
     return 60.0
 
 
 def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
-    """Sturm count: zeros of the regular shot on (0, R).
+    """Sturm count: zeros of the regular solution on (0, inf), the number
+    of eigenvalues below mu2.
 
-    Equals the number of eigenvalues below mu2 once R is past the region
-    where the potential still sits below mu2. Below the edge the shot is
-    integrated only up to the asymptotic radius, found by a backward scan
-    from R, and the zero of the constant-coefficient tail on the rest of
-    (0, R) is counted in closed form (ode_engine.count_zeros).
+    Below the edge the shot is integrated only up to the asymptotic radius,
+    found by a backward scan from R, and the zero of the constant-
+    coefficient tail past it is counted in closed form
+    (ode_engine.count_zeros). The half-line and rescaled families shoot
+    f = phi/zeta.
     """
     if R is None:
         R = default_count_radius(op)
-    start = series_start(op, mu2)
+    start = series_start(op, mu2, factored=op.family in FACTORED_FAMILIES)
     return count_zeros(op, mu2, start, R, rtol=rtol, atol=atol)
 
 
@@ -260,18 +261,14 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
     tail is exact. Families with a closed-form zero mode shoot both legs in
     f = phi/zeta, where (f1 g2 - g1 f2)/(|f1| |f2| m) is the same number as
     the phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m): zeta^2 and
-    the W terms cancel. f is about 1 and f' about mu2 x, so there the
-    absolute tolerance is taken in units of |mu2|; otherwise it, and not
-    rtol, would bound the error of f' in deep wells.
+    the W terms cancel.
     """
     factored = op.family in FACTORED_FAMILIES
-    if factored:
-        atol = max(atol * abs(mu2), 1e-300)
     x_a = asymptotic_radius(op, mu2, R)
     fwd = endpoint_state(op, mu2, series_start(op, mu2, factored=factored),
-                         xm, rtol=rtol, atol=atol, factored=factored)
+                         xm, rtol=rtol, atol=atol)
     bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a, factored),
-                         xm, rtol=rtol, atol=atol, factored=factored)
+                         xm, rtol=rtol, atol=atol)
     m = math.sqrt(continuum_edge(op) - mu2)
     w = fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi
     denom = max(abs(fwd.phi) * abs(bwd.phi) * m, 1e-300)
@@ -279,21 +276,18 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
 
 
 def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
-    """Illinois regula falsi on the Wronskian mismatch, started from the
-    count bracket.
+    """Illinois regula falsi on the Wronskian mismatch, inside the count
+    bracket.
 
-    The tail-matched root may lie outside the Dirichlet count bracket.
-    While the mismatch keeps its sign across the current pair of points,
-    the secant through them is extrapolated and stepped one count-bracket
-    width past its root, up to ten times, so the root ends up between the
-    last two points; if it never does, InconsistentCertificate is raised.
-    Illinois regula falsi (the retained end's mismatch is halved after
-    each step that lands on the newest point's side) then shrinks that
-    bracket until the mismatch hits its noise floor: it stops after two
-    iterates in a row that do not lower the smallest |mismatch| seen, when
-    the bracket is below 1e-13 relative, or on an exact zero. Returns the
-    point of smallest |mismatch| and that |mismatch|, which must be below
-    1e-8.
+    The count and the match solve the same problem, so the mismatch must
+    change sign across the count bracket (lo, hi); if it does not,
+    InconsistentCertificate is raised. Illinois regula falsi (the retained
+    end's mismatch is halved after each step that lands on the newest
+    point's side) then shrinks that bracket until the mismatch hits its
+    noise floor: it stops after two iterates in a row that do not lower the
+    smallest |mismatch| seen, when the bracket is below 1e-13 relative, or
+    on an exact zero. Returns the point of smallest |mismatch|, which lies
+    in [lo, hi], and that |mismatch|, which must be below 1e-8.
     """
     # the mismatch loses relative accuracy as it crosses zero, so the
     # refinement shots run two decades tighter than the counting shots;
@@ -306,23 +300,11 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     def mismatch(mu2):
         return _wronskian_mismatch(op, mu2, xm, R, rtol, atol)
 
-    width = (hi - lo) or BRACKET_WIDTH
     a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
-    for _ in range(10):
-        if va * vb <= 0.0 or va == vb:
-            break
-        root = b - vb * (b - a) / (vb - va)
-        if root > b:
-            a, va = b, vb
-            b = root + width
-            vb = mismatch(b)
-        else:
-            b, vb = a, va
-            a = root - width
-            va = mismatch(a)
     if va * vb > 0.0:
         raise InconsistentCertificate(
-            f"no Wronskian sign change around count bracket for index {index}")
+            f"no Wronskian sign change across the count bracket "
+            f"({lo:.12g}, {hi:.12g}) for index {index}")
     best, vbest = (a, va) if abs(va) < abs(vb) else (b, vb)
     stale = 0
     for _ in range(80):
@@ -352,14 +334,8 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
     """Full two-route location of the eigenvalue with the given index."""
     top = edge - COUNT_MARGIN
 
-    def radius(mu2):
-        # forty decay lengths of a state at mu2; nondecreasing in mu2, so
-        # the count at this radius stays monotone in mu2
-        return max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
-
     def above(mu2, rtol, atol):
-        return count_eigenvalues_below(op, mu2, radius(mu2), rtol,
-                                       atol) > index
+        return count_eigenvalues_below(op, mu2, R_count, rtol, atol) > index
 
     # isolation: cheap counts halve (0, top), keeping every bracket
     path = [(0.0, top)]
@@ -390,15 +366,14 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
         while not tight(hi):
             lo, hi = path.pop()
     lo, hi = _bisect(tight, lo, hi, BRACKET_WIDTH)
-    R = radius(0.5 * (lo + hi))
-    c_lo = count_eigenvalues_below(op, lo, R, rtol, atol)
-    c_hi = count_eigenvalues_below(op, hi, R, rtol, atol)
+    c_lo = count_eigenvalues_below(op, lo, R_count, rtol, atol)
+    c_hi = count_eigenvalues_below(op, hi, R_count, rtol, atol)
     if c_hi - c_lo != 1:
         raise InconsistentCertificate(
             f"zero count jumps by {c_hi - c_lo} across the bracket "
             f"({lo:.12g}, {hi:.12g}), expected 1")
-    mu2, resid = _refine_eigenvalue(op, index, lo, hi, R, rtol, atol)
-    return GapEigenvalue(mu2, (lo, hi), resid, index, (c_lo, c_hi), R)
+    mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_count, rtol, atol)
+    return GapEigenvalue(mu2, (lo, hi), resid, index, (c_lo, c_hi), R_count)
 
 
 def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
@@ -408,19 +383,12 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
     Returns a SpectralReport carrying the certified eigenvalues, the affine
     threshold fit at the continuum edge (when `threshold`), and the below-gap
     and embedded-continuum clearance scans (when `scans`). Raises
-    InconsistentCertificate when the count at mu2 = 0 is not 0 or when an
-    eigenvalue fails its certificate.
+    InconsistentCertificate when an eigenvalue fails its certificate.
     """
     if op.family == EUCLIDEAN:
         raise DomainError("the euclidean family has no spectral gap")
     edge = continuum_edge(op)
     R_count = default_count_radius(op) if R is None else float(R)
-    # the zero mode is the regular solution at mu2 = 0 and has no zeros,
-    # so by Sturm's theorem no eigenvalue lies below 0
-    zero = count_eigenvalues_below(op, 0.0, R_count, rtol, atol)
-    if zero != 0:
-        raise InconsistentCertificate(
-            f"zero count {zero} at mu2 = 0, where the zero mode has none")
     n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count, rtol, atol)
     report = SpectralReport(operator=op, edge=edge, count=n, R_count=R_count)
     for j in range(n):
@@ -430,10 +398,8 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
         report.threshold = _threshold_fit(op, R_count, rtol, atol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
-            # the check above already counted at mu2 = 0 at this radius
-            c = zero if mu2 == 0.0 else count_eigenvalues_below(
-                op, mu2, R_count, rtol, atol)
-            report.negative_scan.append((mu2, c))
+            report.negative_scan.append(
+                (mu2, count_eigenvalues_below(op, mu2, R_count, rtol, atol)))
         for fac in EMBEDDED_FACTORS:
             mu2 = edge * fac
             report.embedded_scan.append(

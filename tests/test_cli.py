@@ -112,10 +112,6 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3
     assert "DomainError" in capsys.readouterr().err
-    # a nonzero count at mu2 = 0 is a failed count, not a base to subtract
-    rc = main(["spectrum", "--k", "2", "--lambda", "1000", "--jobs", "1"])
-    assert rc == 3
-    assert "InconsistentCertificate" in capsys.readouterr().err
     # arguments that would hang or crash the stepper are rejected before
     # any stepping
     bump = ["evolve", "--lambda", "1", "--initial", "bump", "--n", "1024",
@@ -125,8 +121,9 @@ def test_library_error_exits_3(capsys):
                   ["--probe-r", "nan"], ["--width", "0"], ["--width", "nan"]):
         assert main(bump + extra) == 3, extra
         assert "DomainError" in capsys.readouterr().err
-    for n_grid in ("2", "0"):
-        rc = main(["renorm", "--k", "2", "--lambda", "5", "--n-grid", n_grid])
+    for rho_max in ("0", "1e-5"):
+        rc = main(["renorm", "--k", "2", "--lambda", "5", "--rho-max",
+                   rho_max])
         assert rc == 3
         assert "DomainError" in capsys.readouterr().err
 

@@ -6,12 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 import gapspec as gs
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
-                            TailNotAsymptotic, VolterraDiverged)
-from gapspec.ode_engine import (_cumquad, _free_radius, _free_start,
+                            TailNotAsymptotic)
+from gapspec.ode_engine import (FACTORED_FAMILIES, _free_radius, _free_start,
                                 _series_coeffs, _series_radius,
                                 asymptotic_radius)
 from gapspec.spectral import default_count_radius
@@ -136,6 +136,22 @@ def test_k3_series_start_holds_the_map_potential(lam):
             st.phi_prime / st.phi, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k,lam", [(1, 1e4), (2, 1e3), (2, 1e4)])
+def test_factored_series_start_holds_the_map_logder(k, lam):
+    # f = 1 - mu2 x^2/(4 nu + 2) leaves the map's part of W out at every k,
+    # so its radius is capped where that part's relative effect is 1e-12;
+    # from the uncapped series radius f'/f is off by 8e-5 to 4e-3 here
+    op = gs.half_line(gs.sphere(k, lam))
+    for mu2 in (1e-8, 0.1, 0.2499):
+        st = gs.series_start(op, mu2, factored=True)
+        assert st.factored and st.x == _free_radius(k, lam)
+        inner = gs.series_start(op, mu2, st.x / 20, factored=True)
+        end = gs.endpoint_state(op, mu2, inner, st.x, rtol=1e-14, atol=0.0)
+        assert end.factored
+        assert end.phi_prime / end.phi == pytest.approx(
+            st.phi_prime / st.phi, rel=1e-10, abs=0.0)
+
+
 def test_frozen_members_keep_series_start():
     # phi0 is exact only where 2 (lambda tanh(r/2))^(2k) <= 1e-12, inside
     # the series radius for every frozen half-line member: their shots,
@@ -170,9 +186,7 @@ def test_high_k_count_shot_starts_late():
     assert (a.phi, a.phi_prime, a.log_scale) == (b.phi, b.phi_prime,
                                                  b.log_scale)
     for op in (lk, pull):
-        R = max(default_count_radius(op),
-                min(200.0, 40.0 / math.sqrt(0.25 - mu2)))
-        x_a = asymptotic_radius(op, mu2, R)
+        x_a = asymptotic_radius(op, mu2, default_count_radius(op))
         steps = [gs.integrate(op, mu2, gs.series_start(op, mu2, r0),
                               x_a).grid.size - 1 for r0 in (None, 1e-3)]
         assert steps[0] <= 0.3 * steps[1]
@@ -238,9 +252,11 @@ def test_count_zeros_matches_trace():
         tr = gs.integrate(op, mu2, start, 25.0)
         assert gs.count_zeros(op, mu2, start, 25.0) == tr.zero_count
     # count shots stop at the asymptotic radius and count the tail's zero
-    # in closed form; the whole trace to the count radius counts them all.
-    # The eigenvalues are in each operator's own parameter, and the offsets
-    # and probes scale with its edge
+    # on (x_a, inf) in closed form; a trace out to forty decay lengths,
+    # past any zero of the tail, counts them all. A factored count (f =
+    # phi/zeta, whose zeros are those of phi) from the count radius counts
+    # the same. The eigenvalues are in each operator's own parameter, and
+    # the offsets and probes scale with its edge
     cases = [
         (gs.half_line(gs.sphere(2, 5.0)), MU2_SPHERE_K2[5.0]),
         (gs.half_line(gs.yang_mills(10.0)), MU2_YM[10.0]),
@@ -251,8 +267,8 @@ def test_count_zeros_matches_trace():
         R_count = default_count_radius(op)
         probes = [ev + 4.0 * edge * d for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
         probes += [4.0 * edge * f for f in (0.1, 0.2, 0.249)]
+        factored = op.family in FACTORED_FAMILIES
         for mu2 in probes:
-            # the count radius of the certification at this mu2
             R = max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
             x_a = asymptotic_radius(op, mu2, R)
             assert x_a < R
@@ -260,6 +276,9 @@ def test_count_zeros_matches_trace():
             tr = gs.integrate(op, mu2, start, R)
             assert gs.count_zeros(op, mu2, start, R) == tr.zero_count
             assert tr.zero_count == (mu2 > ev)
+            fst = gs.series_start(op, mu2, factored=factored)
+            assert fst.factored == factored
+            assert gs.count_zeros(op, mu2, fst, R_count) == tr.zero_count
             if mu2 == probes[2]:
                 # just above the eigenvalue the zero sits past x_a, so the
                 # closed-form branch decides it
@@ -373,26 +392,19 @@ def test_renormalized_sign_change_before_lambda(lam):
     assert sol.grid[neg[0]] < lam
 
 
-def test_renormalized_divergence_guard():
-    with pytest.raises(VolterraDiverged):
-        gs.renormalized_f(gs.sphere(2, 2.0), 0.25, 200.0)
-    # the quadrature and the cross-check's interpolant need four nodes
-    for n_grid in (3, 2, 0):
+def test_renormalized_guards():
+    for lam, rho_max in ((0.0, 5.0), (5.0, 0.0), (5.0, -1.0), (5.0, 1e-5),
+                         (5.0, math.nan)):
         with pytest.raises(DomainError):
-            gs.renormalized_f(gs.sphere(2, 5.0), 0.25, 5.0, n_grid=n_grid)
-
-
-def test_cumquad_quadrature():
-    x = np.geomspace(0.01, 3.0, 400)
-    # exact on quadratics
-    y = 3.0 * x * x - 2.0 * x + 1.0
-    exact = x ** 3 - x ** 2 + x - (0.01 ** 3 - 0.01 ** 2 + 0.01)
-    assert np.max(np.abs(_cumquad(x, y) - exact)) < 1e-13 * exact[-1]
-    # adaptive-quadrature oracle at the production grid density
-    xf = np.geomspace(0.01, 3.0, 6000)
-    got = _cumquad(xf, np.sin(xf))[-1]
-    want = quad(np.sin, 0.01, 3.0)[0]
-    assert got == pytest.approx(want, rel=1e-8)
+            gs.renormalized_f(gs.sphere(2, lam), 0.25, rho_max)
+    # far past the core the factored shot stays finite: f decays with the
+    # edge state over the growing zero mode, and agrees with the phi-shot
+    sol = gs.renormalized_f(gs.sphere(2, 2.0), 0.25, 200.0)
+    assert np.all(np.isfinite(sol.f)) and np.all(np.isfinite(sol.f_prime))
+    assert abs(sol.f[-1]) < 1e-30
+    assert sol.shoot_residual < 1e-6
+    # the step cap keeps at least a hundred samples even where f = 1 exactly
+    assert gs.renormalized_f(gs.sphere(2, 5.0), 0.0, 5.0).grid.size >= 100
 
 
 def test_endpoint_state_matches_trace_end():

@@ -7,8 +7,11 @@ W = zeta'/zeta, f = phi/zeta solves f'' + 2W f' + mu2 f = 0, where
     W = kk (1 - t)/((1 + t) sinh r) + coth(r)/2,
 
 t = (lambda tanh(r/2))^(2k) for the sphere (kk = k) and (lambda tanh(r/2))^2
-for Yang-Mills (kk = 2). The regular solution starts at r0 = 1e-4 on
-f = 1 - mu2 r^2/(4 nu + 2), nu = kk + 1/2; the decaying one at R = 40 on
+for Yang-Mills (kk = 2). The regular solution starts on
+f = 1 - mu2 r^2/(4 nu + 2), nu = kk + 1/2, which leaves out the map's part
+of W, so at r0 = 1e-4 or where t <= 1e-12 if that is closer in (at
+r0 = 1e-4 sphere(2, 1e4) would come out 2.9e-4 off); the decaying one at
+R = 40 on
 f'/f = -m - W(R), m = sqrt(1/4 - mu2); brentq finds the zero of their
 normalized Wronskian at the core r = 2 artanh(lambda^(-1/k)). In this form
 the second solution decreases outward, so neither leg amplifies its start
@@ -21,6 +24,8 @@ import math
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+import gapspec as gs
 
 from conftest import MU2_SPHERE_K2, MU2_SPHERE_K3_L40, MU2_YM
 
@@ -40,7 +45,9 @@ def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=1e-13):
     def rhs(r, y):
         return [y[1], -2.0 * _logder(kind, k, lam, r) * y[1] - mu2 * y[0]]
 
-    r0, c = 1e-4, -mu2 / (4.0 * nu + 2.0)
+    power = 2 * k if kind == "sphere" else 2
+    r0 = min(1e-4, 2.0 * math.atanh(1e-12 ** (1.0 / power) / lam))
+    c = -mu2 / (4.0 * nu + 2.0)
     m = math.sqrt(0.25 - mu2)
     fwd = solve_ivp(rhs, (r0, xm), [1.0 + c * r0 * r0, 2.0 * c * r0],
                     method="DOP853", rtol=rtol, atol=1e-300)
@@ -76,3 +83,21 @@ def test_frozen_eigenvalues_match_oracle(kind, k, lam):
     frozen = FROZEN[kind, k, lam]
     rel = 1e-10 if lam <= 10.0 else 1e-11
     assert oracle_mu2(kind, k, lam, frozen) == pytest.approx(frozen, rel=rel)
+
+
+@pytest.mark.parametrize("kind,k,lam", [
+    ("sphere", 2, 200.0), ("sphere", 2, 600.0), ("sphere", 2, 800.0),
+    ("sphere", 2, 1e4), ("sphere", 3, 100.0), ("sphere", 3, 200.0),
+    ("sphere", 3, 1000.0), ("ym", 2, 1e3), ("ym", 2, 1e4)])
+def test_large_lambda_certification_matches_oracle(kind, k, lam):
+    # past the core a phi-form shot tunnels under the centrifugal barrier
+    # in its unstable direction, so deep members hold both factored routes,
+    # the count and the match, to the oracle
+    rep = gs.find_gap_eigenvalues(gs.half_line(gs.GeometrySpec(kind, k, lam)),
+                                  scans=False, threshold=False)
+    assert rep.count == 1
+    ev = rep.eigenvalues[0]
+    assert ev.oscillation == (0, 1)
+    assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1]
+    assert ev.mu2 == pytest.approx(oracle_mu2(kind, k, lam, ev.mu2),
+                                   rel=1e-9, abs=0.0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import gapspec as gs
@@ -20,7 +21,10 @@ def _certified(geom):
     rep = gs.find_gap_eigenvalues(gs.half_line(geom), scans=False,
                                   threshold=False)
     assert rep.count == 1
-    return rep.eigenvalues[0]
+    ev = rep.eigenvalues[0]
+    # count and match solve the same problem: the root is in the bracket
+    assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1]
+    return ev
 
 
 @pytest.mark.parametrize("lam", [5.0, 10.0, 20.0, 40.0])
@@ -29,9 +33,7 @@ def test_certified_eigenvalues_sphere_k2(lam):
     assert ev.mu2 == pytest.approx(MU2_SPHERE_K2[lam], rel=1e-9)
     assert ev.wronskian_residual < 1e-8
     assert ev.oscillation == (0, 1)
-    # the tail-matched root may sit a hair outside the Dirichlet bracket
     assert ev.bracket[1] - ev.bracket[0] < 1e-9
-    assert abs(ev.mu2 - 0.5 * (ev.bracket[0] + ev.bracket[1])) < 1e-8
     assert not ev.near_threshold
     assert 0.0 < ev.mu2 < 0.25
 
@@ -53,8 +55,8 @@ def test_deep_well_eigenvalue_k3():
 
 def test_one_count_bisection_per_eigenvalue(monkeypatch):
     # isolation: 18 halvings of (0, 1/4) down to 1e-6; certification: the
-    # check at mu2 = 0, the count below the edge, both isolation bracket
-    # ends, 14 halvings down to 1e-10 and the recount of both bracket ends
+    # count below the edge, both isolation bracket ends, 14 halvings down
+    # to 1e-10 and the recount of both bracket ends
     shots = {}
     real = spectral.count_zeros
 
@@ -69,7 +71,7 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
     assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_SPHERE_K2[10.0],
                                                    rel=1e-9)
     assert set(shots) == {1e-11, spectral.ISOLATION_RTOL}
-    assert shots[1e-11] <= 20
+    assert shots[1e-11] <= 19
     assert shots[spectral.ISOLATION_RTOL] <= 18
 
 
@@ -172,14 +174,18 @@ def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
 
 
 @pytest.mark.parametrize("shift", [-10, 10])
-def test_refine_steps_out_to_root_outside_bracket(shift):
-    # the deep-well shape: the count bracket lies ten widths off the root
+def test_refine_rejects_bracket_off_root(shift):
+    # a count bracket ten widths off the matched root fails containment
     op = gs.half_line(gs.sphere(2, 40.0))
     mu2 = MU2_SPHERE_K2[40.0]
     w = spectral.BRACKET_WIDTH
     lo = mu2 + (shift - 0.5) * w
-    got, resid = spectral._refine_eigenvalue(op, 0, lo, lo + w, 80.0,
-                                             1e-11, 1e-13)
+    with pytest.raises(InconsistentCertificate, match="sign change"):
+        spectral._refine_eigenvalue(op, 0, lo, lo + w, 60.0, 1e-11, 1e-13)
+    # the bracket around the root refines to it
+    got, resid = spectral._refine_eigenvalue(op, 0, mu2 - 0.5 * w,
+                                             mu2 + 0.5 * w, 60.0, 1e-11,
+                                             1e-13)
     assert got == pytest.approx(mu2, rel=1e-9)
     assert resid < 1e-8
 
@@ -202,11 +208,13 @@ def test_match_shots_per_eigenvalue(monkeypatch, geom):
     (gs.SPHERE, 800.0), (gs.SPHERE, 1000.0), (gs.SPHERE, 1e4),
     (gs.YANG_MILLS, 1e4)])
 def test_count_at_zero_must_vanish(kind, lam):
-    # the zero mode has no zeros, so a nonzero count at mu2 = 0 is a failed
-    # count; at these lambda the forward shot miscounts there
+    # the zero mode has no zeros; in f = phi/zeta the regular solution at
+    # mu2 = 0 is f = 1 exactly, so the count there vanishes even at these
+    # lambda, where a phi-shot miscounts; their certification against the
+    # oracle is in test_oracle.py
     op = gs.half_line(gs.GeometrySpec(kind, 2, lam))
-    with pytest.raises(InconsistentCertificate, match="mu2 = 0"):
-        gs.find_gap_eigenvalues(op, scans=False, threshold=False)
+    assert gs.count_eigenvalues_below(op, 0.0) == 0
+    assert gs.count_eigenvalues_below(op, 0.25 - spectral.COUNT_MARGIN) == 1
 
 
 def test_matrix_oracle_k2_lambda5():
@@ -242,7 +250,7 @@ def test_clear_operator_k1_lambda1(monkeypatch):
     assert rep.count == 0
     assert rep.eigenvalues == []
     assert rep.negative_scan_clear
-    # the check at mu2 = 0 is also the scan's last probe, shot once
+    # mu2 = 0 is counted once, as the scan's last probe
     assert rep.negative_scan[-1] == (0.0, 0)
     assert len(zero_shots) == 1
     assert rep.embedded_scan_clear
@@ -263,6 +271,25 @@ def test_yang_mills_clear_then_trapped():
     rep = gs.find_gap_eigenvalues(gs.half_line(gs.yang_mills(15.0)),
                                   scans=False, threshold=False)
     assert rep.count == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=st.sampled_from([(gs.SPHERE, 1), (gs.SPHERE, 2), (gs.SPHERE, 3),
+                             (gs.YANG_MILLS, 2)]),
+       log_lam=st.floats(0.0, 4.0),
+       mu2s=st.lists(st.floats(-1.0, 0.25 - 1e-6), min_size=2, max_size=2))
+def test_count_monotone_and_empty_below_zero(geom, log_lam, mu2s):
+    # the count on (0, inf) is the number of eigenvalues below mu2: it never
+    # falls as mu2 rises, and the zero mode at mu2 = 0 has no zeros
+    op = gs.half_line(gs.GeometrySpec(geom[0], geom[1], 10.0 ** log_lam))
+    a, b = sorted(mu2s)
+    ca = gs.count_eigenvalues_below(op, a)
+    cb = gs.count_eigenvalues_below(op, b)
+    assert 0 <= ca <= cb <= 1
+    if a <= 0.0:
+        assert ca == 0
+    if b <= 0.0:
+        assert cb == 0
 
 
 def test_count_eigenvalues_below():
@@ -335,8 +362,11 @@ def test_sweep_brackets_transitions_k1():
     lo, hi = rep.slope_flip_bracket
     assert 3.4 < lo < hi <= 3.5
     assert hi - lo <= 0.01 + 1e-12
+    # counted on the whole half-line, the onset lies just past the slope
+    # flip (about 3.449): the count stops COUNT_MARGIN below the edge
+    slope_hi = hi
     lo, hi = rep.onset_bracket
-    assert 3.5 <= lo < hi <= 4.0
+    assert slope_hi <= lo < hi <= 3.5
     counts = {p.lam: p.count for p in rep.points}
     assert counts[3.0] == 0 and counts[4.0] == 1
 
