@@ -24,8 +24,8 @@ from .harmonic_maps import (SPHERE, YANG_MILLS, amplitude_bound,
                             geometry)
 from .ode_engine import _interp4, renormalized_f
 from .operators import half_line
-from .spectral import (_pool_map, find_gap_eigenvalues, largek_gap_scan,
-                       migration_curve, sweep_lambda)
+from .spectral import (_bisect, _pool_map, find_gap_eigenvalues,
+                       largek_gap_scan, migration_curve, sweep_lambda)
 from .wave_sim import (GapEigenmode, GaussianBump, init_state, probe_spectrum,
                        run)
 
@@ -214,14 +214,15 @@ def _cmd_renorm(args):
     rho, f = sol.grid, sol.f
     imin = int(np.argmin(f))
     neg = np.nonzero(f < 0.0)[0]
+    first_neg = None
     if neg.size:
         i = int(neg[0])
-        x0, x1 = rho[i - 1], rho[i]
-        y0, y1 = f[i - 1], f[i]
-        first_neg = float(x0 - y0 * (x1 - x0) / (y1 - y0)) if i > 0 else \
-            float(rho[0])
-    else:
-        first_neg = None
+        first_neg = float(rho[0])
+        if i > 0:
+            # the root of the four-point interpolant between the samples
+            lo, hi = _bisect(lambda x: _interp4(x, rho, f) < 0.0,
+                             rho[i - 1], rho[i], 1e-13 * rho[i])
+            first_neg = float(0.5 * (lo + hi))
     summary = {
         "kind": g.kind, "k": g.k, "lam": lam, "mu2": args.mu2,
         "rho_max": rho_max,

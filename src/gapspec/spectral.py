@@ -2,30 +2,22 @@
 
 Every eigenvalue is established twice, by independent routes:
 
-  * a Sturm count bisection: the number of zeros of the regular solution
-    on the whole half-line (0, inf) is a step function of the spectral
-    parameter, jumping by one as each eigenvalue is crossed, so bisecting
-    the jump brackets the eigenvalue with no cancellation. Every count
-    runs to the operator's one count radius R: a grid scanned backward
-    from R finds the asymptotic radius x_a, where the potential has reached
-    the edge to 1e-12 m^2 (backward, because the potential crosses the
-    edge inside the well). Only the shot to x_a is integrated; past it the
-    equation is phi'' = m^2 phi, and its solution has at most one zero on
-    (x_a, inf), counted in closed form. For the half-line and
+  * a Sturm count: the number of zeros of the regular solution on the
+    whole half-line (0, inf) is a step function of the spectral parameter,
+    jumping by one as each eigenvalue is crossed, with no cancellation.
+    Every count runs to the operator's one count radius R: a grid scanned
+    backward from R finds the asymptotic radius x_a, where the potential
+    has reached the edge to 1e-12 m^2 (backward, because the potential
+    crosses the edge inside the well). Only the shot to x_a is integrated;
+    past it the equation is phi'' = m^2 phi, and its solution has at most
+    one zero on (x_a, inf), counted in closed form. For the half-line and
     rescaled families the count shoots f = phi/zeta over the closed-form
     zero mode zeta > 0, the variable of the match below, whose zeros are
-    those of phi; at mu2 = 0 it is f = 1 exactly. The count runs at two
-    speeds. Shots at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until the
-    bracket is at most 1e-6 wide. Its ends are then counted at the
-    caller's tolerance; an end that this count puts on the wrong side of
-    the jump steps back outward through the brackets of that bisection,
-    each twice as wide as the last, until it is right ((0, edge - 1e-6)
-    ends the walk: like any bisection of it, this one takes the count at 0
-    as below the jump and at edge - 1e-6 as above). The bisection then
-    finishes at the caller's tolerance down to 1e-10. The loose shots only
-    choose where to look: every count the certificate rests on is a tight
-    one, and the bracket is the one a bisection at the caller's tolerance
-    alone would reach;
+    those of phi; at mu2 = 0 it is f = 1 exactly. Cheap counts at rtol
+    1e-7, atol 1e-9 halve (0, edge - 1e-6) until the jump is isolated to
+    at most 1e-6; they only choose where the match looks. The certificate
+    rests on two counts at the caller's tolerance, at the ends of a bracket
+    at most 1e-10 wide placed around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
     and the decaying tail shot, taken at the potential minimum, changes
     sign across the eigenvalue. The tail shot runs backward from the
@@ -37,17 +29,19 @@ Every eigenvalue is established twice, by independent routes:
     f = 1 - mu2 x^2/(4 nu + 2), or on f'/f = phi0'/phi0 - zeta'/zeta where
     phi0 starts. The Wronskian of f is that of phi divided by zeta^2, so
     the normalized mismatch is the same number in either form; large-k
-    members shoot phi. The mismatch must change sign across the count
+    members shoot phi. The mismatch must change sign across the isolation
     bracket, else InconsistentCertificate is raised. Illinois regula falsi
     then shrinks that sign change to the mismatch's noise floor: two
     iterates in a row that do not lower |mismatch|, a bracket below 1e-13
     relative, or an exact zero.
 
-Both routes solve the same problem on the same half-line, so the matched
-root lies inside the count bracket, and that containment is enforced. A
-result is reported only when the zero counts at the final bracket ends
-differ by exactly one (the oscillation certificate) and the Wronskian
-residual is below 1e-8.
+Both routes solve the same problem on the same half-line, so the count
+jump sits at the matched root. A result is reported only when the matched
+root lies in (0, edge), the zero counts at the ends of the bracket around
+it read (index, index + 1) (the oscillation certificate), and the
+Wronskian residual is below 1e-8. If the isolation, the match or the
+certificate fails, all three are redone once with the isolation at the
+caller's tolerance; a second failure raises InconsistentCertificate.
 
 Threshold behavior is read off the affine tail of the shot at the continuum
 edge, whose slope b vanishes exactly when a resonance sits at the edge.
@@ -72,9 +66,8 @@ from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
 
 COUNT_MARGIN = 1e-6        # counting offset below the continuum edge
-BRACKET_WIDTH = 1e-10      # count-bisection bracket width
-# the count bisection isolates the jump with these cheaper shots, down to
-# ISOLATION_WIDTH, before it verifies and finishes at the caller's tolerance
+BRACKET_WIDTH = 1e-10      # width of the certified bracket around the root
+# cheaper count shots isolate the jump to ISOLATION_WIDTH for the match
 ISOLATION_RTOL = 1e-7
 ISOLATION_ATOL = 1e-9
 ISOLATION_WIDTH = 1e-6
@@ -276,17 +269,17 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
 
 
 def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
-    """Illinois regula falsi on the Wronskian mismatch, inside the count
-    bracket.
+    """Illinois regula falsi on the Wronskian mismatch, inside the
+    isolation bracket (lo, hi) it is given.
 
     The count and the match solve the same problem, so the mismatch must
-    change sign across the count bracket (lo, hi); if it does not,
-    InconsistentCertificate is raised. Illinois regula falsi (the retained
-    end's mismatch is halved after each step that lands on the newest
-    point's side) then shrinks that bracket until the mismatch hits its
-    noise floor: it stops after two iterates in a row that do not lower the
-    smallest |mismatch| seen, when the bracket is below 1e-13 relative, or
-    on an exact zero. Returns the point of smallest |mismatch|, which lies
+    change sign across (lo, hi), where the counts put the jump; if it does
+    not, InconsistentCertificate is raised. Illinois regula falsi (the
+    retained end's mismatch is halved after each step that lands on the
+    newest point's side) then shrinks that bracket until the mismatch hits
+    its noise floor: it stops after two iterates in a row that do not lower
+    the smallest |mismatch| seen, when the bracket is below 1e-13 relative,
+    or on an exact zero. Returns the point of smallest |mismatch|, which lies
     in [lo, hi], and that |mismatch|, which must be below 1e-8.
     """
     # the mismatch loses relative accuracy as it crosses zero, so the
@@ -303,7 +296,7 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
     if va * vb > 0.0:
         raise InconsistentCertificate(
-            f"no Wronskian sign change across the count bracket "
+            f"no Wronskian sign change across the isolation bracket "
             f"({lo:.12g}, {hi:.12g}) for index {index}")
     best, vbest = (a, va) if abs(va) < abs(vb) else (b, vb)
     stale = 0
@@ -313,7 +306,10 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
         if (stale >= 2 or vbest == 0.0
                 or abs(b - a) < 1e-13 * max(abs(a), abs(b), 1e-12)):
             break
-        c = b - vb * (b - a) / (vb - va)
+        # va and vb have opposite signs, so this weighted mean of a and b
+        # has no cancellation and stays in [a, b], also where the root lies
+        # many decades closer to a = 0 than b does
+        c = (a * vb - b * va) / (vb - va)
         vc = mismatch(c)
         if abs(vc) < abs(vbest):
             best, vbest, stale = c, vc, 0
@@ -331,49 +327,41 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
 
 
 def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
-    """Full two-route location of the eigenvalue with the given index."""
-    top = edge - COUNT_MARGIN
+    """Isolate, match and certify the eigenvalue with the given index.
 
-    def above(mu2, rtol, atol):
-        return count_eigenvalues_below(op, mu2, R_count, rtol, atol) > index
+    Counts at the isolation tolerance halve (0, edge - COUNT_MARGIN) down
+    to ISOLATION_WIDTH, the match refines the root inside that bracket, and
+    two counts at the caller's tolerance, at the ends of a bracket at most
+    BRACKET_WIDTH wide around the root, must read (index, index + 1). If
+    any step raises InconsistentCertificate, all three are redone once with
+    the isolation at the caller's tolerance.
+    """
+    def count(mu2, tols):
+        return count_eigenvalues_below(op, mu2, R_count, *tols)
 
-    # isolation: cheap counts halve (0, top), keeping every bracket
-    path = [(0.0, top)]
-    while path[-1][1] - path[-1][0] > ISOLATION_WIDTH:
-        lo, hi = path[-1]
-        mid = 0.5 * (lo + hi)
-        path.append((lo, mid) if above(mid, ISOLATION_RTOL, ISOLATION_ATOL)
-                    else (mid, hi))
-    # like any bisection of (0, top), take the count at 0 as below the jump
-    # and at top as above it
-    known = {0.0: False, top: True}
-
-    def tight(mu2):
-        if mu2 not in known:
-            known[mu2] = above(mu2, rtol, atol)
-        return known[mu2]
-
-    # verification: an end that counts at the caller's tolerance put on the
-    # wrong side backs out through those brackets, each twice as wide as
-    # the last, until it is right; the count is monotone, so the other end
-    # stays right. That bracket, and so the one the bisection finishes
-    # with, is the one a bisection at the caller's tolerance alone reaches
-    lo, hi = path.pop()
-    if tight(lo):
-        while tight(lo):
-            lo, hi = path.pop()
-    else:
-        while not tight(hi):
-            lo, hi = path.pop()
-    lo, hi = _bisect(tight, lo, hi, BRACKET_WIDTH)
-    c_lo = count_eigenvalues_below(op, lo, R_count, rtol, atol)
-    c_hi = count_eigenvalues_below(op, hi, R_count, rtol, atol)
-    if c_hi - c_lo != 1:
-        raise InconsistentCertificate(
-            f"zero count jumps by {c_hi - c_lo} across the bracket "
-            f"({lo:.12g}, {hi:.12g}), expected 1")
-    mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_count, rtol, atol)
-    return GapEigenvalue(mu2, (lo, hi), resid, index, (c_lo, c_hi), R_count)
+    for tols in ((ISOLATION_RTOL, ISOLATION_ATOL), (rtol, atol)):
+        try:
+            lo, hi = _bisect(lambda mu2: count(mu2, tols) > index,
+                             0.0, edge - COUNT_MARGIN, ISOLATION_WIDTH)
+            mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_count,
+                                            rtol, atol)
+            if not 0.0 < mu2 < edge:
+                raise InconsistentCertificate(
+                    f"matched root {mu2:.12g} for index {index} lies "
+                    f"outside the gap (0, {edge:g})")
+            # 0.45, not 0.5, so that rounding keeps hi - lo <= BRACKET_WIDTH
+            lo = max(mu2 - 0.45 * BRACKET_WIDTH, 0.0)
+            hi = mu2 + 0.45 * BRACKET_WIDTH
+            osc = (count(lo, (rtol, atol)), count(hi, (rtol, atol)))
+            if osc != (index, index + 1):
+                raise InconsistentCertificate(
+                    f"zero counts {osc} across the bracket ({lo:.12g}, "
+                    f"{hi:.12g}) around the matched root, expected "
+                    f"{(index, index + 1)}")
+            return GapEigenvalue(mu2, (lo, hi), resid, index, osc, R_count)
+        except InconsistentCertificate:
+            if tols == (rtol, atol):
+                raise
 
 
 def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
@@ -384,6 +372,12 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
     threshold fit at the continuum edge (when `threshold`), and the below-gap
     and embedded-continuum clearance scans (when `scans`). Raises
     InconsistentCertificate when an eigenvalue fails its certificate.
+
+    The certified bracket width (BRACKET_WIDTH, 1e-10) and the Wronskian
+    residual bound (1e-8) are absolute. Below mu2 of about 1e-10 the count
+    bracket therefore carries no relative digits (sphere(3, 1000) has
+    mu2 = 7.44e-12 in (0, 5.2e-11)), and the digits come from the match
+    alone, whose residual bound does not bind there either.
     """
     if op.family == EUCLIDEAN:
         raise DomainError("the euclidean family has no spectral gap")

@@ -219,3 +219,14 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "spectrum" in proc.stdout and "evolve" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "2", "--lambda", "5,10"],
+    ["sweep", "--k", "1", "--lambda", "3.0,3.5,4.0", "--bisect-to", "1e-3"]])
+def test_pooled_run_prints_serial_results(capsys, argv):
+    # the worker pool changes only where the points are computed
+    serial = _json_out(capsys, argv + ["--jobs", "1", "--no-timestamp"])
+    pooled = _json_out(capsys, argv + ["--jobs", "2", "--no-timestamp"])
+    assert pooled["results"] == serial["results"]
+    assert (serial["config"]["jobs"], pooled["config"]["jobs"]) == (1, 2)

@@ -19,6 +19,7 @@ error. At rtol 1e-13 the roots at R = 40 and 60 agree to 3e-14 relative,
 and rtol 1e-12 moves them by at most 6e-12.
 """
 
+import json
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import gapspec as gs
+from gapspec.cli import main
 
 from conftest import MU2_SPHERE_K2, MU2_SPHERE_K3_L40, MU2_YM
 
@@ -39,23 +41,44 @@ def _logder(kind, k, lam, r):
     return kk * (1.0 - t) / ((1.0 + t) * math.sinh(r)) + 0.5 / math.tanh(r)
 
 
-def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=1e-13):
-    nu = (k if kind == "sphere" else 2) + 0.5
-
+def _rhs(kind, k, lam, mu2):
     def rhs(r, y):
         return [y[1], -2.0 * _logder(kind, k, lam, r) * y[1] - mu2 * y[0]]
+    return rhs
 
+
+def _regular_start(kind, k, lam, mu2):
+    nu = (k if kind == "sphere" else 2) + 0.5
     power = 2 * k if kind == "sphere" else 2
     r0 = min(1e-4, 2.0 * math.atanh(1e-12 ** (1.0 / power) / lam))
     c = -mu2 / (4.0 * nu + 2.0)
+    return r0, [1.0 + c * r0 * r0, 2.0 * c * r0]
+
+
+def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=1e-13):
+    rhs = _rhs(kind, k, lam, mu2)
+    r0, y0 = _regular_start(kind, k, lam, mu2)
     m = math.sqrt(0.25 - mu2)
-    fwd = solve_ivp(rhs, (r0, xm), [1.0 + c * r0 * r0, 2.0 * c * r0],
-                    method="DOP853", rtol=rtol, atol=1e-300)
+    fwd = solve_ivp(rhs, (r0, xm), y0, method="DOP853", rtol=rtol,
+                    atol=1e-300)
     bwd = solve_ivp(rhs, (R, xm), [1.0, -m - _logder(kind, k, lam, R)],
                     method="DOP853", rtol=rtol, atol=1e-300)
     f1, g1 = fwd.y[:, -1]
     f2, g2 = bwd.y[:, -1]
     return (f1 * g2 - g1 * f2) / (abs(f1) * abs(f2) * m)
+
+
+def oracle_first_zero(kind, k, lam, mu2, R=40.0, rtol=1e-13):
+    """First zero in r of the regular factored solution at mu2."""
+    r0, y0 = _regular_start(kind, k, lam, mu2)
+
+    def crossing(r, y):
+        return y[0]
+    crossing.terminal = True
+
+    sol = solve_ivp(_rhs(kind, k, lam, mu2), (r0, R), y0, method="DOP853",
+                    rtol=rtol, atol=1e-300, events=crossing)
+    return float(sol.t_events[0][0])
 
 
 def oracle_mu2(kind, k, lam, guess):
@@ -68,7 +91,8 @@ def oracle_mu2(kind, k, lam, guess):
     lo, hi = guess * (1.0 - 1e-6), guess * (1.0 + 1e-6)
     while f(lo) * f(hi) > 0.0:
         lo, hi = lo * (1.0 - 1e-5), hi * (1.0 + 1e-5)
-    return brentq(f, lo, hi, xtol=1e-22, rtol=1e-15)
+    # relative only: the deepest members sit near mu2 = 1e-25
+    return brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
 
 
 FROZEN = {**{("sphere", 2, lam): v for lam, v in MU2_SPHERE_K2.items()},
@@ -88,11 +112,13 @@ def test_frozen_eigenvalues_match_oracle(kind, k, lam):
 @pytest.mark.parametrize("kind,k,lam", [
     ("sphere", 2, 200.0), ("sphere", 2, 600.0), ("sphere", 2, 800.0),
     ("sphere", 2, 1e4), ("sphere", 3, 100.0), ("sphere", 3, 200.0),
-    ("sphere", 3, 1000.0), ("ym", 2, 1e3), ("ym", 2, 1e4)])
+    ("sphere", 3, 1000.0), ("sphere", 5, 1500.0), ("sphere", 6, 300.0),
+    ("ym", 2, 1e3), ("ym", 2, 1e4)])
 def test_large_lambda_certification_matches_oracle(kind, k, lam):
     # past the core a phi-form shot tunnels under the centrifugal barrier
     # in its unstable direction, so deep members hold both factored routes,
-    # the count and the match, to the oracle
+    # the count and the match, to the oracle; at k = 5 and 6 mu2 is near
+    # 1e-24, where only a refine step that keeps its relative digits holds
     rep = gs.find_gap_eigenvalues(gs.half_line(gs.GeometrySpec(kind, k, lam)),
                                   scans=False, threshold=False)
     assert rep.count == 1
@@ -101,3 +127,14 @@ def test_large_lambda_certification_matches_oracle(kind, k, lam):
     assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1]
     assert ev.mu2 == pytest.approx(oracle_mu2(kind, k, lam, ev.mu2),
                                    rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [20.0, 40.0])
+def test_renorm_sign_change_matches_oracle(capsys, lam):
+    # the rescaled operator's f(rho) is the half-line f at r = 2 rho/lambda,
+    # and renorm's default mu2 = 1/4 probes the continuum edge
+    assert main(["renorm", "--k", "2", "--lambda", repr(lam),
+                 "--no-timestamp"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["first_sign_change"]
+    want = 0.5 * lam * oracle_first_zero("sphere", 2, lam, 0.25)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)

@@ -54,9 +54,9 @@ def test_deep_well_eigenvalue_k3():
 
 
 def test_one_count_bisection_per_eigenvalue(monkeypatch):
-    # isolation: 18 halvings of (0, 1/4) down to 1e-6; certification: the
-    # count below the edge, both isolation bracket ends, 14 halvings down
-    # to 1e-10 and the recount of both bracket ends
+    # isolation: 18 halvings of (0, 1/4) down to 1e-6 at the isolation
+    # tolerance; at the caller's tolerance only the count below the edge and
+    # the two certificate counts around the matched root
     shots = {}
     real = spectral.count_zeros
 
@@ -71,7 +71,7 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
     assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_SPHERE_K2[10.0],
                                                    rel=1e-9)
     assert set(shots) == {1e-11, spectral.ISOLATION_RTOL}
-    assert shots[1e-11] <= 19
+    assert shots[1e-11] == 3
     assert shots[spectral.ISOLATION_RTOL] <= 18
 
 
@@ -157,7 +157,8 @@ def test_factored_mismatch_is_the_phi_wronskian(mu2):
 def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
                                                     want, rel):
     # the isolation shots may land the jump anywhere (count 0 or index + 1
-    # at every mu2); the tight verification walks out to the true jump
+    # at every mu2); the match then finds no sign change, and the location
+    # is redone with the isolation at the caller's tolerance
     real = spectral.count_zeros
 
     def lying(*args, **kwargs):
@@ -171,6 +172,28 @@ def test_isolation_counts_cannot_decide_certificate(monkeypatch, wrong, geom,
     assert ev.bracket[1] - ev.bracket[0] <= spectral.BRACKET_WIDTH
     assert ev.mu2 == pytest.approx(want, rel=rel, abs=0.0)
     assert ev.wronskian_residual < 1e-8
+
+
+@pytest.mark.parametrize("lam", [1222.0, 1500.0])
+def test_certified_root_lies_in_the_gap(lam):
+    # mu2 is of order 1e-30 here, where the absolute 1e-8 residual does not
+    # bind and the match can land on mu2 = 0 exactly: that is no eigenvalue
+    try:
+        rep = gs.find_gap_eigenvalues(gs.half_line(gs.sphere(6, lam)),
+                                      scans=False, threshold=False)
+    except InconsistentCertificate:
+        return
+    for ev in rep.eigenvalues:
+        assert 0.0 < ev.mu2 < rep.edge
+
+
+def test_root_outside_the_gap_raises(monkeypatch):
+    # a match that lands on mu2 = 0 exactly certifies nothing
+    monkeypatch.setattr(spectral, "_refine_eigenvalue",
+                        lambda *args: (0.0, 0.0))
+    with pytest.raises(InconsistentCertificate, match="outside the gap"):
+        gs.find_gap_eigenvalues(gs.half_line(gs.sphere(2, 10.0)),
+                                scans=False, threshold=False)
 
 
 @pytest.mark.parametrize("shift", [-10, 10])
