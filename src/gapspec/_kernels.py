@@ -5,6 +5,10 @@ Without numba every jitted kernel runs as plain Python. The choice is made
 once at import; the jitted kernels are either all compiled or all plain, so
 compiled kernels only ever call compiled kernels, and the numpy routines
 (the remainder, the acceleration and the wave stepper) are never compiled.
+The wave stepper is velocity Verlet with one kick per step: it carries the
+half-step momentum dt*v through a chunk, builds the stencil coefficients
+and its buffers once per chunk, and returns w, v and the acceleration at
+the chunk's final time.
 
 Operator families are encoded for dispatch inside compiled code as an integer
 `code` plus two float parameters (kk, p):
@@ -372,36 +376,72 @@ def remainder(d, geom, sin2q, cos2q, qm1):
     return 0.5 * d ** 3 + 1.5 * qm1 * d * d
 
 
-def acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
+def acceleration(w, scale, inv_h2, ueff, nonlin, geom, kk, inv_ss, inv_s32,
                  sin2q, cos2q, qm1):
-    """a = w_rr - ueff*w (+ nonlinear remainder source), Dirichlet ends.
+    """fill(out): out = scale (w_rr - ueff*w (+ remainder source)) on the
+    interior nodes, read from the current values of w.
 
-    Writes into `a`; the arithmetic of one step_chunk step."""
-    n = w.shape[0]
-    a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) * inv_h2 \
-        - ueff[1:-1] * w[1:-1]
+    The one place the stencil is written. The second difference is taken
+    from first differences and scaled by c = scale/h^2, the potential by
+    scale*ueff, separately: folding 2c + scale*ueff into one diagonal would
+    round the potential to the spacing of 2/h^2. Views and scratch
+    buffers are made here once, so the linear fill allocates nothing. The
+    nonlinear source is the remainder of delta = w * inv_ss (= sinh^k u)
+    times -scale k^2 inv_s32.
+    """
+    c = scale * inv_h2
+    e = scale * ueff[1:-1]
+    hi, lo, mid = w[1:], w[:-1], w[1:-1]
+    diff = np.empty(w.shape[0] - 1)
+    dhi, dlo = diff[1:], diff[:-1]
     if nonlin:
-        rem = remainder(w * inv_ss, geom, sin2q, cos2q, qm1)
-        a[1:-1] += -kk * kk * rem[1:-1] * inv_s32[1:-1]
-    a[0] = 0.0
-    a[n - 1] = 0.0
+        fac = scale * kk * kk * inv_s32[1:-1]
+        inv_ss, sin2q, cos2q, qm1 = (x[1:-1] for x in
+                                     (inv_ss, sin2q, cos2q, qm1))
+
+    def fill(out):
+        np.subtract(hi, lo, out=diff)
+        np.subtract(dhi, dlo, out=out)
+        out *= c
+        out -= np.multiply(e, mid, out=dlo)     # diff is spent: reuse it
+        if nonlin:
+            out -= fac * remainder(mid * inv_ss, geom, sin2q, cos2q, qm1)
+
+    return fill
 
 
 def step_chunk(w, v, a, ueff, inv_h2, dt, nsteps, probe_idx, probe_out,
                out_off, nonlin, geom, kk, inv_ss, inv_s32, sin2q, cos2q, qm1):
-    """Velocity-Verlet chunk for w_tt = w_rr - ueff*w (+ source), Dirichlet.
+    """Velocity-Verlet chunk for w_tt = w_rr - ueff*w (+ source), Dirichlet,
+    in its one-kick (leapfrog) form.
 
-    Mutates w, v, a in place; `a` must hold the acceleration of the incoming
-    w. Records w[probe_idx] into probe_out[out_off + step] after each full
-    step. The nonlinear source uses delta = w * inv_ss (= sinh^k u).
+    Mutates w, v, a in place; on entry and exit they hold the field, its
+    velocity and its acceleration at the same (integer) time, so `a` must
+    hold the acceleration of the incoming w. Inside the chunk the momentum
+    is carried as p = dt v at half steps: p = dt v + dt^2 a / 2 on entry,
+    then each step is w += p, A = dt^2 a(w), p += A (skipped on the last
+    step), and on exit a = A/dt^2, v = (p + A/2)/dt. This is the scheme
+    of two half-kicks per step up to rounding. Records w[probe_idx] into
+    probe_out[out_off + step] after each full step. Only interior nodes
+    are written, so the Dirichlet ends keep the zeros they are set up with.
+    The nonlinear source uses delta = w * inv_ss.
     """
-    n = w.shape[0]
+    if nsteps < 1:
+        return
+    dt2 = dt * dt
+    fill = acceleration(w, dt2, inv_h2, ueff, nonlin, geom, kk, inv_ss,
+                        inv_s32, sin2q, cos2q, qm1)
+    mid = w[1:-1]
+    p = dt * v[1:-1] + (0.5 * dt2) * a[1:-1]
+    kick = np.empty_like(p)
+    last = nsteps - 1
     for step in range(nsteps):
-        v += 0.5 * dt * a
-        w += dt * v
-        w[0] = 0.0
-        w[n - 1] = 0.0
-        acceleration(w, a, ueff, inv_h2, nonlin, geom, kk, inv_ss, inv_s32,
-                     sin2q, cos2q, qm1)
-        v += 0.5 * dt * a
+        mid += p
+        fill(kick)
+        if step < last:
+            p += kick
         probe_out[out_off + step] = w[probe_idx]
+    np.divide(kick, dt2, out=a[1:-1])
+    kick *= 0.5
+    p += kick
+    np.divide(p, dt, out=v[1:-1])

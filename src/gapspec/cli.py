@@ -110,7 +110,7 @@ def _emit(args, results, csv_header=None, csv_rows=None):
         with open(out, "w", newline="") as fh:
             wtr = csv.writer(fh, lineterminator="\r\n")
             wtr.writerow(csv_header)
-            wtr.writerows([_jsonable(v) for v in row] for row in csv_rows)
+            wtr.writerows(_jsonable(row) for row in csv_rows)
         meta = {k: v for k, v in doc.items() if k != "results"}
         meta["columns"] = list(csv_header)
         with open(out + ".meta.json", "w") as fh:
@@ -237,7 +237,7 @@ def _cmd_renorm(args):
         summary["f_at_bulk"] = float(_interp4(rho0, rho, f))
         summary["f_prime_at_bulk"] = float(_interp4(rho0, rho, sol.f_prime))
     header = ["rho", "f", "f_prime", "zeta"]
-    rows = np.column_stack([rho, f, sol.f_prime, sol.zeta]).tolist()
+    rows = np.column_stack([rho, f, sol.f_prime, sol.zeta])
     return _emit(args, summary, csv_header=header, csv_rows=rows)
 
 
@@ -274,7 +274,7 @@ def _cmd_evolve(args):
     if not math.isnan(state.mu2):
         summary["omega_expected"] = math.sqrt(state.mu2)
     header = ["t", "probe"]
-    rows = np.column_stack([res.times, res.probe]).tolist()
+    rows = np.column_stack([res.times, res.probe])
     return _emit(args, summary, csv_header=header, csv_rows=rows)
 
 

@@ -4,7 +4,10 @@ The linearized flow w_tt = -(-w_rr + U w) is stepped with velocity Verlet
 on a uniform grid with Dirichlet ends, optionally adding the exact
 nonlinear remainder of the full equation as a source, so an evolution
 started on a gap eigenmode rings at sqrt(mu2) without decay while generic
-data disperses.
+data disperses. The stepper merges each step's two half-kicks into one
+kick of the half-step momentum dt*v (the leapfrog form of the same
+scheme); between chunks of steps the state holds w, v and the
+acceleration at one time, which is where energies are taken.
 
 The per-node potential is not read off pointwise: U_i is the discrete
 second difference of the closed-form zero-energy mode divided by its
@@ -181,13 +184,14 @@ def init_state(geometry, R, n, initial, nonlinear=False,
     `initial` is a GapEigenmode, GaussianBump, or CustomProfile; velocities
     start at zero. The probe defaults to the node where |w| peaks.
     """
-    if n < 512:
-        raise DomainError(f"need at least 512 nodes, got {n}")
-    if not R >= 40.0:
-        raise DomainError("the domain must reach at least R = 40")
+    if not (float(n).is_integer() and n >= 512):
+        raise DomainError(f"need an integer of at least 512 nodes, got {n}")
+    n = int(n)
+    if not 40.0 <= R < math.inf:
+        raise DomainError(f"the domain must reach a finite R >= 40, got {R}")
     if probe_r is not None and not math.isfinite(probe_r):
         raise DomainError(f"probe_r must be finite, got {probe_r}")
-    r = np.linspace(0.0, float(R), int(n))
+    r = np.linspace(0.0, float(R), n)
     h = float(r[1] - r[0])
     zeta = zero_mode(geometry, PHYSICAL_R, r)
     ueff = np.zeros(n)
@@ -234,8 +238,8 @@ def init_state(geometry, R, n, initial, nonlinear=False,
         dt_max=dt_max, mu2=mu2,
         inv_ss=inv_ss, inv_s32=inv_ss ** 3,
         sin2q=np.sin(2.0 * q), cos2q=np.cos(2.0 * q), qm1=q - 1.0)
-    _kernels.acceleration(state.w, state.a, state.ueff, 1.0 / h ** 2,
-                          *_source_args(state))
+    _kernels.acceleration(state.w, 1.0, 1.0 / h ** 2, ueff,
+                          *_source_args(state))(state.a[1:-1])
     return state
 
 
@@ -247,7 +251,7 @@ def _source_args(state):
 
 
 def _run_chunk(state, dt, nsteps, probe_out, out_off):
-    if dt > state.dt_max * (1.0 + 1e-12):
+    if not dt <= state.dt_max * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt={dt:g} above the stability limit {state.dt_max:g}")
     _kernels.step_chunk(
@@ -259,10 +263,12 @@ def _run_chunk(state, dt, nsteps, probe_out, out_off):
 
 def step(state, dt, nsteps=1):
     """Advance nsteps of size dt; returns the probe samples of the chunk."""
-    if not dt > 0.0 or nsteps < 1:
-        raise DomainError("need dt > 0 and nsteps >= 1")
+    if not (dt > 0.0 and float(nsteps).is_integer() and nsteps >= 1):
+        raise DomainError(
+            f"need dt > 0 and an integer nsteps >= 1, got {dt}, {nsteps}")
+    nsteps = int(nsteps)
     probe = np.empty(nsteps)
-    _run_chunk(state, dt, int(nsteps), probe, 0)
+    _run_chunk(state, dt, nsteps, probe, 0)
     return probe
 
 

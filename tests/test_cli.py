@@ -118,7 +118,8 @@ def test_library_error_exits_3(capsys):
             "--t-final", "52"]
     for extra in (["--energy-stride", "0"], ["--energy-stride", "-3"],
                   ["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
-                  ["--probe-r", "nan"], ["--width", "0"], ["--width", "nan"]):
+                  ["--probe-r", "nan"], ["--width", "0"], ["--width", "nan"],
+                  ["--R", "inf"]):
         assert main(bump + extra) == 3, extra
         assert "DomainError" in capsys.readouterr().err
     for rho_max in ("0", "1e-5"):

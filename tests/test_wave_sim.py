@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gapspec as gs
-from gapspec import wave_sim
+from gapspec import _kernels, wave_sim
 from gapspec.errors import (CFLViolation, DomainError, NoEigenmode,
                             TooFewSamples)
 
@@ -29,8 +29,14 @@ def test_init_state_guards():
         gs.init_state(g, 60.0, 511, gs.GaussianBump())
     with pytest.raises(DomainError):
         gs.init_state(g, 39.9, 1024, gs.GaussianBump())
-    with pytest.raises(DomainError):
-        gs.init_state(g, math.nan, 1024, gs.GaussianBump())
+    # a non-finite R leaves h and the stability limit NaN, and a
+    # fractional n would reach linspace
+    for R in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.init_state(g, R, 1024, gs.GaussianBump())
+    for n in (1024.7, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.init_state(g, 60.0, n, gs.GaussianBump())
     with pytest.raises(DomainError):
         gs.init_state(g, 60.0, 1024, gs.CustomProfile(lambda r: r[:-1]))
     with pytest.raises(DomainError):
@@ -125,8 +131,9 @@ def test_step_and_run_guards():
     for t_final in (math.inf, math.nan):
         with pytest.raises(DomainError):
             gs.run(state, t_final)
-    with pytest.raises(DomainError):
-        gs.step(state, state.dt_max, 0)
+    for nsteps in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.step(state, state.dt_max, nsteps)
     with pytest.raises(DomainError):
         gs.run(state, 0.0)
     with pytest.raises(CFLViolation):
@@ -221,6 +228,73 @@ def test_second_order_in_time():
     d1 = float(np.linalg.norm(finals[0] - finals[1]))
     d2 = float(np.linalg.norm(finals[1] - finals[2]))
     assert 3.5 < d1 / d2 < 4.5
+
+
+def _reference_acceleration(state, w):
+    """w_rr - ueff*w (+ remainder source) with Dirichlet ends, written out
+    from the state's ueff, h and the kernels' remainder."""
+    a = np.zeros_like(w)
+    a[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / state.h ** 2 \
+        - state.ueff[1:-1] * w[1:-1]
+    if state.nonlinear:
+        g = state.geometry
+        rem = _kernels.remainder(w * state.inv_ss,
+                                 0 if g.kind == gs.SPHERE else 1,
+                                 state.sin2q, state.cos2q, state.qm1)
+        a[1:-1] -= g.k ** 2 * rem[1:-1] * state.inv_s32[1:-1]
+    return a
+
+
+def _reference_verlet(state, dt, nsteps):
+    """Textbook velocity Verlet, two half-kicks per step, from the state's
+    current w and v; returns the final (w, v)."""
+    w, v = state.w.copy(), state.v.copy()
+    a = _reference_acceleration(state, w)
+    for _ in range(nsteps):
+        v += 0.5 * dt * a
+        w += dt * v
+        a = _reference_acceleration(state, w)
+        v += 0.5 * dt * a
+    return w, v
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_stepper_matches_textbook_verlet(linear):
+    # the one-kick stepper is the same scheme up to rounding: after 500
+    # steps in chunks of 100 it agrees with the two-half-kick loop, and each
+    # chunk leaves in `a` the acceleration of the w it leaves, as assembled
+    # at set-up
+    if linear:
+        state = gs.init_state(gs.sphere(2, 5.0), 60.0, 2048,
+                              gs.GapEigenmode(mu2=MU2_K2L5))
+    else:
+        state = _bump_state(gs.sphere(2, 1.0), amp=0.3, nonlinear=True)
+    dt = state.dt_max
+    scale = float(np.max(np.abs(state.w)))
+    w_ref, v_ref = _reference_verlet(state, dt, 500)
+    for _ in range(5):
+        gs.step(state, dt, 100)
+        a_set = np.zeros_like(state.a)
+        _kernels.acceleration(state.w, 1.0, 1.0 / state.h ** 2, state.ueff,
+                              *wave_sim._source_args(state))(a_set[1:-1])
+        assert np.max(np.abs(state.a - a_set)) \
+            <= 1e-12 * np.max(np.abs(a_set))
+    assert np.max(np.abs(state.w - w_ref)) <= 1e-10 * scale
+    assert np.max(np.abs(state.v - v_ref)) <= 1e-10 * scale
+    assert state.w[0] == state.w[-1] == 0.0
+
+
+def test_chunking_does_not_change_the_steps():
+    states = [_bump_state(gs.sphere(2, 1.0)) for _ in range(2)]
+    dt = states[0].dt_max
+    probe = gs.step(states[0], dt, 128)
+    split = np.concatenate([gs.step(states[1], dt, 64),
+                            gs.step(states[1], dt, 64)])
+    scale = float(np.max(np.abs(states[0].w)))
+    assert np.max(np.abs(probe - split)) <= 1e-12 * scale
+    for field in ("w", "v", "a"):
+        one, two = getattr(states[0], field), getattr(states[1], field)
+        assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(one))
 
 
 def test_static_map_energy_recovered():
