@@ -378,8 +378,8 @@ def remainder(d, geom, sin2q, cos2q, qm1):
 
 def acceleration(w, scale, inv_h2, ueff, nonlin, geom, kk, inv_ss, inv_s32,
                  sin2q, cos2q, qm1):
-    """fill(out): out = scale (w_rr - ueff*w (+ remainder source)) on the
-    interior nodes, read from the current values of w.
+    """Return fill(out), which writes scale (w_rr - ueff*w (+ remainder
+    source)) on the interior nodes into out, from the current values of w.
 
     The one place the stencil is written. The second difference is taken
     from first differences and scaled by c = scale/h^2, the potential by
