@@ -30,9 +30,11 @@ solution of its operator with V = 0,
     a + b = 1, ab = mu2,
 
 which V perturbs by a relative 2 (lambda tanh(r/2))^(2k); with no explicit
-radius the shot starts on whichever of the two is exact farther out. At
+radius a phi shot starts on whichever of the two is exact farther out. At
 large k that is phi0, at r up to 1 instead of 1e-3, which saves the steps a
-shot would spend following phi ~ r^(k+1/2) out of the series region.
+shot would spend following phi ~ r^(k+1/2) out of the series region. A
+factored shot always starts on the series, whose f' = -2 mu2 x/(4 nu + 2)
+carries the relative digits of mu2.
 Large-k members start in their s coordinate: finite k maps its half-line
 pullback's start through the exact coordinate map (the finite-k normal form
 is the exact pullback of the half-line problem at lambda = Theta^(1/k)), and
@@ -220,13 +222,13 @@ def series_start(op, mu2, r0=None, factored=False):
     finite-k pullback).
 
     With `factored` (families in FACTORED_FAMILIES) it returns a factored
-    start of f = phi/zeta instead: on the series f = 1 - mu2 x^2/(4 nu + 2)
-    + O(x^4), from f'' + 2W f' + mu2 f = 0 with W = nu/x + O(x), or on
-    f = 1, f' = phi0'/phi0 - W where phi0 starts. That series leaves the
-    map's part of W out at every k, so for the half-line sphere its radius
-    is capped by _free_radius at every k. Any start error along the second
-    solution, the integral of zeta^-2 from x to infinity, shrinks relative
-    to f like (zeta(x0)/zeta(x))^2 as the shot moves out.
+    start of f = phi/zeta instead, always on the series
+    f = 1 - mu2 x^2/(4 nu + 2) + O(x^4), from f'' + 2W f' + mu2 f = 0 with
+    W = nu/x + O(x). That series leaves the map's part of W out at every k,
+    so for the half-line sphere its radius is capped by _free_radius at
+    every k. Any start error along the second solution, the integral of
+    zeta^-2 from x to infinity, shrinks relative to f like
+    (zeta(x0)/zeta(x))^2 as the shot moves out.
     """
     if op.family == LARGE_K:
         return _largek_start(op, mu2, r0)
@@ -238,12 +240,8 @@ def series_start(op, mu2, r0=None, factored=False):
         rmax = min(rmax, rf)
     if r0 is None:
         r0 = rmax
-        if rf > rmax:
-            st = _free_start(op.k, mu2, rf)
-            if not factored:
-                return st
-            w = _kernels.logder(*op_code(op), rf)
-            return StartData(rf, 1.0, st.phi_prime / st.phi - w, 0.0, True)
+        if rf > rmax and not factored:
+            return _free_start(op.k, mu2, rf)
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")

@@ -156,62 +156,16 @@ def potential_V(geometry, r):
     return -24.0 * y * om2 / (1.0 + y) ** 2
 
 
-def _structural_C(z2):
-    """(1 - 6 z^2 + z^4)/(1 + z^2)^2 as a function of z^2."""
-    return (1.0 - 6.0 * z2 + z2 * z2) / (1.0 + z2) ** 2
-
-
-def _effective_structural(op, x):
-    """Second algebraic assembly of the same potential, for cross-checks.
-
-    Half-line: 1/4 + [k^2 (g'^2 + g g'')(Q) - 1/4]/sinh^2 r, using the curvature
-    combination instead of the explicit V. Rescaled: affine image of the
-    half-line form. Euclidean: (k^2-1/4)/rho^2 + k^2 (C(rho^k)-1)/rho^2.
-    Large-k: 1/4 + omega^-2 (C - 1/(4 k^2)) without expanding the product.
-    """
-    if op.family in (HALF_LINE, RESCALED):
-        geom = op.geometry
-        lam = geom.lam
-        r = x if op.family == HALF_LINE else 2.0 * np.asarray(x, float) / lam
-        q = eval_Q(geom, r)
-        gp = metric_g_prime(geom, q)
-        gpp = metric_g_double_prime(geom, q)
-        curv = float(op.k) ** 2 * (gp * gp + metric_g(geom, q) * gpp)
-        half = 0.25 + (curv - 0.25) / np.sinh(r) ** 2
-        if op.family == HALF_LINE:
-            return half
-        return (4.0 / lam ** 2) * (half - 0.25) + 1.0 / lam ** 2
-    if op.family == EUCLIDEAN:
-        rho = np.asarray(x, dtype=float)
-        k2 = float(op.k) ** 2
-        z2 = rho ** (2 * op.k)
-        return (k2 - 0.25) / rho ** 2 + k2 * (_structural_C(z2) - 1.0) / rho ** 2
-    rho = np.asarray(x, dtype=float)
-    L = np.log(op.theta / rho)
-    c = _structural_C(rho * rho)
-    if op.k == math.inf:
-        return 0.25 + L * L * c
-    om_inv = op.k * np.sinh(L / op.k)
-    return 0.25 + om_inv * om_inv * (c - 1.0 / (4.0 * op.k ** 2))
-
-
-def effective_potential(op, x, form="direct"):
+def effective_potential(op, x):
     """Potential block U with phi'' = (U - mu2) phi (half-line families) or
     the large-k block 1/4 - omega^-2/(4k^2) + omega^-2 C(rho) in its rho
-    variable. `form` selects one of two independent algebraic assemblies:
-    "direct" evaluates the integrator's own kernel (for large-k at
-    s = -log log(Theta/rho)), "structural" the geometric form; they agree
-    to 1e-11 and tests hold them to that.
+    variable, evaluated by the integrator's own kernel (for large-k at
+    s = -log log(Theta/rho)).
     """
     arr = np.asarray(x, dtype=float)
     lo, hi = op.domain
     if np.any(arr <= lo) or np.any(arr >= hi):
         raise DomainError(f"coordinate outside open domain ({lo}, {hi})")
-    if form == "structural":
-        out = _effective_structural(op, arr)
-        return float(out) if np.ndim(x) == 0 else out
-    if form != "direct":
-        raise DomainError(f"unknown form {form!r}")
     code, kk, p = op_code(op)
     if op.family == LARGE_K:
         # the kernel holds the large-k block in s = -log log(Theta/rho)

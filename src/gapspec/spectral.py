@@ -26,14 +26,13 @@ Every eigenvalue is established twice, by independent routes:
     For the half-line and rescaled families both legs shoot f = phi/zeta,
     whose second solution decreases outward, so neither leg amplifies its
     start or step errors; the forward leg starts on the series
-    f = 1 - mu2 x^2/(4 nu + 2), or on f'/f = phi0'/phi0 - zeta'/zeta where
-    phi0 starts. The Wronskian of f is that of phi divided by zeta^2, so
-    the normalized mismatch is the same number in either form; large-k
-    members shoot phi. The mismatch must change sign across the isolation
-    bracket, else InconsistentCertificate is raised. Illinois regula falsi
-    then shrinks that sign change to the mismatch's noise floor: two
-    iterates in a row that do not lower |mismatch|, a bracket below 1e-13
-    relative, or an exact zero.
+    f = 1 - mu2 x^2/(4 nu + 2). The Wronskian of f is that of phi divided
+    by zeta^2, so the normalized mismatch is the same number in either
+    form; large-k members shoot phi. The mismatch must change sign across
+    the isolation bracket, else InconsistentCertificate is raised. Illinois
+    regula falsi then shrinks that sign change to the mismatch's noise
+    floor: two iterates in a row that do not lower |mismatch|, a bracket
+    below 1e-13 relative, or an exact zero.
 
 Both routes solve the same problem on the same half-line, so the count
 jump sits at the matched root. A result is reported only when the matched
@@ -526,6 +525,11 @@ def _largek_point(args):
         hl_cnt = hrep.count
         if hrep.eigenvalues:
             hl_mu2 = hrep.eigenvalues[0].mu2
+        if hl_cnt != rep.count or abs(mu2 - hl_mu2) > 1e-9 * abs(hl_mu2):
+            raise InconsistentCertificate(
+                f"k={k:g}, Theta={theta:g}: the normal form gives count "
+                f"{rep.count}, mu2 {mu2:.12g}, its half-line pullback count "
+                f"{hl_cnt}, mu2 {hl_mu2:.12g}")
     return LargeKPoint(k, rep.count, mu2, rep.threshold.b, hl_mu2, hl_cnt)
 
 
@@ -534,7 +538,9 @@ def largek_gap_scan(ks, theta, jobs=1) -> LargeKReport:
 
     Finite-k rows carry the spectrum of the half-line operator at
     lambda = theta^(1/k), whose pullback the normal form is, as an exact
-    consistency check.
+    consistency check: InconsistentCertificate is raised when a row's
+    count differs from its pullback's, or its mu2 by more than 1e-9
+    relative.
     """
     rows = _pool_map(_largek_point,
                      [(float(k) if k != math.inf else math.inf, theta)

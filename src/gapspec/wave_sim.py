@@ -37,8 +37,7 @@ import numpy as np
 from . import _kernels
 from .errors import (CFLViolation, DomainError, NoEigenmode, TooFewSamples)
 from .harmonic_maps import SPHERE, EnergyBreakdown, eval_Q, metric_g
-from .ode_engine import (_free_start, integrate, series_start,
-                         tail_start_decaying)
+from .ode_engine import integrate, series_start, tail_start_decaying
 from .operators import PHYSICAL_R, half_line, zero_mode
 from .spectral import _matching_point, find_gap_eigenvalues
 
@@ -139,8 +138,14 @@ def nonlinear_source(geometry, r, u):
     return out if out.shape else float(out)
 
 
-def _eigenmode_profile(geometry, mu2, index, r):
-    """Eigenfunction w on the nodes, max-normalized, via stitched shooting."""
+def _eigenmode_profile(geometry, mu2, index, r, zeta):
+    """Eigenfunction w = zeta f on the nodes, max-normalized.
+
+    f = phi/zeta is stitched from the two factored legs of the Wronskian
+    match, the regular shot from the series start out to the matching
+    point and the decaying shot from R back to it, scaled to agree there.
+    Below the series start, f is the start's own series. zeta is the zero
+    mode on the nodes."""
     op = half_line(geometry)
     if mu2 is None:
         rep = find_gap_eigenvalues(op, scans=False, threshold=False)
@@ -151,27 +156,20 @@ def _eigenmode_profile(geometry, mu2, index, r):
         mu2 = rep.eigenvalues[index].mu2
     R = float(r[-1])
     h = float(r[1] - r[0])
-    start = series_start(op, mu2)
+    start = series_start(op, mu2, factored=True)
     xm = _matching_point(op, start.x, R)
     fwd = integrate(op, mu2, start, xm, max_step=h)
-    bwd = integrate(op, mu2, tail_start_decaying(op, mu2, R), xm, max_step=h)
-    gf = fwd.grid
+    bwd = integrate(op, mu2, tail_start_decaying(op, mu2, R, factored=True),
+                    xm, max_step=h)
     vf = fwd.values[:, 0] * np.exp(fwd.log_scale - fwd.log_scale[-1])
     gb = bwd.grid[::-1]
     vb = (bwd.values[:, 0] * np.exp(bwd.log_scale - bwd.log_scale[-1]))[::-1]
-    ratio = vf[-1] / vb[0]
-    w = np.where(r <= xm, np.interp(r, gf, vf),
-                 ratio * np.interp(r, gb, vb))
-    head = (r > 0.0) & (r < gf[0])
-    if start.log_scale:
-        # only phi0 starts with a log scale, and it is exact below its
-        # radius too
-        for i in np.flatnonzero(head):
-            s = _free_start(geometry.k, mu2, float(r[i]))
-            w[i] = vf[0] * s.phi / start.phi * math.exp(
-                s.log_scale - start.log_scale)
-    else:
-        w[head] = vf[0] * (r[head] / gf[0]) ** (geometry.k + 0.5)
+    f = np.where(r <= xm, np.interp(r, fwd.grid, vf),
+                 vf[-1] / vb[0] * np.interp(r, gb, vb))
+    for i in np.flatnonzero((r > 0.0) & (r < start.x)):
+        head = series_start(op, mu2, float(r[i]), factored=True)
+        f[i] = vf[0] * head.phi / start.phi
+    w = zeta * f
     w[0] = 0.0
     w[-1] = 0.0
     return w / np.max(np.abs(w)), mu2
@@ -187,8 +185,10 @@ def init_state(geometry, R, n, initial, nonlinear=False,
     if not (float(n).is_integer() and n >= 512):
         raise DomainError(f"need an integer of at least 512 nodes, got {n}")
     n = int(n)
-    if not 40.0 <= R < math.inf:
-        raise DomainError(f"the domain must reach a finite R >= 40, got {R}")
+    # past r = 710 sinh r overflows, and with it the zero mode that builds
+    # the potential and the eigenmode
+    if not 40.0 <= R <= 710.0:
+        raise DomainError(f"the domain must end at an R in [40, 710], got {R}")
     if probe_r is not None and not math.isfinite(probe_r):
         raise DomainError(f"probe_r must be finite, got {probe_r}")
     r = np.linspace(0.0, float(R), n)
@@ -206,7 +206,8 @@ def init_state(geometry, R, n, initial, nonlinear=False,
     q = eval_Q(geometry, r)
     mu2 = math.nan
     if isinstance(initial, GapEigenmode):
-        w, mu2 = _eigenmode_profile(geometry, initial.mu2, initial.index, r)
+        w, mu2 = _eigenmode_profile(geometry, initial.mu2, initial.index, r,
+                                    zeta)
     elif isinstance(initial, GaussianBump):
         fields = (initial.amplitude, initial.center, initial.width)
         if not all(math.isfinite(v) for v in fields) or initial.width <= 0.0:

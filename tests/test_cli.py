@@ -112,6 +112,11 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3
     assert "DomainError" in capsys.readouterr().err
+    # at Theta = 1e6 the finite-k rows leave their pullbacks 6.7e-4 and
+    # 2.3e-3 behind
+    rc = main(["largek", "--ks", "8,16", "--theta", "1e6", "--jobs", "1"])
+    assert rc == 3
+    assert "InconsistentCertificate" in capsys.readouterr().err
     # arguments that would hang or crash the stepper are rejected before
     # any stepping
     bump = ["evolve", "--lambda", "1", "--initial", "bump", "--n", "1024",
@@ -122,6 +127,15 @@ def test_library_error_exits_3(capsys):
                   ["--R", "inf"]):
         assert main(bump + extra) == 3, extra
         assert "DomainError" in capsys.readouterr().err
+    # sinh r overflows past r = 710, and with it the zero mode that builds
+    # the potential: R = 800 once ran into "need dt > 0, got nan"
+    wide = ["evolve", "--k", "1", "--lambda", "1", "--initial", "bump",
+            "--n", "8192"]
+    assert main(wide + ["--R", "800", "--t-final", "20"]) == 3
+    assert "R in [40, 710]" in capsys.readouterr().err
+    # 80, not 20: a spectrum needs 1024 probe samples at dt = 0.06
+    assert main(wide + ["--R", "700", "--t-final", "80"]) == 0
+    capsys.readouterr()
     for rho_max in ("0", "1e-5"):
         rc = main(["renorm", "--k", "2", "--lambda", "5", "--rho-max",
                    rho_max])

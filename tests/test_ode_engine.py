@@ -152,6 +152,19 @@ def test_factored_series_start_holds_the_map_logder(k, lam):
             st.phi_prime / st.phi, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("k,lam,mu2", [
+    (6, 100.0, 3.4369528858e-19), (8, 20.0, 3.7860439946e-17),
+    (10, 50.0, 2.5763627580e-29), (16, 10.0, 2.4919678658e-28)])
+def test_factored_start_slope_carries_mu2(k, lam, mu2):
+    # at the oracle roots of these members f' is near 1e-22 and below; a
+    # factored start on phi0 took it as phi0'/phi0 - W, a difference of
+    # two O(k/r) numbers, and kept none of its digits
+    st = gs.series_start(gs.half_line(gs.sphere(k, lam)), mu2, factored=True)
+    assert st.factored
+    assert st.phi_prime / st.x == pytest.approx(
+        -2.0 * mu2 / (4.0 * (k + 0.5) + 2.0), rel=1e-14, abs=0.0)
+
+
 def test_frozen_members_keep_series_start():
     # phi0 is exact only where 2 (lambda tanh(r/2))^(2k) <= 1e-12, inside
     # the series radius for every frozen half-line member: their shots,

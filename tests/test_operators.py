@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import gapspec as gs
 from gapspec import _kernels
 from gapspec.errors import DomainError
-from gapspec.operators import FROM_HALF_LINE, TO_HALF_LINE, op_code
+from gapspec.harmonic_maps import (eval_Q, metric_g, metric_g_double_prime,
+                                   metric_g_prime)
+from gapspec.operators import (EUCLIDEAN, HALF_LINE, RESCALED,
+                               FROM_HALF_LINE, TO_HALF_LINE, op_code)
 
 
 def test_spec_frobenius_and_domains():
@@ -119,8 +122,6 @@ def test_effective_potential_domain_errors():
         gs.effective_potential(op, -1.0)
     with pytest.raises(DomainError):
         gs.effective_potential(gs.large_k(3, 2.0), 2.0)
-    with pytest.raises(DomainError):
-        gs.effective_potential(op, 1.0, form="midside")
 
 
 def test_effective_potential_finite_past_sinh_overflow():
@@ -132,6 +133,44 @@ def test_effective_potential_finite_past_sinh_overflow():
             assert gs.effective_potential(op, x) == gs.continuum_edge(op)
     op = gs.half_line(gs.sphere(1, 3.5))
     assert gs.tail_start_decaying(op, 0.2, 3000.0).x == 3000.0
+
+
+def _structural_C(z2):
+    """(1 - 6 z^2 + z^4)/(1 + z^2)^2 as a function of z^2."""
+    return (1.0 - 6.0 * z2 + z2 * z2) / (1.0 + z2) ** 2
+
+
+def _effective_structural(op, x):
+    """The potential block assembled from the geometry, independently of
+    the kernel.
+
+    Half-line: 1/4 + [k^2 (g'^2 + g g'')(Q) - 1/4]/sinh^2 r, using the
+    curvature combination instead of the explicit V. Rescaled: affine image
+    of the half-line form. Euclidean: (k^2-1/4)/rho^2 + k^2 (C(rho^k)-1)/rho^2.
+    Large-k: 1/4 + omega^-2 (C - 1/(4 k^2)) without expanding the product.
+    """
+    if op.family in (HALF_LINE, RESCALED):
+        geom = op.geometry
+        lam = geom.lam
+        r = x if op.family == HALF_LINE else 2.0 * x / lam
+        q = eval_Q(geom, r)
+        gp = metric_g_prime(geom, q)
+        gpp = metric_g_double_prime(geom, q)
+        curv = float(op.k) ** 2 * (gp * gp + metric_g(geom, q) * gpp)
+        half = 0.25 + (curv - 0.25) / math.sinh(r) ** 2
+        if op.family == HALF_LINE:
+            return half
+        return (4.0 / lam ** 2) * (half - 0.25) + 1.0 / lam ** 2
+    if op.family == EUCLIDEAN:
+        k2 = float(op.k) ** 2
+        z2 = x ** (2 * op.k)
+        return (k2 - 0.25) / x ** 2 + k2 * (_structural_C(z2) - 1.0) / x ** 2
+    L = math.log(op.theta / x)
+    c = _structural_C(x * x)
+    if op.k == math.inf:
+        return 0.25 + L * L * c
+    om_inv = op.k * math.sinh(L / op.k)
+    return 0.25 + om_inv * om_inv * (c - 1.0 / (4.0 * op.k ** 2))
 
 
 @given(data=st.data())
@@ -159,7 +198,7 @@ def test_effective_potential_two_assemblies_agree(data):
     hi = op.domain[1] if math.isfinite(op.domain[1]) else 25.0
     x = data.draw(st.floats(1e-3 * hi, 0.999 * hi))
     direct = gs.effective_potential(op, x)
-    structural = gs.effective_potential(op, x, form="structural")
+    structural = float(_effective_structural(op, x))
     assert direct == pytest.approx(structural, rel=1e-11, abs=1e-11)
 
 

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 
 import gapspec as gs
 from gapspec.cli import main
+from gapspec.errors import GapspecError
 
 from conftest import MU2_SPHERE_K2, MU2_SPHERE_K3_L40, MU2_YM
 
@@ -81,17 +82,30 @@ def oracle_first_zero(kind, k, lam, mu2, R=40.0, rtol=1e-13):
     return float(sol.t_events[0][0])
 
 
+def _core(kind, k, lam):
+    """The matching point r = 2 artanh(lambda^(-1/k)) (k = 1 for YM)."""
+    return 2.0 * math.atanh(lam ** (-1.0 / (k if kind == "sphere" else 1)))
+
+
 def oracle_mu2(kind, k, lam, guess):
-    """Root of the factored mismatch, bracketed outward from `guess`."""
-    xm = 2.0 * math.atanh(lam ** (-1.0 / (k if kind == "sphere" else 1)))
+    """Root of the factored mismatch, bracketed outward from `guess`.
+
+    The bracket guess (1 -+ 1e-6) widens in log mu2, its half-width
+    doubling each step, so a guess nine decades off is bracketed in about
+    25 steps; the upper end stays 1e-6 below the edge."""
+    xm = _core(kind, k, lam)
 
     def f(mu2):
         return _mismatch(kind, k, lam, mu2, xm)
 
-    lo, hi = guess * (1.0 - 1e-6), guess * (1.0 + 1e-6)
+    step = 1e-6
+    lo, hi = guess * (1.0 - step), guess * (1.0 + step)
     while f(lo) * f(hi) > 0.0:
-        lo, hi = lo * (1.0 - 1e-5), hi * (1.0 + 1e-5)
-    # relative only: the deepest members sit near mu2 = 1e-25
+        assert step < 300.0, f"no sign change of the mismatch around {guess}"
+        step *= 2.0
+        lo = guess * math.exp(-step)
+        hi = min(guess * math.exp(step), 0.25 - 1e-6)
+    # relative only: the deepest members sit near mu2 = 1e-29
     return brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
 
 
@@ -113,12 +127,17 @@ def test_frozen_eigenvalues_match_oracle(kind, k, lam):
     ("sphere", 2, 200.0), ("sphere", 2, 600.0), ("sphere", 2, 800.0),
     ("sphere", 2, 1e4), ("sphere", 3, 100.0), ("sphere", 3, 200.0),
     ("sphere", 3, 1000.0), ("sphere", 5, 1500.0), ("sphere", 6, 300.0),
-    ("ym", 2, 1e3), ("ym", 2, 1e4)])
+    ("sphere", 6, 100.0), ("sphere", 8, 20.0), ("sphere", 10, 50.0),
+    ("sphere", 16, 10.0), ("ym", 2, 1e3), ("ym", 2, 1e4)])
 def test_large_lambda_certification_matches_oracle(kind, k, lam):
     # past the core a phi-form shot tunnels under the centrifugal barrier
     # in its unstable direction, so deep members hold both factored routes,
     # the count and the match, to the oracle; at k = 5 and 6 mu2 is near
-    # 1e-24, where only a refine step that keeps its relative digits holds
+    # 1e-24, where only a refine step that keeps its relative digits holds.
+    # The k = 6 to 16 members at lambda <= 100 hold the factored start's
+    # f', which must carry mu2's digits: taken as phi0'/phi0 - W, a
+    # difference of two O(k/r) numbers, it certified sphere(16, 10) at
+    # 6.2e-21 for a root at 2.5e-28
     rep = gs.find_gap_eigenvalues(gs.half_line(gs.GeometrySpec(kind, k, lam)),
                                   scans=False, threshold=False)
     assert rep.count == 1
@@ -127,6 +146,24 @@ def test_large_lambda_certification_matches_oracle(kind, k, lam):
     assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1]
     assert ev.mu2 == pytest.approx(oracle_mu2(kind, k, lam, ev.mu2),
                                    rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8, 10, 12, 16])
+@pytest.mark.parametrize("lam", [5.0, 10.0, 20.0, 50.0, 100.0])
+def test_high_k_grid_certifies_oracle_roots(k, lam):
+    # mu2 falls to 2.5e-58 across this grid; each member either refuses
+    # with a named error or certifies a mu2 across which the oracle's
+    # mismatch at the core changes sign at 1e-8 relative
+    try:
+        rep = gs.find_gap_eigenvalues(gs.half_line(gs.sphere(k, lam)),
+                                      scans=False, threshold=False)
+    except GapspecError:
+        return
+    xm = _core("sphere", k, lam)
+    for ev in rep.eigenvalues:
+        lo = _mismatch("sphere", k, lam, ev.mu2 * (1.0 - 1e-8), xm)
+        hi = _mismatch("sphere", k, lam, ev.mu2 * (1.0 + 1e-8), xm)
+        assert lo * hi < 0.0, (ev.mu2, lo, hi)
 
 
 @pytest.mark.parametrize("lam", [20.0, 40.0])

@@ -440,6 +440,12 @@ def test_largek_scan_theta100():
     assert math.isnan(inf_row.halfline_mu2)
 
 
+def test_largek_scan_enforces_the_pullback_check():
+    # at Theta = 1e6 the k = 8 row sits 6.7e-4 off its pullback
+    with pytest.raises(InconsistentCertificate):
+        gs.largek_gap_scan([8], 1e6)
+
+
 def test_largek_scan_subcritical_theta():
     rep = gs.largek_gap_scan([20], 0.9)
     assert rep.points[0].count == 0

@@ -34,6 +34,13 @@ def test_init_state_guards():
     for R in (math.nan, math.inf):
         with pytest.raises(DomainError):
             gs.init_state(g, R, 1024, gs.GaussianBump())
+    # past r = 710 sinh r overflows: the zero mode that builds the
+    # potential turns inf, and the potential NaN
+    for R in (710.5, 800.0):
+        with pytest.raises(DomainError, match="710"):
+            gs.init_state(g, R, 8192, gs.GaussianBump())
+    state = gs.init_state(g, 700.0, 8192, gs.GaussianBump())
+    assert np.all(np.isfinite(state.ueff)) and state.dt_max > 0.0
     for n in (1024.7, math.nan, math.inf):
         with pytest.raises(DomainError):
             gs.init_state(g, 60.0, n, gs.GaussianBump())
@@ -72,10 +79,18 @@ def test_eigenmode_profile_normalized():
     assert not np.any(state.v)
 
 
+def _phi_shot(op, mu2, r0, r):
+    """phi at r from a tight shot off the series start at r0."""
+    end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, r0), r,
+                            rtol=1e-13)
+    return end.phi * math.exp(end.log_scale)
+
+
 def test_eigenmode_head_below_free_start():
-    # phi0 starts the k = 16, Theta = 100 pullback at r = 0.64; the nodes
-    # below that carry the regular solution's own shape there, checked
-    # against shots from the series start at 1e-3
+    # phi0 starts a phi shot of the k = 16, Theta = 100 pullback at
+    # r = 0.64, and the eigenmode is zeta f from factored shots that start
+    # on the series; the nodes below 0.64 hold the regular solution's own
+    # shape, checked against phi shots from the series start at 1e-3
     k, mu2 = 16, 7.415132251538e-03
     geom = gs.sphere(k, 100.0 ** (1.0 / k))
     op = gs.half_line(geom)
@@ -84,15 +99,26 @@ def test_eigenmode_head_below_free_start():
     head = np.flatnonzero((state.grid > 0.0) & (state.grid < rf))
     assert head.size > 50
 
-    def phi(r):
-        end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, 1e-3), r,
-                                rtol=1e-13)
-        return end.phi * math.exp(end.log_scale)
-
     last = head[-1]
+    ref = _phi_shot(op, mu2, 1e-3, state.grid[last])
     for i in head[::20]:
         assert state.w[i] / state.w[last] == pytest.approx(
-            phi(state.grid[i]) / phi(state.grid[last]), rel=1e-10)
+            _phi_shot(op, mu2, 1e-3, state.grid[i]) / ref, rel=1e-10)
+
+
+def test_eigenmode_nodes_near_the_axis_match_a_tight_shot():
+    # w = zeta f interpolates the slowly varying f between the shot's
+    # steps; interpolating phi ~ r^(5/2) itself put the nodes at the well
+    # of sphere(2, 20) up to 1e-4 off
+    geom, mu2 = gs.sphere(2, 20.0), MU2_SPHERE_K2[20.0]
+    op = gs.half_line(geom)
+    state = gs.init_state(geom, 40.0, 4096, gs.GapEigenmode(mu2=mu2))
+    nodes = np.flatnonzero((state.grid > 0.0) & (state.grid < 0.2))
+    last = nodes[-1]
+    ref = _phi_shot(op, mu2, 1e-4, state.grid[last])
+    for i in nodes:
+        assert state.w[i] / state.w[last] == pytest.approx(
+            _phi_shot(op, mu2, 1e-4, state.grid[i]) / ref, rel=1e-7, abs=0.0)
 
 
 def test_eigenmode_located_on_demand():
