@@ -370,10 +370,10 @@ def remainder(d, geom, sin2q, cos2q, qm1):
     if geom == 0:
         sd = np.sin(d)
         odd = np.where(np.abs(d) < 1e-4,
-                       d ** 3 * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
+                       d * d * d * (-2.0 / 3.0 + 0.4 * d * d / 3.0),
                        0.5 * np.sin(2.0 * d) - d)
         return -sin2q * sd * sd + cos2q * odd
-    return 0.5 * d ** 3 + 1.5 * qm1 * d * d
+    return 0.5 * d * d * d + 1.5 * qm1 * d * d
 
 
 def acceleration(w, scale, inv_h2, ueff, nonlin, geom, kk, inv_ss, inv_s32,

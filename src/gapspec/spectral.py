@@ -210,9 +210,12 @@ def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
 
 def _bisect(above, lo, hi, width):
     """Halve (lo, hi) down to `width`, keeping above(lo) false and
-    above(hi) true."""
+    above(hi) true. Stops early once lo and hi are adjacent floats, where
+    the midpoint rounds onto one of them."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if above(mid):
             hi = mid
         else:
@@ -431,12 +434,22 @@ def _embedded_flatness(op, mu2, edge, R, rtol, atol):
 
 
 def _sweep_point(args):
-    kind, k, lam, R = args
+    """SweepPoint at one lambda; args is (kind, k, lam, R, need).
+
+    need selects the halves: "both" for a grid point, "count" or "fit" for
+    a bisection midpoint, whose predicate reads only that half; the fields
+    of the half not computed are None."""
+    kind, k, lam, R, need = args
     op = half_line(geometry(kind, k, lam))
     Rc = default_count_radius(op) if R is None else R
-    cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN, Rc)
-    fit = _threshold_fit(op, Rc)
-    return SweepPoint(lam, cnt, fit.a, fit.b, fit.fit_residual)
+    cnt = a = b = resid = None
+    if need != "fit":
+        cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN,
+                                      Rc)
+    if need != "count":
+        fit = _threshold_fit(op, Rc)
+        a, b, resid = fit.a, fit.b, fit.fit_residual
+    return SweepPoint(lam, cnt, a, b, resid)
 
 
 def _pool_map(fn, items, jobs):
@@ -450,22 +463,30 @@ def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
                  bisect_to=1e-4) -> SweepReport:
     """Track the threshold slope and gap count along a lambda grid.
 
-    Two independent transition brackets are refined to width `bisect_to`:
-    where the resonance slope b changes sign, and where the gap count first
-    leaves zero. They are located separately and never assumed to coincide.
+    Two independent transition brackets are refined to width `bisect_to`,
+    which must be finite and positive: where the resonance slope b changes
+    sign, and where the gap count first leaves zero. They are located
+    separately and never assumed to coincide. Grid points compute both the
+    count and the threshold fit; a bisection midpoint computes only the
+    half its transition reads (the fit for the slope flip, the count for
+    the onset).
     """
     lams = [float(v) for v in lam_grid]
     if sorted(lams) != lams:
         raise DomainError("lambda grid must be increasing")
-    pts = _pool_map(_sweep_point, [(kind, k, v, R) for v in lams], jobs)
+    if not (math.isfinite(bisect_to) and bisect_to > 0.0):
+        raise DomainError(f"bisect_to must be finite and positive, "
+                          f"got {bisect_to!r}")
+    pts = _pool_map(_sweep_point, [(kind, k, v, R, "both") for v in lams],
+                    jobs)
 
-    def bracket(crosses, past):
+    def bracket(crosses, past, need):
         # bisect the first grid interval (p, q) where crosses(p, q) holds;
         # past(p, m) tells whether the point m lies beyond the transition
         for p, q, lo, hi in zip(pts, pts[1:], lams, lams[1:]):
             if crosses(p, q):
                 return _bisect(
-                    lambda lam: past(p, _sweep_point((kind, k, lam, R))),
+                    lambda lam: past(p, _sweep_point((kind, k, lam, R, need))),
                     lo, hi, bisect_to)
         return None
 
@@ -473,9 +494,9 @@ def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
         kind, k, lams, pts,
         slope_flip_bracket=bracket(
             lambda p, q: p.resonance_b * q.resonance_b < 0.0,
-            lambda p, m: not m.resonance_b * p.resonance_b > 0.0),
+            lambda p, m: not m.resonance_b * p.resonance_b > 0.0, "fit"),
         onset_bracket=bracket(lambda p, q: p.count == 0 and q.count > 0,
-                              lambda p, m: m.count != 0))
+                              lambda p, m: m.count != 0, "count"))
 
 
 def _migration_point(args):

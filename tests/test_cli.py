@@ -117,6 +117,13 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "8,16", "--theta", "1e6", "--jobs", "1"])
     assert rc == 3
     assert "InconsistentCertificate" in capsys.readouterr().err
+    # a sweep width that would bisect forever or not at all is rejected
+    # before any shot
+    for width in ("0", "-1", "nan"):
+        rc = main(["sweep", "--k", "1", "--lambda", "3.0,4.0",
+                   "--bisect-to", width, "--jobs", "1"])
+        assert rc == 3
+        assert "DomainError" in capsys.readouterr().err
     # arguments that would hang or crash the stepper are rejected before
     # any stepping
     bump = ["evolve", "--lambda", "1", "--initial", "bump", "--n", "1024",

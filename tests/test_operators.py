@@ -157,7 +157,10 @@ def _effective_structural(op, x):
         gp = metric_g_prime(geom, q)
         gpp = metric_g_double_prime(geom, q)
         curv = float(op.k) ** 2 * (gp * gp + metric_g(geom, q) * gpp)
-        half = 0.25 + (curv - 0.25) / math.sinh(r) ** 2
+        # csch^2 r without overflow: sinh^2 overflows past r = 355, and
+        # rescaled draws reach r = 2x/lambda = 1000
+        csch = 2.0 * math.exp(-r) / -math.expm1(-2.0 * r)
+        half = 0.25 + (curv - 0.25) * csch * csch
         if op.family == HALF_LINE:
             return half
         return (4.0 / lam ** 2) * (half - 0.25) + 1.0 / lam ** 2
@@ -200,6 +203,17 @@ def test_effective_potential_two_assemblies_agree(data):
     direct = gs.effective_potential(op, x)
     structural = float(_effective_structural(op, x))
     assert direct == pytest.approx(structural, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("geom", [gs.yang_mills(0.05), gs.sphere(3, 0.05)])
+@pytest.mark.parametrize("r", [360.0, 680.0, 996.0])
+def test_effective_potential_assemblies_agree_far_out(geom, r):
+    # past r = 355 sinh^2 r overflows; the rescaled abscissa is x = lam r/2
+    op = gs.rescaled(geom)
+    x = 0.5 * geom.lam * r
+    direct = gs.effective_potential(op, x)
+    assert direct == pytest.approx(_effective_structural(op, x),
+                                   rel=1e-11, abs=1e-11)
 
 
 def _mp_zero_mode(geom, x):

@@ -378,6 +378,17 @@ def test_sweep_flat_region_k1():
     # the gauge family has index 2 only; another k is rejected, not relabelled
     with pytest.raises(DomainError):
         gs.sweep_lambda(gs.YANG_MILLS, 1, [0.5])
+    # a width that is not finite and positive would leave the grid interval
+    # unrefined (nan) or bisect forever (0, negative)
+    for width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.sweep_lambda(gs.SPHERE, 1, [3.0, 4.0], bisect_to=width)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, 1e-300])
+def test_bisect_stops_at_adjacent_floats(width):
+    lo, hi = spectral._bisect(lambda x: x > 1.5, 1.0, 2.0, width)
+    assert lo <= 1.5 < hi and hi == np.nextafter(lo, np.inf)
 
 
 def test_sweep_brackets_transitions_k1():
@@ -392,6 +403,28 @@ def test_sweep_brackets_transitions_k1():
     assert slope_hi <= lo < hi <= 3.5
     counts = {p.lam: p.count for p in rep.points}
     assert counts[3.0] == 0 and counts[4.0] == 1
+
+
+def test_sweep_midpoints_compute_only_the_deciding_half(monkeypatch):
+    # grid points compute both halves; each slope-flip midpoint only the
+    # threshold fit and each onset midpoint only the count
+    calls = {"count": 0, "fit": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "count_eigenvalues_below",
+                        counted("count", spectral.count_eigenvalues_below))
+    monkeypatch.setattr(spectral, "_threshold_fit",
+                        counted("fit", spectral._threshold_fit))
+    rep = gs.sweep_lambda(gs.SPHERE, 1, [3.0, 3.5, 4.0], bisect_to=1e-3)
+    # each bracket is 0.5/2^9 wide: 9 midpoints, plus the 3 grid points
+    assert calls == {"count": 12, "fit": 12}
+    assert rep.slope_flip_bracket == (3.4482421875, 3.44921875)
+    assert rep.onset_bracket == (3.4609375, 3.4619140625)
 
 
 def test_migration_sphere_k2():
