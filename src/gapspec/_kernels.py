@@ -18,17 +18,19 @@ Operator families are encoded for dispatch inside compiled code as an integer
     2  rescaled sphere (rho)   kk = k,  p = lambda
     3  rescaled Yang-Mills     kk = 2,  p = lambda
     4  Euclidean limit (rho)   kk = k
-    5  large-k, finite k (s)   kk = k,  p = Theta
+    5  large-k, finite k (s)   kk = k,  p = Theta   (potential only)
     6  large-k, k = inf (s)    p = Theta
 
 Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Codes 0-4
 integrate phi'' = (U - mu2) phi in their own coordinate. Codes 0-3 have a
 closed-form zero mode zeta > 0 with log-derivative W (logder), U = W^2 + W',
-and can also integrate f = phi/zeta: f'' = -2W f' - mu2 f. Codes 5-6
-integrate in s = -log log(Theta/rho), where with L = exp(-s) the problem is
-the first-order system phi_s = chi/gamma, chi_s = (P - mu2) phi/gamma with
-gamma = sinh(L/kk)/(L/kk) (gamma = 1 at k = inf); chi is the invariantly
-weighted derivative omega^-1 rho d(phi)/d(rho).
+and can also integrate f = phi/zeta: f'' = -2W f' - mu2 f. Code 6
+integrates in s = -log log(Theta/rho), where with L = exp(-s) the problem is
+phi_s = chi, chi_s = (P - mu2) phi; chi is the invariantly weighted
+derivative omega^-1 rho d(phi)/d(rho). Code 5 holds the finite-k normal
+form's potential in the same s for pot alone: no shot runs it, because that
+member is the exact pullback of the half-line sphere (code 0) at
+lambda = Theta^(1/k) and is shot there.
 
 Potentials are assembled from cancellation-free pieces: x^2/(1+x^2)^2 is
 evaluated as 1/(x + 1/x)^2 and the Yang-Mills factor Q(Q-2) as -4y/(1+y)^2,
@@ -125,17 +127,6 @@ def pot(code, kk, p, x):
 
 
 @_jit
-def gamma_weight(code, kk, x):
-    """First-order-system weight gamma(s); 1 except for finite-k large-k."""
-    if code == 5:
-        w = math.exp(-x) / kk
-        if w == 0.0:
-            return 1.0
-        return math.sinh(w) / w
-    return 1.0
-
-
-@_jit
 def logder(code, kk, p, x):
     """Log-derivative W = zeta'/zeta of the closed-form zero mode, codes 0-3.
 
@@ -167,9 +158,10 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
              rtol, atol, max_steps, max_step, store, factored=False):
     """Adaptive RK5(4) for the shooting system, with a running log scale.
 
-    Integrates from x0 to x1 (either direction), in phi or, when `factored`
-    is set, in f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3, see
-    logder; the zeros of f are those of phi). Rescales the state to
+    Integrates from x0 to x1 (either direction), for every code but 5, in
+    phi: phi' = chi, chi' = (U - mu2) phi, or, when `factored` is set, in
+    f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3, see logder; the
+    zeros of f are those of phi). Rescales the state to
     magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
     the running scale lg, so true values are exp(lg) * stored. Zeros of
     phi are counted at every sign change. Accepted steps are stored only
@@ -210,13 +202,12 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         h = min(h, max_step)
     h *= direc
 
+    # phi' = chi and f' = g: each stage's first slope is its state's chi
+    k1p = chi
     if factored:
-        k1p = chi
         k1c = -mu2 * phi - 2.0 * logder(code, kk, p, x) * chi
     else:
-        g = gamma_weight(code, kk, x)
-        k1p = chi / g
-        k1c = (pot(code, kk, p, x) - mu2) * phi / g
+        k1c = (pot(code, kk, p, x) - mu2) * phi
 
     status = OK
     steps = 0
@@ -234,46 +225,38 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         xa = x + _C2 * h
         yp = phi + h * _A21 * k1p
         yc = chi + h * _A21 * k1c
+        k2p = yc
         if factored:
-            k2p = yc
             k2c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
         else:
-            g = gamma_weight(code, kk, xa)
-            k2p = yc / g
-            k2c = (pot(code, kk, p, xa) - mu2) * yp / g
+            k2c = (pot(code, kk, p, xa) - mu2) * yp
 
         xa = x + _C3 * h
         yp = phi + h * (_A31 * k1p + _A32 * k2p)
         yc = chi + h * (_A31 * k1c + _A32 * k2c)
+        k3p = yc
         if factored:
-            k3p = yc
             k3c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
         else:
-            g = gamma_weight(code, kk, xa)
-            k3p = yc / g
-            k3c = (pot(code, kk, p, xa) - mu2) * yp / g
+            k3c = (pot(code, kk, p, xa) - mu2) * yp
 
         xa = x + _C4 * h
         yp = phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
         yc = chi + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c)
+        k4p = yc
         if factored:
-            k4p = yc
             k4c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
         else:
-            g = gamma_weight(code, kk, xa)
-            k4p = yc / g
-            k4c = (pot(code, kk, p, xa) - mu2) * yp / g
+            k4c = (pot(code, kk, p, xa) - mu2) * yp
 
         xa = x + _C5 * h
         yp = phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
         yc = chi + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
+        k5p = yc
         if factored:
-            k5p = yc
             k5c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
         else:
-            g = gamma_weight(code, kk, xa)
-            k5p = yc / g
-            k5c = (pot(code, kk, p, xa) - mu2) * yp / g
+            k5c = (pot(code, kk, p, xa) - mu2) * yp
 
         # stage 6 and the FSAL stage 7 share the abscissa x + h, and so the
         # coefficients
@@ -282,26 +265,23 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
                         + _A65 * k5p)
         yc = chi + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c
                         + _A65 * k5c)
+        k6p = yc
         if factored:
             w2 = -2.0 * logder(code, kk, p, xa)
-            k6p = yc
             k6c = -mu2 * yp + w2 * yc
         else:
-            g = gamma_weight(code, kk, xa)
             um = pot(code, kk, p, xa) - mu2
-            k6p = yc / g
-            k6c = um * yp / g
+            k6c = um * yp
 
         y1p = phi + h * (_A71 * k1p + _A73 * k3p + _A74 * k4p + _A75 * k5p
                          + _A76 * k6p)
         y1c = chi + h * (_A71 * k1c + _A73 * k3c + _A74 * k4c + _A75 * k5c
                          + _A76 * k6c)
+        k7p = y1c
         if factored:
-            k7p = y1c
             k7c = -mu2 * y1p + w2 * y1c
         else:
-            k7p = y1c / g
-            k7c = um * y1p / g
+            k7c = um * y1p
 
         ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
                   + _E7 * k7p)

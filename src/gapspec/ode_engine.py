@@ -35,12 +35,13 @@ large k that is phi0, at r up to 1 instead of 1e-3, which saves the steps a
 shot would spend following phi ~ r^(k+1/2) out of the series region. A
 factored shot always starts on the series, whose f' = -2 mu2 x/(4 nu + 2)
 carries the relative digits of mu2.
-Large-k members start in their s coordinate: finite k maps its half-line
-pullback's start through the exact coordinate map (the finite-k normal form
-is the exact pullback of the half-line problem at lambda = Theta^(1/k)), and
-k = inf starts on the exact far-field solution rho log^(-1/2)(Theta/rho) at
-log(Theta/rho) = 25, where any admixture of the singular branch dies off
-like exp(-2 (L0 - L)) long before the matching region.
+The finite-k large-k normal form is the exact pullback of the half-line
+sphere at lambda = Theta^(1/k) and is shot there (spectral redirects it), so
+no start or shot exists for it here. The k = inf member is shot in
+s = -log log(Theta/rho) and starts on the exact far-field solution
+rho log^(-1/2)(Theta/rho) at log(Theta/rho) = 25, where any admixture of the
+singular branch dies off like exp(-2 (L0 - L)) long before the matching
+region.
 """
 
 import math
@@ -52,7 +53,7 @@ from . import _kernels
 from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
                      TailNotAsymptotic)
-from .harmonic_maps import GeometrySpec, sphere
+from .harmonic_maps import GeometrySpec
 from .operators import (HALF_LINE, LARGE_K, RESCALED, RESCALED_RHO,
                         OperatorSpec, continuum_edge, half_line, op_code,
                         rescaled, zero_mode)
@@ -68,7 +69,7 @@ class StartData:
     """Initial state for a shot: abscissa, stored value pair, log scale.
 
     phi_prime is d(phi)/dx for the second-order families and the invariant
-    derivative omega^-1 rho d(phi)/drho (= gamma d(phi)/ds) for large-k.
+    derivative omega^-1 rho d(phi)/drho (= d(phi)/ds) for k = inf large-k.
     True values are (phi, phi_prime) * exp(log_scale). A `factored` state
     keeps (f, f') of f = phi/zeta in the same fields, and a shot from it
     runs in f.
@@ -216,10 +217,10 @@ def series_start(op, mu2, r0=None, factored=False):
     reaches farther. At k >= 3 the series leaves out the map's potential V,
     so its radius is capped by _free_radius, where V's relative effect
     2 (lambda tanh(r/2))^(2k) is 1e-12. An explicit r0 always takes the
-    series, and raises SeriesRadiusExceeded beyond its validity. For
-    large-k operators this returns the s-coordinate start described in the
-    module docstring (r0, if given, is the series start radius in r of the
-    finite-k pullback).
+    series, and raises SeriesRadiusExceeded beyond its validity. For the
+    k = inf large-k member this returns the s-coordinate start described in
+    the module docstring, and r0 is ignored; a finite-k large-k member raises
+    DomainError (it is shot on its half-line pullback).
 
     With `factored` (families in FACTORED_FAMILIES) it returns a factored
     start of f = phi/zeta instead, always on the series
@@ -231,7 +232,7 @@ def series_start(op, mu2, r0=None, factored=False):
     (zeta(x0)/zeta(x))^2 as the shot moves out.
     """
     if op.family == LARGE_K:
-        return _largek_start(op, mu2, r0)
+        return _largek_start(op)
     nu, u0, u2 = _series_coeffs(op, mu2)
     rmax, c2, c4 = _series_radius(nu, u0, u2)
     half_sphere = op_code(op)[0] == _kernels.HALF_SPHERE
@@ -257,21 +258,17 @@ def series_start(op, mu2, r0=None, factored=False):
     return StartData(r0, val, der, 0.0)
 
 
-def _largek_start(op, mu2, r0=None):
-    """Finite k: the pullback's series_start(.., r0) mapped into s, where
-    L = -k log tanh(r/2), phi is unchanged and chi = d(phi)/dr. k = inf:
-    the frozen far-field solution at L0 = 25."""
-    if op.k == math.inf:
-        # exact solution of the frozen far equation psi'' = (L^2 + 1/4) psi
-        # is rho log^(-1/2)(Theta/rho); relative start error is O(mu2/L0)
-        # in the singular direction only, crushed by exp(-2(L0-L)) downstream
-        L0 = 25.0
-        return StartData(-math.log(L0), 1.0, L0 + 0.5,
-                         -L0 - 0.5 * math.log(L0))
-    pull = half_line(sphere(int(op.k), op.theta ** (1.0 / op.k)))
-    hs = series_start(pull, mu2, r0)
-    L0 = -op.k * math.log(math.tanh(0.5 * hs.x))
-    return StartData(-math.log(L0), hs.phi, hs.phi_prime, hs.log_scale)
+def _largek_start(op):
+    """The frozen far-field start of the k = inf member at L0 = 25."""
+    if op.k != math.inf:
+        raise DomainError(
+            "a finite-k large-k member is shot on its half-line pullback "
+            "half_line(sphere(k, Theta^(1/k))), not in s")
+    # exact solution of the frozen far equation psi'' = (L^2 + 1/4) psi
+    # is rho log^(-1/2)(Theta/rho); relative start error is O(mu2/L0)
+    # in the singular direction only, crushed by exp(-2(L0-L)) downstream
+    L0 = 25.0
+    return StartData(-math.log(L0), 1.0, L0 + 0.5, -L0 - 0.5 * math.log(L0))
 
 
 def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
@@ -281,6 +278,11 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
     units of |mu2|: f is about 1 and f' about mu2 x, so otherwise atol, and
     not rtol, would bound the error of f' in deep wells."""
     code, kk, p = op_code(op)
+    if code == _kernels.LARGEK_FIN:
+        raise DomainError("no shot runs the finite-k large-k normal form: "
+                          "shoot its half-line pullback")
+    if not math.isfinite(x_end):
+        raise DomainError(f"a shot must end at a finite point, got {x_end}")
     if start.factored:
         if op.family not in FACTORED_FAMILIES:
             raise DomainError("only the half-line and rescaled families have "
@@ -328,10 +330,8 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
 
 def _asymptotic(code, kk, p, edge, m2, x):
     """True where the shooting system at x is phi'' = m^2 phi to 1e-12:
-    |U - edge| < 1e-12 m^2, and gamma = 1 to 1e-12 (only finite large-k
-    has gamma != 1)."""
-    return (abs(_kernels.pot(code, kk, p, x) - edge) < 1e-12 * m2
-            and abs(_kernels.gamma_weight(code, kk, x) - 1.0) < 1e-12)
+    |U - edge| < 1e-12 m^2."""
+    return abs(_kernels.pot(code, kk, p, x) - edge) < 1e-12 * m2
 
 
 def asymptotic_radius(op, mu2, x_end):
@@ -343,8 +343,10 @@ def asymptotic_radius(op, mu2, x_end):
     or a bisection would stop at that crossing. h = 0.5 in r and s, where
     U - edge decays like exp(-2x), and lambda/4 in rho, the same step in r.
     Returns x_end itself when the potential has not flattened there, and
-    always when mu2 >= edge.
+    always when mu2 >= edge. A non-finite x_end raises DomainError.
     """
+    if not math.isfinite(x_end):
+        raise DomainError(f"a count radius must be finite, got {x_end}")
     code, kk, p = op_code(op)
     edge = continuum_edge(op)
     h = 0.25 * p if op.family == RESCALED else 0.5
@@ -363,14 +365,14 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     stops at x_a = asymptotic_radius(op, mu2, x_end) and the count is on
     the whole half-line (start, inf). Past x_a the solution is
     phi_a cosh(m t) + (chi_a/m) sinh(m t), t = x - x_a,
-    m = sqrt(edge - mu2) (in s, chi = gamma phi_s with gamma = 1 there; in
-    f, (phi_a, chi_a) is zeta (f, W f + f') at x_a), so it has at most one
-    zero on (x_a, inf), and it has one iff phi_a chi_a < 0 and
-    |chi_a| > m |phi_a|. A shot that ends on phi_a = 0 ends on a simple
-    zero that the kernel has not counted yet: it counts a zero when phi
-    next takes a sign other than the last nonzero one, and past x_a phi
-    takes the sign of chi_a. Otherwise (mu2 at or above the edge, or a
-    potential not yet flat at x_end) the count is on (start, x_end].
+    m = sqrt(edge - mu2) (in f, (phi_a, chi_a) is zeta (f, W f + f') at
+    x_a), so it has at most one zero on (x_a, inf), and it has one iff
+    phi_a chi_a < 0 and |chi_a| > m |phi_a|. A shot that ends on
+    phi_a = 0 ends on a simple zero that the kernel has not counted yet: it
+    counts a zero when phi next takes a sign other than the last nonzero
+    one, and past x_a phi takes the sign of chi_a. Otherwise (mu2 at or
+    above the edge, or a potential not yet flat at x_end) the count is on
+    (start, x_end].
     """
     if not isinstance(start, StartData):
         start = StartData(*start)
@@ -414,7 +416,7 @@ def tail_start_decaying(op, mu2, R, factored=False):
         u = _kernels.pot(code, kk, p, float(R))
         raise TailNotAsymptotic(
             f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
-            f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}, or gamma(R) != 1")
+            f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}")
     if factored:
         return StartData(float(R), 1.0,
                          -m - _kernels.logder(code, kk, p, float(R)),

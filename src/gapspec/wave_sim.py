@@ -30,6 +30,7 @@ diagnostics the spectral results predict.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,8 @@ CFL_FACTOR = 0.9
 
 @dataclass(frozen=True)
 class GapEigenmode:
-    """Start on a gap eigenfunction (located on demand when mu2 is None)."""
+    """Start on a gap eigenfunction (located on demand when mu2 is None).
+    index is an integer >= 0; init_state raises DomainError otherwise."""
 
     mu2: float = None
     index: int = 0
@@ -206,6 +208,10 @@ def init_state(geometry, R, n, initial, nonlinear=False,
     q = eval_Q(geometry, r)
     mu2 = math.nan
     if isinstance(initial, GapEigenmode):
+        if not (isinstance(initial.index, numbers.Integral)
+                and initial.index >= 0):
+            raise DomainError(f"an eigenmode index must be an integer >= 0, "
+                              f"got {initial.index!r}")
         w, mu2 = _eigenmode_profile(geometry, initial.mu2, initial.index, r,
                                     zeta)
     elif isinstance(initial, GaussianBump):

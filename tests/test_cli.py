@@ -112,11 +112,18 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3
     assert "DomainError" in capsys.readouterr().err
-    # at Theta = 1e6 the finite-k rows leave their pullbacks 6.7e-4 and
-    # 2.3e-3 behind
-    rc = main(["largek", "--ks", "8,16", "--theta", "1e6", "--jobs", "1"])
+    # a non-finite count radius is rejected before any shot: nan once
+    # counted an empty gap, inf hung the asymptotic-radius scan
+    for R in ("nan", "inf"):
+        for argv in (["spectrum", "--k", "2", "--lambda", "10"],
+                     ["sweep", "--k", "1", "--lambda", "3.0,4.0"]):
+            assert main(argv + ["--R", R, "--jobs", "1"]) == 3, (argv, R)
+            assert "DomainError" in capsys.readouterr().err
+    # a negative eigenmode index once rang the index-0 mode
+    rc = main(["evolve", "--k", "2", "--lambda", "5", "--initial",
+               "eigenmode", "--index", "-1"])
     assert rc == 3
-    assert "InconsistentCertificate" in capsys.readouterr().err
+    assert "DomainError" in capsys.readouterr().err
     # a sweep width that would bisect forever or not at all is rejected
     # before any shot
     for width in ("0", "-1", "nan"):
@@ -196,6 +203,17 @@ def test_largek_command(capsys):
     pt = doc["results"]["points"][0]
     assert pt["count"] == 0
     assert pt["halfline_count"] == 0
+
+
+def test_largek_command_theta_1e6(capsys):
+    # the finite-k rows are certified on their half-line pullbacks; they
+    # once left them 6.7e-4 and 2.3e-3 behind and made this exit 3
+    doc = _json_out(capsys, ["largek", "--ks", "8,16", "--theta", "1e6",
+                             "--jobs", "1", "--no-timestamp"])
+    for pt in doc["results"]["points"]:
+        assert pt["count"] == pt["halfline_count"] == 1
+        assert pt["mu2"] == pt["halfline_mu2"]
+        assert 0.0 < pt["mu2"] < 2e-9
 
 
 def test_renorm_command(capsys):

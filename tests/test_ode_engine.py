@@ -185,24 +185,46 @@ def test_frozen_members_keep_series_start():
 
 
 def test_high_k_count_shot_starts_late():
-    # at Theta = 100 and k = 16, phi0 starts the count shot at r = 0.64
-    # (log(Theta/rho) = 18.8) instead of 1e-3 and skips the stretch where
-    # the shot follows phi ~ r^(k+1/2); integrate takes the count shot's
-    # steps and stores them
+    # at Theta = 100 and k = 16, phi0 starts the pullback's phi shot at
+    # r = 0.64 instead of 1e-3 and skips the stretch where the shot follows
+    # phi ~ r^(k+1/2); integrate takes the count shot's steps and stores them
     mu2 = MU2_LARGEK_100[16]
-    lk, pull = gs.large_k(16, 100.0), gs.half_line(
-        gs.sphere(16, 100.0 ** (1.0 / 16)))
-    # the large-k start is the pullback's, mapped to s = -log L with
-    # L = -k log tanh(r/2): same phi, chi = d(phi)/dr and log scale
-    a, b = gs.series_start(lk, mu2), gs.series_start(pull, mu2)
-    assert a.x == -math.log(-16 * math.log(math.tanh(0.5 * b.x)))
-    assert (a.phi, a.phi_prime, a.log_scale) == (b.phi, b.phi_prime,
-                                                 b.log_scale)
-    for op in (lk, pull):
-        x_a = asymptotic_radius(op, mu2, default_count_radius(op))
-        steps = [gs.integrate(op, mu2, gs.series_start(op, mu2, r0),
-                              x_a).grid.size - 1 for r0 in (None, 1e-3)]
-        assert steps[0] <= 0.3 * steps[1]
+    pull = gs.half_line(gs.sphere(16, 100.0 ** (1.0 / 16)))
+    x_a = asymptotic_radius(pull, mu2, default_count_radius(pull))
+    steps = [gs.integrate(pull, mu2, gs.series_start(pull, mu2, r0),
+                          x_a).grid.size - 1 for r0 in (None, 1e-3)]
+    assert steps[0] <= 0.3 * steps[1]
+
+
+def test_finite_k_large_k_has_no_shot():
+    # the finite-k normal form is shot on its half-line pullback only: it
+    # has no start, and a shot of kernel code 5 is refused before the
+    # kernel runs, since the kernel integrates it without its weight
+    lk = gs.large_k(8, 100.0)
+    with pytest.raises(DomainError):
+        gs.series_start(lk, 0.01)
+    for shot in (gs.integrate, gs.endpoint_state, gs.count_zeros):
+        with pytest.raises(DomainError):
+            shot(lk, 0.01, (-3.0, 1.0, 1.0, 0.0), -1.0)
+    # the k = inf member keeps its s-coordinate start and shot
+    inf = gs.large_k(math.inf, 100.0)
+    start = gs.series_start(inf, MU2_LARGEK_INF_100)
+    assert start.x == -math.log(25.0)
+    assert gs.count_zeros(inf, MU2_LARGEK_INF_100 * (1.0 + 1e-6), start,
+                          default_count_radius(inf)) == 1
+
+
+@pytest.mark.parametrize("x_end", [math.nan, math.inf, -math.inf])
+def test_non_finite_shot_end_is_refused(x_end):
+    # a NaN end once made the kernel loop run no step (a silent count of
+    # 0), and an infinite count radius made the asymptotic scan loop forever
+    op = gs.half_line(gs.sphere(2, 10.0))
+    start = gs.series_start(op, 0.2, factored=True)
+    with pytest.raises(DomainError):
+        asymptotic_radius(op, 0.2, x_end)
+    for shot in (gs.integrate, gs.endpoint_state, gs.count_zeros):
+        with pytest.raises(DomainError):
+            shot(op, 0.2, start, x_end)
 
 
 def test_integrate_zero_energy_stays_positive():

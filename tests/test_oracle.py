@@ -148,6 +148,23 @@ def test_large_lambda_certification_matches_oracle(kind, k, lam):
                                    rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("k,theta", [(8, 1e6), (16, 1e6), (16, 1e4),
+                                     (2, 1e3), (3, 1e4)])
+def test_finite_large_k_matches_oracle(k, theta):
+    # the finite-k normal form is the exact pullback of the half-line
+    # sphere at lambda = Theta^(1/k); its former s-coordinate shot put the
+    # first three members 6.7e-4, 2.3e-3 and 1.1e-8 off this root and
+    # failed to certify the last two
+    rep = gs.find_gap_eigenvalues(gs.large_k(k, theta), scans=False,
+                                  threshold=False)
+    assert rep.count == 1
+    ev = rep.eigenvalues[0]
+    assert ev.oscillation == (0, 1)
+    lam = theta ** (1.0 / k)
+    assert ev.mu2 == pytest.approx(oracle_mu2("sphere", k, lam, ev.mu2),
+                                   rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 10, 12, 16])
 @pytest.mark.parametrize("lam", [5.0, 10.0, 20.0, 50.0, 100.0])
 def test_high_k_grid_certifies_oracle_roots(k, lam):

@@ -325,6 +325,19 @@ def test_count_eigenvalues_below():
         gs.half_line(gs.yang_mills(3.0)), -1.0, 60.0) == 0
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_non_finite_count_radius_is_refused(R):
+    # R = nan once counted 0 below 0.2 (the true count is 1) and reported
+    # an empty gap; R = inf hung the asymptotic-radius scan
+    op = gs.half_line(gs.sphere(2, 10.0))
+    with pytest.raises(DomainError):
+        gs.count_eigenvalues_below(op, 0.2, R=R)
+    with pytest.raises(DomainError):
+        gs.find_gap_eigenvalues(op, R=R, threshold=False)
+    with pytest.raises(DomainError):
+        gs.find_gap_eigenvalues(gs.large_k(math.inf, 100.0), R=R)
+
+
 def test_scans_clear_for_random_geometries():
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -473,10 +486,47 @@ def test_largek_scan_theta100():
     assert math.isnan(inf_row.halfline_mu2)
 
 
-def test_largek_scan_enforces_the_pullback_check():
-    # at Theta = 1e6 the k = 8 row sits 6.7e-4 off its pullback
-    with pytest.raises(InconsistentCertificate):
-        gs.largek_gap_scan([8], 1e6)
+def test_largek_scan_certifies_theta_1e6():
+    # each finite-k row is its half-line pullback's one certification; an
+    # s-coordinate shot once put these rows 6.7e-4 and 2.3e-3 off it, and
+    # the scan then refused them (tests/test_oracle.py holds the values)
+    rep = gs.largek_gap_scan([8, 16], 1e6)
+    for row in rep.points:
+        assert row.count == row.halfline_count == 1
+        assert 0.0 < row.mu2 == row.halfline_mu2 < 2e-9
+        assert row.resonance_b < 0.0
+
+
+def test_finite_large_k_is_certified_on_its_pullback():
+    # one redirect: the report is the pullback's, and a given R is in r
+    rep = gs.find_gap_eigenvalues(gs.large_k(8, 100.0), R=45.0, scans=False)
+    pull = gs.half_line(gs.sphere(8, 100.0 ** (1.0 / 8)))
+    assert rep.operator == pull
+    assert rep.R_count == rep.eigenvalues[0].R_used == 45.0
+    assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_LARGEK_100[8],
+                                                   rel=1e-9)
+    assert rep.threshold.b < 0.0
+
+
+@pytest.mark.parametrize("theta", [100.0, 1e3])
+def test_largek_inf_row_meets_its_richardson_limit(theta):
+    # k = inf has no pullback; the pullbacks at k = 16, 32 and 64, fitted
+    # quadratically in k^-2, must meet it within the fit's stated error,
+    # the distance of the quadratic from the line through k = 32 and 64
+    # (relative distance 4.9e-9 against 2.3e-6 at Theta = 100, 1.9e-7
+    # against 1.9e-5 at 1e3)
+    ks = (16, 32, 64)
+    h = [k ** -2.0 for k in ks]
+    mu2 = [gs.find_gap_eigenvalues(gs.large_k(k, theta), scans=False,
+                                   threshold=False).eigenvalues[0].mu2
+           for k in ks]
+    quad = sum(mu2[i] * math.prod(h[j] / (h[j] - h[i])
+                                  for j in range(3) if j != i)
+               for i in range(3))
+    line = (mu2[2] * h[1] - mu2[1] * h[2]) / (h[1] - h[2])
+    inf = gs.find_gap_eigenvalues(gs.large_k(math.inf, theta), scans=False,
+                                  threshold=False).eigenvalues[0].mu2
+    assert abs(quad - inf) <= abs(quad - line)
 
 
 def test_largek_scan_subcritical_theta():

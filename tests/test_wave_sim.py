@@ -67,6 +67,11 @@ def test_eigenmode_requires_existing_level():
     with pytest.raises(NoEigenmode):
         gs.init_state(gs.sphere(2, 5.0), 60.0, 1024,
                       gs.GapEigenmode(index=3))
+    # index -1 once read the last eigenvalue, and 0.5 raised a TypeError
+    for index in (-1, 0.5, 1.0, "0", None):
+        with pytest.raises(DomainError, match="index"):
+            gs.init_state(gs.sphere(2, 5.0), 60.0, 1024,
+                          gs.GapEigenmode(index=index))
 
 
 def test_eigenmode_profile_normalized():
