@@ -22,15 +22,13 @@ Operator families are encoded for dispatch inside compiled code as an integer
     6  large-k, k = inf (s)    p = Theta
 
 Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Codes 0-4
-integrate phi'' = (U - mu2) phi in their own coordinate. Codes 0-3 have a
-closed-form zero mode zeta > 0 with log-derivative W (logder), U = W^2 + W',
-and can also integrate f = phi/zeta: f'' = -2W f' - mu2 f. Code 6
-integrates in s = -log log(Theta/rho), where with L = exp(-s) the problem is
-phi_s = chi, chi_s = (P - mu2) phi; chi is the invariantly weighted
-derivative omega^-1 rho d(phi)/d(rho). Code 5 holds the finite-k normal
-form's potential in the same s for pot alone: no shot runs it, because that
-member is the exact pullback of the half-line sphere (code 0) at
-lambda = Theta^(1/k) and is shot there.
+integrate phi'' = (U - mu2) phi in their own coordinate, code 6 in
+s = -log log(Theta/rho), where phi_s is omega^-1 rho d(phi)/d(rho). Codes
+0-3 and 6 have a closed-form zero mode zeta > 0 with log-derivative W
+(logder), U = W^2 + W', and can also integrate f = phi/zeta:
+f'' = -2W f' - mu2 f. Code 5 holds the finite-k normal form's potential in
+s for pot alone: no shot runs it, because that member is the exact
+pullback of the half-line sphere (code 0) at lambda = Theta^(1/k).
 
 Potentials are assembled from cancellation-free pieces: x^2/(1+x^2)^2 is
 evaluated as 1/(x + 1/x)^2 and the Yang-Mills factor Q(Q-2) as -4y/(1+y)^2,
@@ -128,13 +126,14 @@ def pot(code, kk, p, x):
 
 @_jit
 def logder(code, kk, p, x):
-    """Log-derivative W = zeta'/zeta of the closed-form zero mode, codes 0-3.
+    """Log-derivative W = zeta'/zeta of the zero mode, codes 0-3 and 6.
 
     W = kk (1 - t)/((1 + t) sinh r) + coth(r)/2 with t = (lambda T)^(2k)
     for the sphere and (lambda T)^2 for Yang-Mills, T = tanh(r/2), written
     through T alone (sinh r = 2T/(1 - T^2), coth r = (1 + T^2)/(2T)) so
     nothing overflows at large r, and (1 - t)/(1 + t) as 2/(1 + t) - 1 so
-    an overflowing t gives -1. W^2 + W' = U.
+    an overflowing t gives -1. For k = inf, zeta = rho (1 + rho^2)^-1
+    L^(-1/2) in s, and W = L (1 - rho^2)/(1 + rho^2) + 1/2. W^2 + W' = U.
     """
     if code < 2:
         T = math.tanh(0.5 * x)
@@ -144,6 +143,10 @@ def logder(code, kk, p, x):
         t = y * y
         return (kk * (2.0 / (1.0 + t) - 1.0) * (1.0 - T * T)
                 + 0.5 * (1.0 + T * T)) / (2.0 * T)
+    if code == 6:
+        L = math.exp(-x)
+        rho = p * math.exp(-L)
+        return L * (2.0 / (1.0 + rho * rho) - 1.0) + 0.5
     return 2.0 / p * logder(code - 2, kk, p, 2.0 * x / p)
 
 
@@ -160,8 +163,8 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
 
     Integrates from x0 to x1 (either direction), for every code but 5, in
     phi: phi' = chi, chi' = (U - mu2) phi, or, when `factored` is set, in
-    f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3, see logder; the
-    zeros of f are those of phi). Rescales the state to
+    f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3 and 6, see logder;
+    the zeros of f are those of phi). Rescales the state to
     magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
     the running scale lg, so true values are exp(lg) * stored. Zeros of
     phi are counted at every sign change. Accepted steps are stored only
@@ -176,10 +179,7 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
     chis = np.empty(ssize)
     lgs = np.empty(ssize)
 
-    x = x0
-    phi = phi0
-    chi = chi0
-    lg = lg0
+    x, phi, chi, lg = x0, phi0, chi0, lg0
     span = abs(x1 - x0)
     direc = 1.0 if x1 >= x0 else -1.0
 
@@ -204,10 +204,8 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
 
     # phi' = chi and f' = g: each stage's first slope is its state's chi
     k1p = chi
-    if factored:
-        k1c = -mu2 * phi - 2.0 * logder(code, kk, p, x) * chi
-    else:
-        k1c = (pot(code, kk, p, x) - mu2) * phi
+    k1c = (-mu2 * phi - 2.0 * logder(code, kk, p, x) * chi if factored
+           else (pot(code, kk, p, x) - mu2) * phi)
 
     status = OK
     steps = 0
@@ -226,37 +224,29 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         yp = phi + h * _A21 * k1p
         yc = chi + h * _A21 * k1c
         k2p = yc
-        if factored:
-            k2c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
-        else:
-            k2c = (pot(code, kk, p, xa) - mu2) * yp
+        k2c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
+               else (pot(code, kk, p, xa) - mu2) * yp)
 
         xa = x + _C3 * h
         yp = phi + h * (_A31 * k1p + _A32 * k2p)
         yc = chi + h * (_A31 * k1c + _A32 * k2c)
         k3p = yc
-        if factored:
-            k3c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
-        else:
-            k3c = (pot(code, kk, p, xa) - mu2) * yp
+        k3c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
+               else (pot(code, kk, p, xa) - mu2) * yp)
 
         xa = x + _C4 * h
         yp = phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
         yc = chi + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c)
         k4p = yc
-        if factored:
-            k4c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
-        else:
-            k4c = (pot(code, kk, p, xa) - mu2) * yp
+        k4c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
+               else (pot(code, kk, p, xa) - mu2) * yp)
 
         xa = x + _C5 * h
         yp = phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
         yc = chi + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
         k5p = yc
-        if factored:
-            k5c = -mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc
-        else:
-            k5c = (pot(code, kk, p, xa) - mu2) * yp
+        k5c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
+               else (pot(code, kk, p, xa) - mu2) * yp)
 
         # stage 6 and the FSAL stage 7 share the abscissa x + h, and so the
         # coefficients
@@ -266,22 +256,16 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         yc = chi + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c
                         + _A65 * k5c)
         k6p = yc
-        if factored:
-            w2 = -2.0 * logder(code, kk, p, xa)
-            k6c = -mu2 * yp + w2 * yc
-        else:
-            um = pot(code, kk, p, xa) - mu2
-            k6c = um * yp
+        um = -mu2 if factored else pot(code, kk, p, xa) - mu2
+        w2 = -2.0 * logder(code, kk, p, xa) if factored else 0.0
+        k6c = um * yp + w2 * yc
 
         y1p = phi + h * (_A71 * k1p + _A73 * k3p + _A74 * k4p + _A75 * k5p
                          + _A76 * k6p)
         y1c = chi + h * (_A71 * k1c + _A73 * k3c + _A74 * k4c + _A75 * k5c
                          + _A76 * k6c)
         k7p = y1c
-        if factored:
-            k7c = -mu2 * y1p + w2 * y1c
-        else:
-            k7c = um * y1p
+        k7c = um * y1p + w2 * y1c
 
         ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
                   + _E7 * k7p)

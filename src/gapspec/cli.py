@@ -61,6 +61,12 @@ def _lambda_list(text):
             f"expected a number, 'a,b,...' or 'a:b:n', got {text!r}")
 
 
+def _jobs(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected >= 1, got {text!r}")
+    return int(text)
+
+
 def _k_list(text):
     try:
         out = [math.inf if tok.strip() in ("inf", "Inf") else int(tok)
@@ -132,6 +138,12 @@ def _index(args):
     except DomainError as err:
         raise _ConfigError(str(err))
     return k
+
+
+def _one_lambda(args):
+    if len(args.lam) != 1:
+        raise _ConfigError(f"{args.command} takes one lambda, got {args.lam}")
+    return args.lam[0]
 
 
 def _family_jobs(args):
@@ -207,7 +219,7 @@ def _cmd_largek(args):
 
 
 def _cmd_renorm(args):
-    lam = args.lam[0]
+    lam = _one_lambda(args)
     g = geometry(args.geometry, _index(args), lam)
     rho_max = args.rho_max if args.rho_max is not None else lam
     sol = renormalized_f(g, args.mu2, rho_max)
@@ -242,7 +254,7 @@ def _cmd_renorm(args):
 
 
 def _cmd_evolve(args):
-    g = geometry(args.geometry, _index(args), args.lam[0])
+    g = geometry(args.geometry, _index(args), _one_lambda(args))
     if args.initial == "eigenmode":
         data = GapEigenmode(mu2=args.mu2, index=args.index)
     else:
@@ -294,7 +306,7 @@ def _add_common(sub, geometry=True, lam=True, jobs=False):
                          help="scaling parameter: scalar, 'a,b,...' "
                               "or grid 'a:b:n'")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=None,
+        sub.add_argument("--jobs", type=_jobs, default=None,
                          help="worker processes (default: GAPSPEC_JOBS "
                               "or the CPU count)")
 

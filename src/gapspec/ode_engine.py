@@ -6,8 +6,8 @@ a running log scale: whenever the state magnitude leaves
 exponentially growing or decaying solutions are carried across hundreds of
 e-foldings without overflow. True values are stored * exp(log_scale). Each
 shot counts the sign changes of phi (the Sturm count) and returns its end
-state; `integrate` also keeps every accepted step. The half-line and
-rescaled families, whose zero mode zeta > 0 is closed-form, can also shoot
+state; `integrate` also keeps every accepted step. Every family with a gap
+has a closed-form zero mode zeta > 0, so its shots can also run in
 f = phi/zeta: f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta. There mu2
 enters directly, the regular solution at mu2 = 0 is f = 1, and the second
 solution, the integral of zeta^-2 from x to infinity, decreases, so it does
@@ -38,10 +38,10 @@ carries the relative digits of mu2.
 The finite-k large-k normal form is the exact pullback of the half-line
 sphere at lambda = Theta^(1/k) and is shot there (spectral redirects it), so
 no start or shot exists for it here. The k = inf member is shot in
-s = -log log(Theta/rho) and starts on the exact far-field solution
-rho log^(-1/2)(Theta/rho) at log(Theta/rho) = 25, where any admixture of the
-singular branch dies off like exp(-2 (L0 - L)) long before the matching
-region.
+s = -log log(Theta/rho) over zeta = rho (1 + rho^2)^-1 log^(-1/2)(Theta/rho)
+and starts at log(Theta/rho) = L0 = 25 on f = 1, f' = -mu2/(2W), W ~ L0;
+its start error lies along the second solution, which dies off like
+exp(-2 (L0 - L)) well before matching; mu2 meets a scipy f-shot to 6e-12.
 """
 
 import math
@@ -54,14 +54,11 @@ from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
                      TailNotAsymptotic)
 from .harmonic_maps import GeometrySpec
-from .operators import (HALF_LINE, LARGE_K, RESCALED, RESCALED_RHO,
+from .operators import (LARGE_K, RESCALED, RESCALED_RHO,
                         OperatorSpec, continuum_edge, half_line, op_code,
                         rescaled, zero_mode)
 
 MAX_STEPS = 400_000
-# families with a closed-form zero mode zeta (kernel codes 0-3), whose
-# shots can run in f = phi/zeta
-FACTORED_FAMILIES = (HALF_LINE, RESCALED)
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,12 @@ def series_start(op, mu2, r0=None, factored=False):
     so its radius is capped by _free_radius, where V's relative effect
     2 (lambda tanh(r/2))^(2k) is 1e-12. An explicit r0 always takes the
     series, and raises SeriesRadiusExceeded beyond its validity. For the
-    k = inf large-k member this returns the s-coordinate start described in
-    the module docstring, and r0 is ignored; a finite-k large-k member raises
-    DomainError (it is shot on its half-line pullback).
+    k = inf large-k member this returns the far-field start in s described
+    in the module docstring, and r0 is ignored; a finite-k large-k member
+    raises DomainError (it is shot on its half-line pullback).
 
-    With `factored` (families in FACTORED_FAMILIES) it returns a factored
-    start of f = phi/zeta instead, always on the series
+    With `factored` it returns a start of f = phi/zeta instead (a euclidean
+    shot refuses it), away from k = inf always on the series
     f = 1 - mu2 x^2/(4 nu + 2) + O(x^4), from f'' + 2W f' + mu2 f = 0 with
     W = nu/x + O(x). That series leaves the map's part of W out at every k,
     so for the half-line sphere its radius is capped by _free_radius at
@@ -232,7 +229,7 @@ def series_start(op, mu2, r0=None, factored=False):
     (zeta(x0)/zeta(x))^2 as the shot moves out.
     """
     if op.family == LARGE_K:
-        return _largek_start(op)
+        return _largek_start(op, mu2, factored)
     nu, u0, u2 = _series_coeffs(op, mu2)
     rmax, c2, c4 = _series_radius(nu, u0, u2)
     half_sphere = op_code(op)[0] == _kernels.HALF_SPHERE
@@ -258,17 +255,18 @@ def series_start(op, mu2, r0=None, factored=False):
     return StartData(r0, val, der, 0.0)
 
 
-def _largek_start(op):
-    """The frozen far-field start of the k = inf member at L0 = 25."""
+def _largek_start(op, mu2, factored):
+    """The k = inf member's start at L0 = 25: f = 1, f' = -mu2/(2 W), or
+    for phi the same times zeta, (f, f' + W f), log zeta = -L0 - log(L0)/2."""
     if op.k != math.inf:
         raise DomainError(
             "a finite-k large-k member is shot on its half-line pullback "
             "half_line(sphere(k, Theta^(1/k))), not in s")
-    # exact solution of the frozen far equation psi'' = (L^2 + 1/4) psi
-    # is rho log^(-1/2)(Theta/rho); relative start error is O(mu2/L0)
-    # in the singular direction only, crushed by exp(-2(L0-L)) downstream
     L0 = 25.0
-    return StartData(-math.log(L0), 1.0, L0 + 0.5, -L0 - 0.5 * math.log(L0))
+    w = _kernels.logder(*op_code(op), -math.log(L0))
+    f = StartData(-math.log(L0), 1.0, -mu2 / (2.0 * w), 0.0, True)
+    return f if factored else StartData(f.x, 1.0, f.phi_prime + w,
+                                        -L0 - 0.5 * math.log(L0))
 
 
 def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
@@ -284,9 +282,8 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
     if not math.isfinite(x_end):
         raise DomainError(f"a shot must end at a finite point, got {x_end}")
     if start.factored:
-        if op.family not in FACTORED_FAMILIES:
-            raise DomainError("only the half-line and rescaled families have "
-                              "a closed-form zero mode to factor out")
+        if code == _kernels.EUCLIDEAN:
+            raise DomainError("no euclidean shot runs in f: it has no W")
         atol = max(atol * abs(mu2), 1e-300)
     if op.family != LARGE_K and (start.x <= 0.0 or x_end <= 0.0):
         raise DomainError("half-line coordinates must be positive")
@@ -334,6 +331,19 @@ def _asymptotic(code, kk, p, edge, m2, x):
     return abs(_kernels.pot(code, kk, p, x) - edge) < 1e-12 * m2
 
 
+def require_asymptotic(op, mu2, R):
+    """Raise TailNotAsymptotic unless U(R) is asymptotic for mu2."""
+    if not math.isfinite(R):
+        raise DomainError(f"a tail point must be finite, got {R}")
+    code, kk, p = op_code(op)
+    edge = continuum_edge(op)
+    if not _asymptotic(code, kk, p, edge, edge - mu2, float(R)):
+        u = _kernels.pot(code, kk, p, float(R))
+        raise TailNotAsymptotic(
+            f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
+            f"not below 1e-12 m^2 = {1e-12 * (edge - mu2):.3g}")
+
+
 def asymptotic_radius(op, mu2, x_end):
     """Smallest point of the grid x_end - j h, j = 0, 1, ..., past which the
     potential sits at its asymptote for a state at mu2 (see _asymptotic).
@@ -351,7 +361,7 @@ def asymptotic_radius(op, mu2, x_end):
     edge = continuum_edge(op)
     h = 0.25 * p if op.family == RESCALED else 0.5
     x = float(x_end)
-    while _asymptotic(code, kk, p, edge, edge - mu2, x - h):
+    while x - h > 0.0 and _asymptotic(code, kk, p, edge, edge - mu2, x - h):
         x -= h
     return x
 
@@ -377,15 +387,17 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     if not isinstance(start, StartData):
         start = StartData(*start)
     x_a = asymptotic_radius(op, mu2, x_end)
-    if not start.x < x_a < x_end:
+    code, kk, p = op_code(op)
+    edge = continuum_edge(op)
+    if not (start.x < x_a and _asymptotic(code, kk, p, edge, edge - mu2, x_a)):
         return int(_shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)[6])
     out = _shoot(op, mu2, start, x_a, rtol, atol, 0.0, False)
     zeros, phi, chi = int(out[6]), out[8], out[9]
     if phi == 0.0:
         return zeros + (chi != 0.0)
     if start.factored:
-        chi += _kernels.logder(*op_code(op), x_a) * phi
-    m = math.sqrt(continuum_edge(op) - mu2)
+        chi += _kernels.logder(code, kk, p, x_a) * phi
+    m = math.sqrt(edge - mu2)
     return zeros + ((phi < 0.0) != (chi < 0.0) and abs(chi) > m * abs(phi))
 
 
@@ -410,18 +422,10 @@ def tail_start_decaying(op, mu2, R, factored=False):
     edge = continuum_edge(op)
     if not mu2 < edge:
         raise DomainError(f"need mu2 < {edge} for a decaying tail, got {mu2}")
+    require_asymptotic(op, mu2, R)
     m = math.sqrt(edge - mu2)
-    code, kk, p = op_code(op)
-    if not _asymptotic(code, kk, p, edge, m * m, float(R)):
-        u = _kernels.pot(code, kk, p, float(R))
-        raise TailNotAsymptotic(
-            f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
-            f"not below 1e-12 m^2 = {1e-12 * m * m:.3g}")
-    if factored:
-        return StartData(float(R), 1.0,
-                         -m - _kernels.logder(code, kk, p, float(R)),
-                         -m * float(R), True)
-    return StartData(float(R), 1.0, -m, -m * float(R))
+    w = _kernels.logder(*op_code(op), float(R)) if factored else 0.0
+    return StartData(float(R), 1.0, -m - w, -m * float(R), factored)
 
 
 def fit_threshold(trace, window=None):

@@ -10,29 +10,29 @@ Every eigenvalue is established twice, by independent routes:
     has reached the edge to 1e-12 m^2 (backward, because the potential
     crosses the edge inside the well). Only the shot to x_a is integrated;
     past it the equation is phi'' = m^2 phi, and its solution has at most
-    one zero on (x_a, inf), counted in closed form. For the half-line and
-    rescaled families the count shoots f = phi/zeta over the closed-form
-    zero mode zeta > 0, the variable of the match below, whose zeros are
-    those of phi; at mu2 = 0 it is f = 1 exactly. Cheap counts at rtol
-    1e-7, atol 1e-9 halve (0, edge - 1e-6) until the jump is isolated to
-    at most 1e-6; they only choose where the match looks. The certificate
-    rests on two counts at the caller's tolerance, at the ends of a bracket
-    at most 1e-10 wide placed around the matched root;
+    one zero on (x_a, inf), counted in closed form; an R short of that
+    flat tail raises TailNotAsymptotic. Every count shoots f = phi/zeta
+    over the closed-form zero mode zeta > 0, the variable of the match
+    below, whose zeros are those of phi; at mu2 = 0 f = 1 exactly. Cheap
+    counts at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until the jump
+    is isolated to at most 1e-6; they only choose where the match looks.
+    The certificate rests on two counts at the caller's tolerance, at the
+    ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
     and the decaying tail shot, taken at the potential minimum, changes
     sign across the eigenvalue. The tail shot runs backward from the
     asymptotic radius x_a, where the count shots stop: past it the
     potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
-    For the half-line and rescaled families both legs shoot f = phi/zeta,
-    whose second solution decreases outward, so neither leg amplifies its
-    start or step errors; the forward leg starts on the series
-    f = 1 - mu2 x^2/(4 nu + 2). The Wronskian of f is that of phi divided
-    by zeta^2, so the normalized mismatch is the same number in either
-    form; the k = inf large-k member shoots phi in s. The mismatch must
-    change sign across the isolation bracket, else InconsistentCertificate
-    is raised. Illinois regula falsi then shrinks that sign change to the
-    mismatch's noise floor: two iterates in a row that do not lower
-    |mismatch|, a bracket below 1e-13 relative, or an exact zero.
+    Both legs shoot f = phi/zeta, whose second solution decreases outward,
+    so neither leg amplifies its start or step errors; the forward leg
+    starts on the series f = 1 - mu2 x^2/(4 nu + 2), or for k = inf on its
+    far-field start. The Wronskian of f is that of phi divided by zeta^2,
+    so the normalized mismatch is the same number in either form. The
+    mismatch must change sign across the isolation bracket, else
+    InconsistentCertificate is raised. Illinois regula falsi then shrinks
+    that sign change to the mismatch's noise floor: two iterates in a row
+    that do not lower |mismatch|, a bracket below 1e-13 relative, or an
+    exact zero.
 
 Both routes solve the same problem on the same half-line, so the count
 jump sits at the matched root. A result is reported only when the matched
@@ -57,9 +57,9 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
 from .harmonic_maps import geometry, sphere
-from .ode_engine import (FACTORED_FAMILIES, ThresholdFit,
-                         asymptotic_radius, count_zeros, endpoint_state,
-                         fit_threshold, integrate, series_start,
+from .ode_engine import (ThresholdFit, asymptotic_radius, count_zeros,
+                         endpoint_state, fit_threshold, integrate,
+                         require_asymptotic, series_start,
                          tail_start_decaying)
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
@@ -202,12 +202,14 @@ def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
     Below the edge the shot is integrated only up to the asymptotic radius,
     found by a backward scan from R, and the zero of the constant-
     coefficient tail past it is counted in closed form
-    (ode_engine.count_zeros). The half-line and rescaled families shoot
-    f = phi/zeta.
+    (ode_engine.count_zeros), in f = phi/zeta; an R short of that flat
+    tail raises TailNotAsymptotic.
     """
     if R is None:
         R = default_count_radius(op)
-    start = series_start(op, mu2, factored=op.family in FACTORED_FAMILIES)
+    if mu2 < continuum_edge(op):
+        require_asymptotic(op, mu2, R)
+    start = series_start(op, mu2, factored=True)
     return count_zeros(op, mu2, start, R, rtol=rtol, atol=atol)
 
 
@@ -256,16 +258,14 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
     """Signed normalized Wronskian of the regular and decaying shots at xm.
 
     The decaying leg starts at the asymptotic radius x_a, past which the
-    tail is exact. Families with a closed-form zero mode shoot both legs in
-    f = phi/zeta, where (f1 g2 - g1 f2)/(|f1| |f2| m) is the same number as
-    the phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m): zeta^2 and
-    the W terms cancel.
+    tail is exact. Both legs shoot f = phi/zeta: (f1 g2 - g1 f2)/(|f1| |f2| m)
+    is the phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since
+    zeta^2 and the W terms cancel.
     """
-    factored = op.family in FACTORED_FAMILIES
     x_a = asymptotic_radius(op, mu2, R)
-    fwd = endpoint_state(op, mu2, series_start(op, mu2, factored=factored),
+    fwd = endpoint_state(op, mu2, series_start(op, mu2, factored=True),
                          xm, rtol=rtol, atol=atol)
-    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a, factored),
+    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a, True),
                          xm, rtol=rtol, atol=atol)
     m = math.sqrt(continuum_edge(op) - mu2)
     w = fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi
@@ -558,8 +558,8 @@ def largek_gap_scan(ks, theta, jobs=1) -> LargeKReport:
     Each finite-k row is certified once, on the half-line operator at
     lambda = theta^(1/k), whose exact pullback the normal form is (see
     find_gap_eigenvalues); its count, mu2 and threshold slope b are that
-    member's, in r. The k = inf row, which has no pullback, is shot in
-    s = -log log(theta/rho).
+    member's, in r. The k = inf row, which has no pullback, is shot in f
+    over its zero mode in s = -log log(theta/rho), 6e-12 from a scipy shot.
     """
     rows = _pool_map(_largek_point,
                      [(float(k) if k != math.inf else math.inf, theta)

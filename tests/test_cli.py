@@ -103,6 +103,26 @@ def test_bad_config_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["renorm", "evolve"])
+def test_one_member_commands_refuse_a_lambda_list(capsys, command):
+    # both once ran the first lambda of the list and exited 0
+    for lam in ("5,40", "5:40:3"):
+        rc = main([command, "--k", "2", "--lambda", lam, "--no-timestamp"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_a_parse_error(capsys, jobs):
+    # --jobs 0 once ran on every CPU and --jobs -2 serially
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--k", "2", "--lambda", "10", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_library_error_exits_3(capsys):
     # lambda = 1 has no gap eigenmode to start from
     rc = main(["evolve", "--lambda", "1.0", "--initial", "eigenmode"])
@@ -119,6 +139,11 @@ def test_library_error_exits_3(capsys):
                      ["sweep", "--k", "1", "--lambda", "3.0,4.0"]):
             assert main(argv + ["--R", R, "--jobs", "1"]) == 3, (argv, R)
             assert "DomainError" in capsys.readouterr().err
+    # a count radius short of the flat tail once reported an empty gap
+    rc = main(["spectrum", "--k", "2", "--lambda", "10", "--R", "1",
+               "--jobs", "1"])
+    assert rc == 3
+    assert "TailNotAsymptotic" in capsys.readouterr().err
     # a negative eigenmode index once rang the index-0 mode
     rc = main(["evolve", "--k", "2", "--lambda", "5", "--initial",
                "eigenmode", "--index", "-1"])

@@ -11,9 +11,8 @@ from scipy.integrate import solve_ivp
 import gapspec as gs
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic)
-from gapspec.ode_engine import (FACTORED_FAMILIES, _free_radius, _free_start,
-                                _series_coeffs, _series_radius,
-                                asymptotic_radius)
+from gapspec.ode_engine import (_free_radius, _free_start, _series_coeffs,
+                                _series_radius, asymptotic_radius)
 from gapspec.spectral import default_count_radius
 
 from conftest import (B_SPHERE_K1, MU2_LARGEK_100, MU2_LARGEK_INF_100,
@@ -302,7 +301,6 @@ def test_count_zeros_matches_trace():
         R_count = default_count_radius(op)
         probes = [ev + 4.0 * edge * d for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
         probes += [4.0 * edge * f for f in (0.1, 0.2, 0.249)]
-        factored = op.family in FACTORED_FAMILIES
         for mu2 in probes:
             R = max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
             x_a = asymptotic_radius(op, mu2, R)
@@ -311,8 +309,8 @@ def test_count_zeros_matches_trace():
             tr = gs.integrate(op, mu2, start, R)
             assert gs.count_zeros(op, mu2, start, R) == tr.zero_count
             assert tr.zero_count == (mu2 > ev)
-            fst = gs.series_start(op, mu2, factored=factored)
-            assert fst.factored == factored
+            fst = gs.series_start(op, mu2, factored=True)
+            assert fst.factored
             assert gs.count_zeros(op, mu2, fst, R_count) == tr.zero_count
             if mu2 == probes[2]:
                 # just above the eigenvalue the zero sits past x_a, so the

@@ -17,6 +17,12 @@ normalized Wronskian at the core r = 2 artanh(lambda^(-1/k)). In this form
 the second solution decreases outward, so neither leg amplifies its start
 error. At rtol 1e-13 the roots at R = 40 and 60 agree to 3e-14 relative,
 and rtol 1e-12 moves them by at most 6e-12.
+
+The k = inf large-k member is shot the same way in s = -log L,
+L = log(Theta/rho), over its zero mode rho (1 + rho^2)^-1 L^(-1/2), whose
+log-derivative is W = L (1 - rho^2)/(1 + rho^2) + 1/2: the regular leg
+starts at L = 30 on f = 1, f' = -mu2/(2W), the decaying one at s = 20, and
+they match at rho = 1.
 """
 
 import json
@@ -30,7 +36,8 @@ import gapspec as gs
 from gapspec.cli import main
 from gapspec.errors import GapspecError
 
-from conftest import MU2_SPHERE_K2, MU2_SPHERE_K3_L40, MU2_YM
+from conftest import (MU2_LARGEK_INF_100, MU2_SPHERE_K2, MU2_SPHERE_K3_L40,
+                      MU2_YM)
 
 
 def _logder(kind, k, lam, r):
@@ -88,16 +95,17 @@ def _core(kind, k, lam):
 
 
 def oracle_mu2(kind, k, lam, guess):
-    """Root of the factored mismatch, bracketed outward from `guess`.
+    """Root of the factored mismatch, bracketed outward from `guess`."""
+    xm = _core(kind, k, lam)
+    return _root(lambda mu2: _mismatch(kind, k, lam, mu2, xm), guess)
+
+
+def _root(f, guess):
+    """Root of f, bracketed outward from `guess`.
 
     The bracket guess (1 -+ 1e-6) widens in log mu2, its half-width
     doubling each step, so a guess nine decades off is bracketed in about
     25 steps; the upper end stays 1e-6 below the edge."""
-    xm = _core(kind, k, lam)
-
-    def f(mu2):
-        return _mismatch(kind, k, lam, mu2, xm)
-
     step = 1e-6
     lo, hi = guess * (1.0 - step), guess * (1.0 + step)
     while f(lo) * f(hi) > 0.0:
@@ -107,6 +115,49 @@ def oracle_mu2(kind, k, lam, guess):
         hi = min(guess * math.exp(step), 0.25 - 1e-6)
     # relative only: the deepest members sit near mu2 = 1e-29
     return brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+def _largek_inf_logder(theta, s):
+    L = math.exp(-s)
+    r2 = (theta * math.exp(-L)) ** 2
+    return L * (1.0 - r2) / (1.0 + r2) + 0.5
+
+
+def _largek_inf_potential(theta, s):
+    L = math.exp(-s)
+    r2 = (theta * math.exp(-L)) ** 2
+    return 0.25 + L * L * (1.0 - 6.0 * r2 + r2 * r2) / (1.0 + r2) ** 2
+
+
+def _largek_inf_mismatch(theta, mu2, factored=True, rtol=1e-13):
+    """Normalized Wronskian at rho = 1 of the k = inf member, shot in f or,
+    with the same starts times the zero mode, in phi against the written-out
+    potential W^2 + W_s."""
+    s0, s1, sm = -math.log(30.0), 20.0, -math.log(math.log(theta))
+    w0 = _largek_inf_logder(theta, s0)
+    m = math.sqrt(0.25 - mu2)
+    fp = -mu2 / (2.0 * w0)
+    if factored:
+        def rhs(s, y):
+            return [y[1],
+                    -2.0 * _largek_inf_logder(theta, s) * y[1] - mu2 * y[0]]
+        y0, y1 = [1.0, fp], [1.0, -m - _largek_inf_logder(theta, s1)]
+    else:
+        def rhs(s, y):
+            return [y[1], (_largek_inf_potential(theta, s) - mu2) * y[0]]
+        y0, y1 = [1.0, fp + w0], [1.0, -m]
+    fwd = solve_ivp(rhs, (s0, sm), y0, method="DOP853", rtol=rtol,
+                    atol=1e-300)
+    bwd = solve_ivp(rhs, (s1, sm), y1, method="DOP853", rtol=rtol,
+                    atol=1e-300)
+    f1, g1 = fwd.y[:, -1]
+    f2, g2 = bwd.y[:, -1]
+    return (f1 * g2 - g1 * f2) / (abs(f1) * abs(f2) * m)
+
+
+def oracle_largek_inf_mu2(theta, guess, factored=True):
+    return _root(lambda mu2: _largek_inf_mismatch(theta, mu2, factored),
+                 guess)
 
 
 FROZEN = {**{("sphere", 2, lam): v for lam, v in MU2_SPHERE_K2.items()},
@@ -163,6 +214,30 @@ def test_finite_large_k_matches_oracle(k, theta):
     lam = theta ** (1.0 / k)
     assert ev.mu2 == pytest.approx(oracle_mu2("sphere", k, lam, ev.mu2),
                                    rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [100.0, 1e3, 1e4, 1e6])
+def test_large_k_inf_matches_oracle(theta):
+    # the k = inf member shoots f over its closed-form zero mode; its former
+    # phi shot in s put this row 6.4e-10, 4.8e-8 and 8.4e-5 off the root at
+    # Theta = 1e3, 1e4 and 1e6, with no error raised
+    rep = gs.find_gap_eigenvalues(gs.large_k(math.inf, theta), scans=False,
+                                  threshold=False)
+    assert rep.count == 1
+    ev = rep.eigenvalues[0]
+    assert ev.oscillation == (0, 1)
+    assert ev.mu2 == pytest.approx(oracle_largek_inf_mu2(theta, ev.mu2),
+                                   rel=1e-9, abs=0.0)
+
+
+def test_large_k_inf_oracle_forms_agree():
+    # the f-form oracle against its phi form, shot on W^2 + W_s written out:
+    # 2e-11 apart at Theta = 100; past it the phi form is noise-limited
+    # (1.6e-9 at 1e3, 1.3e-7 at 1e4, 1.5e-3 at 1e6)
+    f_root = oracle_largek_inf_mu2(100.0, MU2_LARGEK_INF_100)
+    phi_root = oracle_largek_inf_mu2(100.0, MU2_LARGEK_INF_100,
+                                     factored=False)
+    assert phi_root == pytest.approx(f_root, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 10, 12, 16])

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 import gapspec as gs
 from gapspec import _kernels, spectral
 from gapspec.errors import (DomainError, EigenvalueMissing,
-                            InconsistentCertificate)
+                            InconsistentCertificate, TailNotAsymptotic)
 from gapspec.ode_engine import asymptotic_radius
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
@@ -110,26 +110,28 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
 
 
 @pytest.mark.parametrize("op", [gs.half_line(gs.sphere(2, 10.0)),
+                                gs.rescaled(gs.yang_mills(10.0)),
                                 gs.large_k(math.inf, 100.0)])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     # the decaying leg of every Wronskian match starts where the count
-    # shots stop, short of R; the half-line family shoots it in f = phi/zeta
-    backward = []
+    # shots stop, short of R; every count and both legs of every match
+    # shoot f = phi/zeta, the k = inf member included
+    shots = []
     real_shoot = _kernels.rk_shoot
 
     def shoot(*args):
-        if args[8] < args[4]:       # x1 < x0
-            backward.append(args)
+        shots.append(args)
         return real_shoot(*args)
 
     monkeypatch.setattr(_kernels, "rk_shoot", shoot)
     ev = gs.find_gap_eigenvalues(op, scans=False,
                                  threshold=False).eigenvalues[0]
+    backward = [args for args in shots if args[8] < args[4]]   # x1 < x0
     assert len(backward) > 2
     for args in backward:
         mu2, x0 = args[3], args[4]
         assert x0 == asymptotic_radius(op, mu2, ev.R_used) < ev.R_used
-        assert args[14] == (op.family == "half_line")
+    assert all(args[14] is True for args in shots)
 
 
 @pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
@@ -336,6 +338,35 @@ def test_non_finite_count_radius_is_refused(R):
         gs.find_gap_eigenvalues(op, R=R, threshold=False)
     with pytest.raises(DomainError):
         gs.find_gap_eigenvalues(gs.large_k(math.inf, 100.0), R=R)
+
+
+@pytest.mark.parametrize("R", [1.0, 0.5])
+def test_count_radius_short_of_the_flat_tail_is_refused(R):
+    # R = 1 once reported an empty gap (the true count is 1) and R = 0.5
+    # stepped the asymptotic-radius scan onto r = 0, a division by zero
+    op = gs.half_line(gs.sphere(2, 10.0))
+    with pytest.raises(TailNotAsymptotic):
+        gs.count_eigenvalues_below(op, 0.2, R=R)
+    with pytest.raises(TailNotAsymptotic):
+        gs.find_gap_eigenvalues(op, R=R, scans=False, threshold=False)
+    # the scan itself stays on r > 0, and a shot to R still counts on
+    # (start, R]
+    assert asymptotic_radius(op, 0.2, R) == R
+    start = gs.series_start(op, 0.2, factored=True)
+    assert gs.count_zeros(op, 0.2, start, R) == 0
+    # at or above the edge no tail is assumed, so there is nothing to refuse
+    assert gs.count_eigenvalues_below(op, 0.5, R=R) == 0
+
+
+def test_count_radius_flat_only_at_itself_counts_the_tail():
+    # at R = 16 the potential has flattened for these mu2 but not half a
+    # unit inside, so the asymptotic radius is R itself; the tail's zero
+    # past R was once dropped there, a count of 0 just above the eigenvalue
+    op = gs.half_line(gs.sphere(2, 10.0))
+    ev = MU2_SPHERE_K2[10.0]
+    assert asymptotic_radius(op, ev, 16.0) == 16.0
+    assert gs.count_eigenvalues_below(op, ev * (1.0 + 1e-9), R=16.0) == 1
+    assert gs.count_eigenvalues_below(op, ev * (1.0 - 1e-9), R=16.0) == 0
 
 
 def test_scans_clear_for_random_geometries():
