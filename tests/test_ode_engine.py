@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import gapspec as gs
+from gapspec import _kernels
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic)
 from gapspec.ode_engine import (_free_radius, _free_start, _series_coeffs,
@@ -205,12 +206,24 @@ def test_finite_k_large_k_has_no_shot():
     for shot in (gs.integrate, gs.endpoint_state, gs.count_zeros):
         with pytest.raises(DomainError):
             shot(lk, 0.01, (-3.0, 1.0, 1.0, 0.0), -1.0)
-    # the k = inf member keeps its s-coordinate start and shot
+    # the k = inf member starts in s at L0 = 25 on f = 1, f' = -mu2/(2W);
+    # its phi start is the same start times zeta, and both count alike
     inf = gs.large_k(math.inf, 100.0)
-    start = gs.series_start(inf, MU2_LARGEK_INF_100)
-    assert start.x == -math.log(25.0)
-    assert gs.count_zeros(inf, MU2_LARGEK_INF_100 * (1.0 + 1e-6), start,
-                          default_count_radius(inf)) == 1
+    mu2 = MU2_LARGEK_INF_100 * (1.0 + 1e-6)
+    fst = gs.series_start(inf, mu2, factored=True)
+    start = gs.series_start(inf, mu2)
+    w = _kernels.logder(_kernels.LARGEK_INF, 0.0, 100.0, -math.log(25.0))
+    assert fst.factored and fst.x == start.x == -math.log(25.0)
+    assert (fst.phi, fst.phi_prime) == (1.0, -mu2 / (2.0 * w))
+    assert (start.phi, start.phi_prime) == (1.0, fst.phi_prime + w)
+    assert start.log_scale == -25.0 - 0.5 * math.log(25.0)
+    for st in (start, fst):
+        assert gs.count_zeros(inf, mu2, st, default_count_radius(inf)) == 1
+    # the euclidean family has no kernel W, so no shot runs it in f
+    euc = gs.euclidean(2)
+    with pytest.raises(DomainError):
+        gs.count_zeros(euc, 0.1, gs.series_start(euc, 0.1, factored=True),
+                       5.0)
 
 
 @pytest.mark.parametrize("x_end", [math.nan, math.inf, -math.inf])
