@@ -110,8 +110,8 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
 
 
 @pytest.mark.parametrize("op", [gs.half_line(gs.sphere(2, 10.0)),
-                                gs.rescaled(gs.yang_mills(10.0)),
-                                gs.large_k(math.inf, 100.0)])
+                                gs.large_k(math.inf, 100.0),
+                                gs.rescaled(gs.yang_mills(10.0))])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     # the decaying leg of every Wronskian match starts where the count
     # shots stop, short of R; every count and both legs of every match
