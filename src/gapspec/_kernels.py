@@ -21,14 +21,16 @@ Operator families are encoded for dispatch inside compiled code as an integer
     5  large-k, finite k (s)   kk = k,  p = Theta   (potential only)
     6  large-k, k = inf (s)    p = Theta
 
-Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Codes 0-4
-integrate phi'' = (U - mu2) phi in their own coordinate, code 6 in
-s = -log log(Theta/rho), where phi_s is omega^-1 rho d(phi)/d(rho). Codes
-0-3 and 6 have a closed-form zero mode zeta > 0 with log-derivative W
-(logder), U = W^2 + W', and can also integrate f = phi/zeta:
-f'' = -2W f' - mu2 f. Code 5 holds the finite-k normal form's potential in
-s for pot alone: no shot runs it, because that member is the exact
-pullback of the half-line sphere (code 0) at lambda = Theta^(1/k).
+Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Every
+code but 5 has a closed-form zero mode zeta > 0 with log-derivative W
+(logder), U = W^2 + W', and every shot integrates f = phi/zeta of
+phi'' = (U - mu2) phi: f'' = -2W f' - mu2 f, in the family's own
+coordinate, for code 6 in s = -log log(Theta/rho), where d/ds is
+omega^-1 rho d/drho. phi = zeta f is formed only where a caller reports
+phi, through the closed-form log zeta (logzeta). Code 5 holds the finite-k
+normal form's potential in s for pot alone: no shot runs it, because that
+member is the exact pullback of the half-line sphere (code 0) at
+lambda = Theta^(1/k).
 
 Potentials are assembled from cancellation-free pieces: x^2/(1+x^2)^2 is
 evaluated as 1/(x + 1/x)^2 and the Yang-Mills factor Q(Q-2) as -4y/(1+y)^2,
@@ -126,14 +128,16 @@ def pot(code, kk, p, x):
 
 @_jit
 def logder(code, kk, p, x):
-    """Log-derivative W = zeta'/zeta of the zero mode, codes 0-3 and 6.
+    """Log-derivative W = zeta'/zeta of the zero mode, every code but 5.
 
     W = kk (1 - t)/((1 + t) sinh r) + coth(r)/2 with t = (lambda T)^(2k)
     for the sphere and (lambda T)^2 for Yang-Mills, T = tanh(r/2), written
     through T alone (sinh r = 2T/(1 - T^2), coth r = (1 + T^2)/(2T)) so
     nothing overflows at large r, and (1 - t)/(1 + t) as 2/(1 + t) - 1 so
-    an overflowing t gives -1. For k = inf, zeta = rho (1 + rho^2)^-1
-    L^(-1/2) in s, and W = L (1 - rho^2)/(1 + rho^2) + 1/2. W^2 + W' = U.
+    an overflowing t gives -1. The euclidean zeta = rho^(k+1/2)/(1 + t),
+    t = rho^(2k), has W = (k (1 - t)/(1 + t) + 1/2)/rho. For k = inf,
+    zeta = rho (1 + rho^2)^-1 L^(-1/2) in s, and
+    W = L (1 - rho^2)/(1 + rho^2) + 1/2. W^2 + W' = U.
     """
     if code < 2:
         T = math.tanh(0.5 * x)
@@ -143,11 +147,42 @@ def logder(code, kk, p, x):
         t = y * y
         return (kk * (2.0 / (1.0 + t) - 1.0) * (1.0 - T * T)
                 + 0.5 * (1.0 + T * T)) / (2.0 * T)
+    if code == 4:
+        t = x ** (2.0 * kk)
+        return (kk * (2.0 / (1.0 + t) - 1.0) + 0.5) / x
     if code == 6:
         L = math.exp(-x)
         rho = p * math.exp(-L)
         return L * (2.0 / (1.0 + rho * rho) - 1.0) + 0.5
     return 2.0 / p * logder(code - 2, kk, p, 2.0 * x / p)
+
+
+def logzeta(code, kk, p, x):
+    """log zeta of the zero mode whose log-derivative is logder, codes 0-3
+    and 6, normalized to leading coefficient 1: zeta ~ x^(kk + 1/2).
+    Vectorized in x with numpy; no kernel calls it.
+
+    Sphere: zeta = (2T)^k sqrt(sinh r)/(1 + (lambda T)^(2k)); Yang-Mills:
+    4 T^2 sqrt(sinh r)/(1 + (lambda T)^2)^2, T = tanh(r/2), with log sinh r
+    taken as r - log 2 + log(-expm1(-2r)) so nothing overflows; codes 2-3
+    the same at r = 2 rho/lambda over (2/lambda)^(kk + 1/2). k = inf has
+    no such end: zeta = (rho/Theta) (1 + rho^2)^-1 L^(-1/2), log zeta =
+    s/2 - L - log(1 + rho^2).
+    """
+    x = np.asarray(x, dtype=float)
+    if code < 2:
+        T = np.tanh(0.5 * x)
+        e, n = (2.0 * kk, 1.0) if code == 0 else (2.0, 2.0)
+        with np.errstate(divide="ignore"):     # lambda = 0: log(1 + 0)
+            tail = n * np.logaddexp(0.0, e * np.log(p * T))
+        return (kk * np.log(2.0 * T) - tail + 0.5 * (
+            x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))))
+    if code == 6:
+        L = np.exp(-x)
+        rho = p * np.exp(-L)
+        return 0.5 * x - L - np.log1p(rho * rho)
+    return (logzeta(code - 2, kk, p, 2.0 * x / p)
+            + (kk + 0.5) * math.log(0.5 * p))
 
 
 @_jit
@@ -157,41 +192,41 @@ def pot_array(code, kk, p, xs, out):
 
 
 @_jit
-def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
-             rtol, atol, max_steps, max_step, store, factored=False):
-    """Adaptive RK5(4) for the shooting system, with a running log scale.
+def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
+             rtol, atol, max_steps, max_step, store):
+    """Adaptive RK5(4) for f = phi/zeta, with a running log scale.
 
-    Integrates from x0 to x1 (either direction), for every code but 5, in
-    phi: phi' = chi, chi' = (U - mu2) phi, or, when `factored` is set, in
-    f = phi/zeta: f' = g, g' = -mu2 f - 2W g (codes 0-3 and 6, see logder;
-    the zeros of f are those of phi). Rescales the state to
-    magnitude 1 whenever it leaves [1e-100, 1e100], adding the log factor to
-    the running scale lg, so true values are exp(lg) * stored. Zeros of
-    phi are counted at every sign change. Accepted steps are stored only
-    when `store` is set; otherwise the sample arrays have length 1.
+    Integrates f' = g, g' = -mu2 f - 2W g (W from logder) from x0 to x1
+    (either direction), for every code but 5; the zeros of f are those of
+    phi. Each component's error is held to atol + rtol times its own
+    magnitude. Rescales the state to magnitude 1 whenever it leaves
+    [1e-100, 1e100], adding the log factor to the running scale lg, so
+    true values are exp(lg) * stored. Zeros of f are counted at every sign
+    change. Accepted steps are stored only when `store` is set; otherwise
+    the sample arrays have length 1.
 
-    Returns (status, nstored, xs, phis, chis, lgs, nzeros,
-             x_end, phi_end, chi_end, lg_end).
+    Returns (status, nstored, xs, fs, gs, lgs, nzeros,
+             x_end, f_end, g_end, lg_end).
     """
     ssize = max_steps + 2 if store else 1
     xs = np.empty(ssize)
-    phis = np.empty(ssize)
-    chis = np.empty(ssize)
+    fs = np.empty(ssize)
+    gs = np.empty(ssize)
     lgs = np.empty(ssize)
 
-    x, phi, chi, lg = x0, phi0, chi0, lg0
+    x, f, g, lg = x0, f0, g0, lg0
     span = abs(x1 - x0)
     direc = 1.0 if x1 >= x0 else -1.0
 
     nst = 0
     if store:
         xs[0] = x
-        phis[0] = phi
-        chis[0] = chi
+        fs[0] = f
+        gs[0] = g
         lgs[0] = lg
         nst = 1
     nzero = 0
-    sgn = 1.0 if phi > 0.0 else (-1.0 if phi < 0.0 else 0.0)
+    sgn = 1.0 if f > 0.0 else (-1.0 if f < 0.0 else 0.0)
 
     # first step: small relative to both the span and the start abscissa,
     # since near a regular singular point the solution varies on scale |x|
@@ -202,10 +237,9 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         h = min(h, max_step)
     h *= direc
 
-    # phi' = chi and f' = g: each stage's first slope is its state's chi
-    k1p = chi
-    k1c = (-mu2 * phi - 2.0 * logder(code, kk, p, x) * chi if factored
-           else (pot(code, kk, p, x) - mu2) * phi)
+    # each stage's first slope is its state's g
+    k1f = g
+    k1g = -mu2 * f - 2.0 * logder(code, kk, p, x) * g
 
     status = OK
     steps = 0
@@ -220,64 +254,54 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
         if (x + h - x1) * direc > 0.0:
             h = x1 - x
 
-        xa = x + _C2 * h
-        yp = phi + h * _A21 * k1p
-        yc = chi + h * _A21 * k1c
-        k2p = yc
-        k2c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
-               else (pot(code, kk, p, xa) - mu2) * yp)
+        yf = f + h * _A21 * k1f
+        yg = g + h * _A21 * k1g
+        k2f = yg
+        k2g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C2 * h) * yg
 
-        xa = x + _C3 * h
-        yp = phi + h * (_A31 * k1p + _A32 * k2p)
-        yc = chi + h * (_A31 * k1c + _A32 * k2c)
-        k3p = yc
-        k3c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
-               else (pot(code, kk, p, xa) - mu2) * yp)
+        yf = f + h * (_A31 * k1f + _A32 * k2f)
+        yg = g + h * (_A31 * k1g + _A32 * k2g)
+        k3f = yg
+        k3g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C3 * h) * yg
 
-        xa = x + _C4 * h
-        yp = phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-        yc = chi + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c)
-        k4p = yc
-        k4c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
-               else (pot(code, kk, p, xa) - mu2) * yp)
+        yf = f + h * (_A41 * k1f + _A42 * k2f + _A43 * k3f)
+        yg = g + h * (_A41 * k1g + _A42 * k2g + _A43 * k3g)
+        k4f = yg
+        k4g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C4 * h) * yg
 
-        xa = x + _C5 * h
-        yp = phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-        yc = chi + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
-        k5p = yc
-        k5c = (-mu2 * yp - 2.0 * logder(code, kk, p, xa) * yc if factored
-               else (pot(code, kk, p, xa) - mu2) * yp)
+        yf = f + h * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f)
+        yg = g + h * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g)
+        k5f = yg
+        k5g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C5 * h) * yg
 
-        # stage 6 and the FSAL stage 7 share the abscissa x + h, and so the
-        # coefficients
+        # stage 6 and the FSAL stage 7 share the abscissa x + h, and so W
         xa = x + h
-        yp = phi + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
-                        + _A65 * k5p)
-        yc = chi + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c
-                        + _A65 * k5c)
-        k6p = yc
-        um = -mu2 if factored else pot(code, kk, p, xa) - mu2
-        w2 = -2.0 * logder(code, kk, p, xa) if factored else 0.0
-        k6c = um * yp + w2 * yc
+        w2 = -2.0 * logder(code, kk, p, xa)
+        yf = f + h * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f
+                      + _A65 * k5f)
+        yg = g + h * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g
+                      + _A65 * k5g)
+        k6f = yg
+        k6g = -mu2 * yf + w2 * yg
 
-        y1p = phi + h * (_A71 * k1p + _A73 * k3p + _A74 * k4p + _A75 * k5p
-                         + _A76 * k6p)
-        y1c = chi + h * (_A71 * k1c + _A73 * k3c + _A74 * k4c + _A75 * k5c
-                         + _A76 * k6c)
-        k7p = y1c
-        k7c = um * y1p + w2 * y1c
+        y1f = f + h * (_A71 * k1f + _A73 * k3f + _A74 * k4f + _A75 * k5f
+                       + _A76 * k6f)
+        y1g = g + h * (_A71 * k1g + _A73 * k3g + _A74 * k4g + _A75 * k5g
+                       + _A76 * k6g)
+        k7f = y1g
+        k7g = -mu2 * y1f + w2 * y1g
 
-        ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
-                  + _E7 * k7p)
-        ec = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c
-                  + _E7 * k7c)
-        sp = atol + rtol * max(abs(phi), abs(y1p))
-        sc = atol + rtol * max(abs(chi), abs(y1c))
-        err = math.sqrt(0.5 * ((ep / sp) ** 2 + (ec / sc) ** 2))
+        ef = h * (_E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f
+                  + _E7 * k7f)
+        eg = h * (_E1 * k1g + _E3 * k3g + _E4 * k4g + _E5 * k5g + _E6 * k6g
+                  + _E7 * k7g)
+        sf = atol + rtol * max(abs(f), abs(y1f))
+        sg = atol + rtol * max(abs(g), abs(y1g))
+        err = math.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
 
         if err <= 1.0:
             # zero bookkeeping before any rescale (scale cancels in signs)
-            news = 1.0 if y1p > 0.0 else (-1.0 if y1p < 0.0 else 0.0)
+            news = 1.0 if y1f > 0.0 else (-1.0 if y1f < 0.0 else 0.0)
             if news != 0.0 and sgn != 0.0 and news != sgn:
                 nzero += 1
             if news != 0.0:
@@ -286,24 +310,24 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
             x = xa
             if (x1 - x) * direc <= 0.0:
                 x = x1
-            phi = y1p
-            chi = y1c
-            k1p = k7p
-            k1c = k7c
+            f = y1f
+            g = y1g
+            k1f = k7f
+            k1g = k7g
 
-            mag = max(abs(phi), abs(chi))
+            mag = max(abs(f), abs(g))
             if mag > 1e100 or (0.0 < mag < 1e-100):
-                f = 1.0 / mag
-                phi *= f
-                chi *= f
-                k1p *= f
-                k1c *= f
+                c = 1.0 / mag
+                f *= c
+                g *= c
+                k1f *= c
+                k1g *= c
                 lg += math.log(mag)
 
             if store:
                 xs[nst] = x
-                phis[nst] = phi
-                chis[nst] = chi
+                fs[nst] = f
+                gs[nst] = g
                 lgs[nst] = lg
                 nst += 1
             rejects = 0
@@ -321,7 +345,7 @@ def rk_shoot(code, kk, p, mu2, x0, phi0, chi0, lg0, x1,
             h = max_step * direc
         steps += 1
 
-    return (status, nst, xs, phis, chis, lgs, nzero, x, phi, chi, lg)
+    return (status, nst, xs, fs, gs, lgs, nzero, x, f, g, lg)
 
 
 def remainder(d, geom, sin2q, cos2q, qm1):

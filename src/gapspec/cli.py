@@ -22,12 +22,26 @@ from .errors import DomainError, GapspecError
 from .harmonic_maps import (SPHERE, YANG_MILLS, amplitude_bound,
                             endpoint, energy_closed_form, energy_quadrature,
                             geometry)
-from .ode_engine import _interp4, renormalized_f
+from .ode_engine import renormalized_f
 from .operators import half_line
 from .spectral import (_bisect, _pool_map, find_gap_eigenvalues,
                        largek_gap_scan, migration_curve, sweep_lambda)
 from .wave_sim import (GapEigenmode, GaussianBump, init_state, probe_spectrum,
                        run)
+
+
+def _interp4(x, xp, fp):
+    """Piecewise 4-point Lagrange interpolation on a strictly increasing
+    grid; one order beyond linear so smooth comparisons are not limited by
+    the interpolant. x must lie inside [xp[0], xp[-1]]."""
+    i = np.clip(np.searchsorted(xp, x) - 1, 1, xp.size - 3)
+    x0, x1, x2, x3 = xp[i - 1], xp[i], xp[i + 1], xp[i + 2]
+    y0, y1, y2, y3 = fp[i - 1], fp[i], fp[i + 1], fp[i + 2]
+    d0, d1, d2, d3 = x - x0, x - x1, x - x2, x - x3
+    return (y0 * d1 * d2 * d3 / ((x0 - x1) * (x0 - x2) * (x0 - x3))
+            + y1 * d0 * d2 * d3 / ((x1 - x0) * (x1 - x2) * (x1 - x3))
+            + y2 * d0 * d1 * d3 / ((x2 - x0) * (x2 - x1) * (x2 - x3))
+            + y3 * d0 * d1 * d2 / ((x3 - x0) * (x3 - x1) * (x3 - x2)))
 
 
 class _ConfigError(Exception):

@@ -5,36 +5,27 @@ a running log scale: whenever the state magnitude leaves
 [1e-100, 1e100] it is rescaled to 1 and the log factor recorded, so
 exponentially growing or decaying solutions are carried across hundreds of
 e-foldings without overflow. True values are stored * exp(log_scale). Each
-shot counts the sign changes of phi (the Sturm count) and returns its end
-state; `integrate` also keeps every accepted step. Every family with a gap
-has a closed-form zero mode zeta > 0, so its shots can also run in
-f = phi/zeta: f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta. There mu2
-enters directly, the regular solution at mu2 = 0 is f = 1, and the second
-solution, the integral of zeta^-2 from x to infinity, decreases, so it does
-not grow out of start and step errors. The variable travels with the
-state: a start made `factored` (series_start, tail_start_decaying) is shot,
-counted and returned in f, and f is about 1 with f' about mu2 x, so such a
-shot takes its absolute tolerance in units of |mu2|.
+shot counts the sign changes of its solution (the Sturm count) and returns
+its end state; `integrate` also keeps every accepted step.
 
-Regular starts come from the Frobenius series at the left endpoint,
-phi = x^nu (1 + c2 x^2 + c4 x^4 + ...), nu = k + 1/2, with c2, c4 formed from
-the constant and quadratic potential coefficients of each family and the
-start radius chosen so the dropped c6 term is below 1e-12 (for the
-half-line sphere at k >= 3, whose coefficients leave out the map's
-potential, and for its factored start at every k, also so that potential's
-relative effect is below 1e-12). The
-half-line sphere family has a second exact start: the closed-form regular
-solution of its operator with V = 0,
+Every family has a closed-form zero mode zeta > 0, the scaling direction
+at the bottom of the gap, and every shot runs in f = phi/zeta:
+f'' + 2W f' + mu2 f = 0 with W = zeta'/zeta. There mu2 enters directly,
+the regular solution at mu2 = 0 is f = 1, the zeros of f are those of
+phi, and the second solution, the integral of zeta^-2 from x to infinity,
+decreases, so it does not grow out of start and step errors. phi is formed
+as zeta f, with zeta normalized to leading coefficient 1
+(_kernels.logzeta), only where a result is reported in phi: the threshold
+read-out here and the embedded scans of spectral.
 
-    phi0 = 2^k sinh^(1/2)(r) tanh^k(r/2) 2F1(a, b; k+1; -sinh^2(r/2)),
-    a + b = 1, ab = mu2,
-
-which V perturbs by a relative 2 (lambda tanh(r/2))^(2k); with no explicit
-radius a phi shot starts on whichever of the two is exact farther out. At
-large k that is phi0, at r up to 1 instead of 1e-3, which saves the steps a
-shot would spend following phi ~ r^(k+1/2) out of the series region. A
-factored shot always starts on the series, whose f' = -2 mu2 x/(4 nu + 2)
-carries the relative digits of mu2.
+Regular starts come from the series f = 1 - mu2 x^2/(4 nu + 2) + O(x^4),
+nu = k + 1/2, carried to its x^4 term, at the radius where the Frobenius
+series of phi, x^nu (1 + c2 x^2 + c4 x^4 + ...), drops a c6 term below
+1e-12 (c2, c4 from the constant and quadratic potential coefficients of
+each family). The f series leaves the map's part of W beyond O(x) out, so
+for the half-line sphere the radius is also capped where that part's
+relative effect is 1e-12. Its f' = -2 mu2 x/(4 nu + 2) + O(x^3) carries
+the relative digits of mu2.
 The finite-k large-k normal form is the exact pullback of the half-line
 sphere at lambda = Theta^(1/k) and is shot there (spectral redirects it), so
 no start or shot exists for it here. The k = inf member is shot in
@@ -63,20 +54,17 @@ MAX_STEPS = 400_000
 
 @dataclass(frozen=True)
 class StartData:
-    """Initial state for a shot: abscissa, stored value pair, log scale.
+    """Initial state for a shot: abscissa, stored (f, f'), log scale.
 
-    phi_prime is d(phi)/dx for the second-order families and the invariant
-    derivative omega^-1 rho d(phi)/drho (= d(phi)/ds) for k = inf large-k.
-    True values are (phi, phi_prime) * exp(log_scale). A `factored` state
-    keeps (f, f') of f = phi/zeta in the same fields, and a shot from it
-    runs in f.
+    f = phi/zeta over the family's zero mode; f_prime is df/dx, and for
+    k = inf large-k the invariant derivative omega^-1 rho df/drho
+    (= df/ds). True values are (f, f_prime) * exp(log_scale).
     """
 
     x: float
-    phi: float
-    phi_prime: float
+    f: float
+    f_prime: float
     log_scale: float = 0.0
-    factored: bool = False
 
 
 @dataclass
@@ -86,21 +74,20 @@ class ShootingTrace:
     operator: OperatorSpec
     mu2: float
     grid: np.ndarray
-    values: np.ndarray          # (n, 2) stored (phi, chi)
+    values: np.ndarray          # (n, 2) stored (f, f')
     log_scale: np.ndarray       # (n,) cumulative log scale per sample
     zero_count: int = 0
-    factored: bool = False      # values are (f, f') of f = phi/zeta
 
     @property
     def end(self):
         return StartData(float(self.grid[-1]), float(self.values[-1, 0]),
-                         float(self.values[-1, 1]), float(self.log_scale[-1]),
-                         self.factored)
+                         float(self.values[-1, 1]), float(self.log_scale[-1]))
 
 
 @dataclass(frozen=True)
 class ThresholdFit:
-    """Affine fit a + b x to a trace tail at the continuum edge."""
+    """Affine far field phi = a + b x at the continuum edge, read off at
+    the two abscissae of `window` (see fit_threshold)."""
 
     a: float
     b: float
@@ -170,134 +157,87 @@ def _series_radius(nu, u0, u2):
     c4 = (u0 * c2 + u2) / (8.0 * kfac + 16.0)
     c6 = (abs(u0 * c4) + abs(u2 * c2)) / (12.0 * kfac + 30.0)
     r0 = min(1e-3, (1e-12 / max(c6, 1e-12)) ** (1.0 / 6.0))
-    return max(r0, 1e-7), c2, c4
+    return max(r0, 1e-7)
 
 
 def _free_radius(k, lam):
-    """Largest r <= 1 at which phi0 is exact to 1e-12: the variation of
-    constants bound 2 (lambda tanh(r/2))^(2k) on the V term is <= 1e-12."""
+    """Largest r <= 1 at which the map's potential V is below 1e-12 in
+    relative effect: the variation of constants bound
+    2 (lambda tanh(r/2))^(2k) is <= 1e-12."""
     t = math.tanh(0.5)
     if lam != 0.0:
         t = min(t, 5e-13 ** (0.5 / k) / abs(lam))
     return 2.0 * math.atanh(t)
 
 
-def _free_start(k, mu2, r):
-    """phi0 at r (see the module docstring), leading coefficient 1.
+def series_start(op, mu2, r0=None):
+    """Exact start of the regular solution's f = phi/zeta, f(0) = 1.
 
-    2F1 is summed to 1e-17 with the term ratio -z (n^2 + n + mu2) /
-    ((n+1)(n+k+1)), z = sinh^2(r/2), which is real for every mu2. The power
-    k log(2 tanh(r/2)) goes to log_scale, so no power overflows at large k.
-    """
-    z = math.sinh(0.5 * r) ** 2
-    f, nf, term, n = 1.0, 0.0, 1.0, 0
-    while True:
-        term *= -z * (n * n + n + mu2) / ((n + 1.0) * (n + k + 1.0))
-        n += 1
-        f += term
-        nf += n * term
-        if abs(term) <= 1e-17 * abs(f) and n * n > abs(mu2):
-            break
-    # d/dr of 2F1(-z) is coth(r/2) sum n t_n
-    sh = math.sinh(r)
-    val = math.sqrt(sh) * f
-    der = math.sqrt(sh) * (f * (0.5 * math.cosh(r) + k) / sh
-                           + nf / math.tanh(0.5 * r))
-    return StartData(r, val, der, k * math.log(2.0 * math.tanh(0.5 * r)))
-
-
-def series_start(op, mu2, r0=None, factored=False):
-    """Exact start for the regular solution, leading coefficient 1.
-
-    With no r0 the Frobenius series starts at its adaptive radius; for the
-    half-line sphere family, phi0 starts instead at _free_radius when that
-    reaches farther. At k >= 3 the series leaves out the map's potential V,
-    so its radius is capped by _free_radius, where V's relative effect
-    2 (lambda tanh(r/2))^(2k) is 1e-12. An explicit r0 always takes the
-    series, and raises SeriesRadiusExceeded beyond its validity. For the
+    f = 1 + c x^2 + d x^4 + O(x^6), c = -mu2/(4 nu + 2), from
+    f'' + 2W f' + mu2 f = 0 with W = nu/x + w1 x + O(x^3), at r0 or, with
+    no r0, at the series radius (see the module docstring); an r0 beyond
+    it raises SeriesRadiusExceeded. For the
     k = inf large-k member this returns the far-field start in s described
     in the module docstring, and r0 is ignored; a finite-k large-k member
-    raises DomainError (it is shot on its half-line pullback).
-
-    With `factored` it returns a start of f = phi/zeta instead (a euclidean
-    shot refuses it), away from k = inf always on the series
-    f = 1 - mu2 x^2/(4 nu + 2) + O(x^4), from f'' + 2W f' + mu2 f = 0 with
-    W = nu/x + O(x). That series leaves the map's part of W out at every k,
-    so for the half-line sphere its radius is capped by _free_radius at
-    every k. Any start error along the second solution, the integral of
-    zeta^-2 from x to infinity, shrinks relative to f like
-    (zeta(x0)/zeta(x))^2 as the shot moves out.
+    raises DomainError (it is shot on its half-line pullback). Any start
+    error along the second solution, the integral of zeta^-2 from x to
+    infinity, shrinks relative to f like (zeta(x0)/zeta(x))^2 as the shot
+    moves out.
     """
     if op.family == LARGE_K:
-        return _largek_start(op, mu2, factored)
+        if op.k != math.inf:
+            raise DomainError(
+                "a finite-k large-k member is shot on its half-line pullback "
+                "half_line(sphere(k, Theta^(1/k))), not in s")
+        x0 = -math.log(25.0)
+        w = _kernels.logder(*op_code(op), x0)
+        return StartData(x0, 1.0, -mu2 / (2.0 * w))
     nu, u0, u2 = _series_coeffs(op, mu2)
-    rmax, c2, c4 = _series_radius(nu, u0, u2)
-    half_sphere = op_code(op)[0] == _kernels.HALF_SPHERE
-    rf = _free_radius(op.k, op.lam) if half_sphere else 0.0
-    if half_sphere and (op.k >= 3 or factored):
-        rmax = min(rmax, rf)
+    rmax = _series_radius(nu, u0, u2)
+    if op_code(op)[0] == _kernels.HALF_SPHERE:
+        rmax = min(rmax, _free_radius(op.k, op.lam))
     if r0 is None:
         r0 = rmax
-        if rf > rmax and not factored:
-            return _free_start(op.k, mu2, rf)
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")
     elif r0 <= 0.0:
         raise DomainError(f"r0 must be positive, got {r0}")
-    if factored:
-        c = -mu2 / (4.0 * nu + 2.0)
-        return StartData(r0, 1.0 + c * r0 * r0, 2.0 * c * r0, 0.0, True)
+    # W = nu/x + w1 x + O(x^3), with W^2 + W' = U giving w1 = U0/(2 nu + 1)
+    # for U's constant term U0 = u0 + mu2
+    c = -mu2 / (4.0 * nu + 2.0)
+    d = -c * (4.0 * (u0 + mu2) / (2.0 * nu + 1.0) + mu2) / (8.0 * nu + 12.0)
     r2 = r0 * r0
-    val = r0 ** nu * (1.0 + c2 * r2 + c4 * r2 * r2)
-    der = r0 ** (nu - 1.0) * (nu + (nu + 2.0) * c2 * r2
-                              + (nu + 4.0) * c4 * r2 * r2)
-    return StartData(r0, val, der, 0.0)
+    return StartData(r0, 1.0 + (c + d * r2) * r2, (2.0 * c + 4.0 * d * r2) * r0)
 
 
-def _largek_start(op, mu2, factored):
-    """The k = inf member's start at L0 = 25: f = 1, f' = -mu2/(2 W), or
-    for phi the same times zeta, (f, f' + W f), log zeta = -L0 - log(L0)/2."""
-    if op.k != math.inf:
-        raise DomainError(
-            "a finite-k large-k member is shot on its half-line pullback "
-            "half_line(sphere(k, Theta^(1/k))), not in s")
-    L0 = 25.0
-    w = _kernels.logder(*op_code(op), -math.log(L0))
-    f = StartData(-math.log(L0), 1.0, -mu2 / (2.0 * w), 0.0, True)
-    return f if factored else StartData(f.x, 1.0, f.phi_prime + w,
-                                        -L0 - 0.5 * math.log(L0))
-
-
-def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
+def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     """Kernel call with start normalization; returns the raw kernel tuple.
 
-    The shot runs in the start's variable. A factored one takes atol in
-    units of |mu2|: f is about 1 and f' about mu2 x, so otherwise atol, and
-    not rtol, would bound the error of f' in deep wells."""
+    The step control is relative only: each of f and f' is held to rtol
+    times its own magnitude. f is about 1 while f' is about mu2 x, so a
+    common absolute floor would bound the error of f' in deep wells and of
+    a decaying f far out instead of rtol. The kernel's atol is 1e-300,
+    which keeps a component that is exactly zero throughout (f' at
+    mu2 = 0) from dividing 0 by 0."""
     code, kk, p = op_code(op)
     if code == _kernels.LARGEK_FIN:
         raise DomainError("no shot runs the finite-k large-k normal form: "
                           "shoot its half-line pullback")
     if not math.isfinite(x_end):
         raise DomainError(f"a shot must end at a finite point, got {x_end}")
-    if start.factored:
-        if code == _kernels.EUCLIDEAN:
-            raise DomainError("no euclidean shot runs in f: it has no W")
-        atol = max(atol * abs(mu2), 1e-300)
     if op.family != LARGE_K and (start.x <= 0.0 or x_end <= 0.0):
         raise DomainError("half-line coordinates must be positive")
     if x_end == start.x:
         raise DomainError("empty integration interval")
-    phi, chi, lg = start.phi, start.phi_prime, start.log_scale
-    mag = max(abs(phi), abs(chi))
+    f, g, lg = start.f, start.f_prime, start.log_scale
+    mag = max(abs(f), abs(g))
     if mag > 0.0 and not (1e-2 <= mag <= 1e2):
-        phi /= mag
-        chi /= mag
+        f /= mag
+        g /= mag
         lg += math.log(mag)
-    out = _kernels.rk_shoot(code, kk, p, mu2, start.x, phi, chi, lg,
-                            x_end, rtol, atol, MAX_STEPS, max_step, store,
-                            start.factored)
+    out = _kernels.rk_shoot(code, kk, p, mu2, start.x, f, g, lg,
+                            x_end, rtol, 1e-300, MAX_STEPS, max_step, store)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
@@ -307,28 +247,26 @@ def _shoot(op, mu2, start, x_end, rtol, atol, max_step, store):
     return out
 
 
-def integrate(op, mu2, start, x_end, rtol=1e-11, atol=1e-13,
-              max_step=0.0) -> ShootingTrace:
-    """Integrate the shooting system from `start` to x_end, storing every
-    accepted step, in the start's variable. Direction is inferred from the
-    endpoints."""
+def integrate(op, mu2, start, x_end, rtol=1e-11, max_step=0.0
+              ) -> ShootingTrace:
+    """Integrate f from `start` to x_end, storing every accepted step.
+    Direction is inferred from the endpoints."""
     if not isinstance(start, StartData):
         start = StartData(*start)
-    (_, nst, xs, phis, chis, lgs, nzero, *_rest) = _shoot(
-        op, mu2, start, x_end, rtol, atol, max_step, store=True)
+    (_, nst, xs, fs, gs, lgs, nzero, *_rest) = _shoot(
+        op, mu2, start, x_end, rtol, max_step, store=True)
     vals = np.empty((nst, 2))
-    vals[:, 0] = phis[:nst]
-    vals[:, 1] = chis[:nst]
+    vals[:, 0] = fs[:nst]
+    vals[:, 1] = gs[:nst]
     return ShootingTrace(
         operator=op, mu2=mu2, grid=xs[:nst].copy(), values=vals,
-        log_scale=lgs[:nst].copy(), zero_count=int(nzero),
-        factored=start.factored)
+        log_scale=lgs[:nst].copy(), zero_count=int(nzero))
 
 
 def _asymptotic(code, kk, p, edge, m2, x):
     """True where the shooting system at x is phi'' = m^2 phi to 1e-12:
-    |U - edge| < 1e-12 m^2."""
-    return abs(_kernels.pot(code, kk, p, x) - edge) < 1e-12 * m2
+    |U - edge| <= 1e-12 m^2, at the edge (m2 = 0) U = edge exactly."""
+    return abs(_kernels.pot(code, kk, p, x) - edge) <= 1e-12 * m2
 
 
 def require_asymptotic(op, mu2, R):
@@ -348,39 +286,47 @@ def asymptotic_radius(op, mu2, x_end):
     """Smallest point of the grid x_end - j h, j = 0, 1, ..., past which the
     potential sits at its asymptote for a state at mu2 (see _asymptotic).
 
-    The grid is scanned backward from x_end and the scan stops at the first
-    point that fails: U crosses the edge inside the well, so a forward search
-    or a bisection would stop at that crossing. h = 0.5 in r and s, where
+    The grid is scanned backward and the scan stops at the first point that
+    fails: U crosses the edge inside the well, so a forward search or a
+    bisection would stop at that crossing. h = 0.5 in r and s, where
     U - edge decays like exp(-2x), and lambda/4 in rho, the same step in r.
-    Returns x_end itself when the potential has not flattened there, and
-    always when mu2 >= edge. A non-finite x_end raises DomainError.
+    Past x_lim, pot returns its limit exactly (r = 710, rho = 355 lambda,
+    and in s the point where L = exp(-s) underflows), so the scan starts at
+    the last grid point below x_lim and takes at most x_lim/h steps,
+    whatever x_end. Returns x_end itself when the potential has not
+    flattened there, and always when mu2 > edge. A non-finite x_end raises
+    DomainError.
     """
     if not math.isfinite(x_end):
         raise DomainError(f"a count radius must be finite, got {x_end}")
     code, kk, p = op_code(op)
     edge = continuum_edge(op)
-    h = 0.25 * p if op.family == RESCALED else 0.5
+    if op.family == RESCALED:
+        h, x_lim = 0.25 * p, 355.0 * p
+    else:
+        h, x_lim = 0.5, (746.0 if op.family == LARGE_K else 710.0)
     x = float(x_end)
+    if x > x_lim and _asymptotic(code, kk, p, edge, edge - mu2, x):
+        x = x_lim - math.fmod(x_lim - math.fmod(x, h), h)
     while x - h > 0.0 and _asymptotic(code, kk, p, edge, edge - mu2, x - h):
         x -= h
     return x
 
 
-def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
-    """Sturm count: zeros of the shot from `start`, without building a
-    trace. A factored start counts the zeros of f = phi/zeta, which are
-    those of phi because zeta > 0.
+def count_zeros(op, mu2, start, x_end, rtol=1e-11):
+    """Sturm count: zeros of the shot of f = phi/zeta from `start`, which
+    are those of phi because zeta > 0, without building a trace.
 
-    Below the edge, once the potential has flattened by x_end, the shot
-    stops at x_a = asymptotic_radius(op, mu2, x_end) and the count is on
-    the whole half-line (start, inf). Past x_a the solution is
+    At or below the edge, once the potential has flattened by x_end, the
+    shot stops at x_a = asymptotic_radius(op, mu2, x_end) and the count is
+    on the whole half-line (start, inf). Past x_a the solution is
     phi_a cosh(m t) + (chi_a/m) sinh(m t), t = x - x_a,
-    m = sqrt(edge - mu2) (in f, (phi_a, chi_a) is zeta (f, W f + f') at
-    x_a), so it has at most one zero on (x_a, inf), and it has one iff
-    phi_a chi_a < 0 and |chi_a| > m |phi_a|. A shot that ends on
-    phi_a = 0 ends on a simple zero that the kernel has not counted yet: it
-    counts a zero when phi next takes a sign other than the last nonzero
-    one, and past x_a phi takes the sign of chi_a. Otherwise (mu2 at or
+    m = sqrt(edge - mu2) (affine at the edge), with (phi_a, chi_a) zeta
+    (f, W f + f') at x_a, so it has at most one zero on (x_a, inf), and it
+    has one iff phi_a chi_a < 0 and |chi_a| > m |phi_a|. A shot that ends
+    on phi_a = 0 ends on a simple zero that the kernel has not counted
+    yet: it counts a zero when f next takes a sign other than the last
+    nonzero one, and past x_a phi takes the sign of chi_a. Otherwise (mu2
     above the edge, or a potential not yet flat at x_end) the count is on
     (start, x_end].
     """
@@ -390,141 +336,135 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
     code, kk, p = op_code(op)
     edge = continuum_edge(op)
     if not (start.x < x_a and _asymptotic(code, kk, p, edge, edge - mu2, x_a)):
-        return int(_shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)[6])
-    out = _shoot(op, mu2, start, x_a, rtol, atol, 0.0, False)
-    zeros, phi, chi = int(out[6]), out[8], out[9]
-    if phi == 0.0:
-        return zeros + (chi != 0.0)
-    if start.factored:
-        chi += _kernels.logder(code, kk, p, x_a) * phi
+        return int(_shoot(op, mu2, start, x_end, rtol, 0.0, False)[6])
+    out = _shoot(op, mu2, start, x_a, rtol, 0.0, False)
+    zeros, f, g = int(out[6]), out[8], out[9]
+    if f == 0.0:
+        return zeros + (g != 0.0)
+    chi = g + _kernels.logder(code, kk, p, x_a) * f
     m = math.sqrt(edge - mu2)
-    return zeros + ((phi < 0.0) != (chi < 0.0) and abs(chi) > m * abs(phi))
+    return zeros + ((f < 0.0) != (chi < 0.0) and abs(chi) > m * abs(f))
 
 
-def endpoint_state(op, mu2, start, x_end, rtol=1e-11, atol=1e-13):
-    """End StartData of the shot without storing samples, in the start's
-    variable (a factored start gives a factored end)."""
+def endpoint_state(op, mu2, start, x_end, rtol=1e-11):
+    """End StartData of the shot without storing samples."""
     if not isinstance(start, StartData):
         start = StartData(*start)
-    out = _shoot(op, mu2, start, x_end, rtol, atol, 0.0, False)
-    return StartData(*out[7:], start.factored)
+    out = _shoot(op, mu2, start, x_end, rtol, 0.0, False)
+    return StartData(*out[7:])
 
 
-def tail_start_decaying(op, mu2, R, factored=False):
-    """Decaying-branch start at x = R: stored (1, -m), true scale exp(-mR).
+def tail_start_decaying(op, mu2, R):
+    """Decaying-branch start of f = phi/zeta at x = R: stored
+    (1, -m - W(R)), true scale exp(-mR) (the factor 1/zeta(R) left out).
 
     m = sqrt(edge - mu2) with edge the family's continuum edge. Requires the
     potential to have reached its asymptote at R to 1e-12 m^2, else
-    TailNotAsymptotic. With `factored` it is a factored start of
-    f = phi/zeta, stored (1, -m - W(R)) with the same log scale (the factor
-    1/zeta(R) left out).
+    TailNotAsymptotic.
     """
     edge = continuum_edge(op)
     if not mu2 < edge:
         raise DomainError(f"need mu2 < {edge} for a decaying tail, got {mu2}")
     require_asymptotic(op, mu2, R)
     m = math.sqrt(edge - mu2)
-    w = _kernels.logder(*op_code(op), float(R)) if factored else 0.0
-    return StartData(float(R), 1.0, -m - w, -m * float(R), factored)
+    w = _kernels.logder(*op_code(op), float(R))
+    return StartData(float(R), 1.0, -m - w, -m * float(R))
 
 
-def fit_threshold(trace, window=None):
-    """Affine tail fit at the continuum edge: phi ~ a + b x on the window.
+def _edge_readout(op, end):
+    """(a, b) of phi = a + b x through the shot's end state, with
+    phi = zeta f and phi' = zeta (f' + W f)."""
+    code, kk, p = op_code(op)
+    z = math.exp(end.log_scale + float(_kernels.logzeta(code, kk, p, end.x)))
+    b = z * (end.f_prime + _kernels.logder(code, kk, p, end.x) * end.f)
+    return z * end.f - end.x * b, b
 
-    Defaults to [0.5, 0.9] of the trace span. The residual is the RMS misfit
-    relative to max(|a|, |b| * window length); FitUnreliable at >= 1e-6.
-    a and b are taken relative to the log scale at the start of the window,
-    so they are defined only up to a positive factor that depends on where
-    the shot starts (for sphere(16, 1.33), a is 5.2e6 from phi0 and 4.8e48
-    from the series start at 1e-3); only the sign of b and b/a are
-    invariant.
+
+def fit_threshold(op, R, rtol=1e-11):
+    """Affine far field phi = a + b x of the regular solution at the
+    continuum edge, read off in closed form.
+
+    At the edge phi'' = (U - edge) phi, and past
+    x_b = asymptotic_radius(op, edge, R) the potential is the edge exactly,
+    so phi is affine there: b = phi'(x_b), a = phi(x_b) - x_b b. One f shot
+    from the series start reaches x_b, and phi = zeta f with zeta
+    normalized to leading coefficient 1, so a and b are those of the
+    regular solution phi ~ x^(k+1/2) whatever the start. The same read-out
+    at the earlier point x_e = x_b - (x_b - x0)/4 of that shot measures
+    fit_residual, max(|da|, |db| (x_b - x_e)) / max(|a|, |b| (x_b - x_e));
+    FitUnreliable at >= 1e-6. b vanishes exactly when a resonance sits at
+    the edge. For k = inf, which has no leading coefficient, phi is the
+    start's f = 1 at L0 times zeta of _kernels.logzeta.
     """
-    xs = trace.grid
-    xmax = float(xs[-1])
-    if window is None:
-        window = (0.5 * xmax, 0.9 * xmax)
-    w0, w1 = window
-    sel = (xs >= w0) & (xs <= w1)
-    if int(sel.sum()) < 8:
-        raise FitUnreliable(
-            f"only {int(sel.sum())} samples inside window {window}")
-    x = xs[sel]
-    ref = float(trace.log_scale[sel][0])
-    v = trace.values[sel, 0] * np.exp(trace.log_scale[sel] - ref)
-    xb = x.mean()
-    vb = v.mean()
-    dx = x - xb
-    b = float(np.dot(dx, v - vb) / np.dot(dx, dx))
-    a = float(vb - b * xb)
-    resid = float(np.sqrt(np.mean((v - a - b * x) ** 2)))
-    rel = resid / max(abs(a), abs(b) * (w1 - w0), 1e-300)
-    if rel >= 1e-6:
-        raise FitUnreliable(f"threshold fit residual {rel:.3g} >= 1e-6")
-    return ThresholdFit(a, b, rel, (float(w0), float(w1)))
+    edge = continuum_edge(op)
+    x_b = asymptotic_radius(op, edge, R)
+    start = series_start(op, edge)
+    x_e = x_b - 0.25 * (x_b - start.x)
+    mid = endpoint_state(op, edge, start, x_e, rtol)
+    a0, b0 = _edge_readout(op, mid)
+    a, b = _edge_readout(op, endpoint_state(op, edge, mid, x_b, rtol))
+    dx = x_b - x_e
+    rel = (max(abs(a - a0), abs(b - b0) * dx)
+           / max(abs(a), abs(b) * dx, 1e-300))
+    if not rel < 1e-6:
+        raise FitUnreliable(f"threshold read-out moved by {rel:.3g} "
+                            f"between x = {x_e:.6g} and {x_b:.6g}")
+    return ThresholdFit(a, b, rel, (x_e, x_b))
 
 
 def renormalized_f(geometry, mu2, rho_max):
     """Renormalize the gap-edge shot by the zero mode: f = phi/zeta.
 
-    One factored shot of the rescaled operator, (f' zeta^2)' =
+    One shot of the rescaled operator, (f' zeta^2)' =
     -(4 mu2/lambda^2) zeta^2 f, from its series start f = 1 - O(rho^2) out
     to rho_max, sampled at its accepted steps (the step is capped at
     rho_max/100, so the profile has at least a hundred samples). mu2 is in
     the half-line convention, so mu2 = 1/4 probes the rescaled family's
     continuum edge 1/lambda^2 and mu2 = 0 gives f identically 1. The result
-    carries the relative residual against an independent direct phi-shot of
-    the rescaled operator.
+    carries the residual of the integrated identity (see
+    _volterra_residual).
     """
     lam = geometry.lam
     if not lam > 0.0:
         raise DomainError(f"need lambda > 0, got {lam}")
     eps = 4.0 * mu2 / lam ** 2
     op = rescaled(geometry)
-    start = series_start(op, eps, factored=True)
+    start = series_start(op, eps)
     if not rho_max > start.x:
         raise DomainError(f"need rho_max beyond the series start "
                           f"{start.x:g}, got {rho_max}")
-    tr = integrate(op, eps, start, rho_max, rtol=1e-12, atol=1e-15,
+    tr = integrate(op, eps, start, rho_max, rtol=1e-12,
                    max_step=rho_max / 100.0)
     scale = np.exp(tr.log_scale)
     rho = tr.grid
     f = tr.values[:, 0] * scale
-    sol = RenormalizedSolution(geometry, mu2, rho, f, tr.values[:, 1] * scale,
-                               zero_mode(geometry, RESCALED_RHO, rho))
-    sol.shoot_residual = _renorm_crosscheck(geometry, eps, rho, f)
+    fp = tr.values[:, 1] * scale
+    zeta, dzeta, _ = zero_mode(geometry, RESCALED_RHO, rho, derivatives=True)
+    sol = RenormalizedSolution(geometry, mu2, rho, f, fp, zeta)
+    sol.shoot_residual = _volterra_residual(eps, op.frobenius_exponent, rho,
+                                            f, fp, zeta, dzeta)
     return sol
 
 
-def _interp4(x, xp, fp):
-    """Piecewise 4-point Lagrange interpolation on a strictly increasing
-    grid; one order beyond linear so smooth comparisons are not limited by
-    the interpolant. x must lie inside [xp[0], xp[-1]]."""
-    i = np.clip(np.searchsorted(xp, x) - 1, 1, xp.size - 3)
-    x0, x1, x2, x3 = xp[i - 1], xp[i], xp[i + 1], xp[i + 2]
-    y0, y1, y2, y3 = fp[i - 1], fp[i], fp[i + 1], fp[i + 2]
-    d0, d1, d2, d3 = x - x0, x - x1, x - x2, x - x3
-    return (y0 * d1 * d2 * d3 / ((x0 - x1) * (x0 - x2) * (x0 - x3))
-            + y1 * d0 * d2 * d3 / ((x1 - x0) * (x1 - x2) * (x1 - x3))
-            + y2 * d0 * d1 * d3 / ((x2 - x0) * (x2 - x1) * (x2 - x3))
-            + y3 * d0 * d1 * d2 / ((x3 - x0) * (x3 - x1) * (x3 - x2)))
+def _volterra_residual(eps, nu, rho, f, fp, zeta, dzeta):
+    """Relative residual of zeta^2 f' = -eps int_0^rho zeta^2 f on the
+    samples.
 
-
-def _renorm_crosscheck(geometry, eps, rho, f):
-    """Relative misfit of f against a direct rescaled-operator shot.
-
-    The shot is divided by the closed-form zero mode at its own sample
-    points, so the comparison interpolates only the slowly varying f and
-    inherits no interpolation error from the fast profile itself.
+    The integral is the corrected trapezoid rule on g = zeta^2 f with
+    g' = zeta^2 (2 zeta' f/zeta + f'), exact for cubics; its head from 0 to
+    the first sample is the leading term zeta^2 rho/(2 nu + 1) of
+    zeta ~ rho^nu, f ~ 1. zeta and zeta' come from operators.zero_mode,
+    independently of the W that drives the shot. Normalized by
+    max |eps int zeta^2 f|.
     """
-    op = rescaled(geometry)
-    start = series_start(op, eps)
-    tr = integrate(op, eps, start, float(rho[-1]), rtol=1e-12, atol=1e-15)
-    sel = (tr.grid >= rho[0]) & (tr.grid <= rho[-1])
-    xs = tr.grid[sel]
-    ref = float(np.max(tr.log_scale[sel]))
-    phi = tr.values[sel, 0] * np.exp(tr.log_scale[sel] - ref)
-    f_shot = phi / zero_mode(geometry, RESCALED_RHO, xs)
-    f_ref = _interp4(xs, rho, f)
-    scale = float(np.dot(f_shot, f_ref) / np.dot(f_ref, f_ref))
-    return float(np.max(np.abs(f_shot - scale * f_ref))
-                 / np.max(np.abs(f_shot)))
+    z2 = zeta * zeta
+    g = z2 * f
+    dg = z2 * (2.0 * dzeta / zeta * f + fp)
+    h = np.diff(rho)
+    panels = (0.5 * h * (g[:-1] + g[1:])
+              + h * h / 12.0 * (dg[:-1] - dg[1:]))
+    head = z2[0] * f[0] * rho[0] / (2.0 * nu + 1.0)
+    integral = head + np.concatenate(([0.0], np.cumsum(panels)))
+    resid = z2 * fp + eps * integral
+    return float(np.max(np.abs(resid))
+                 / max(abs(eps) * float(np.max(np.abs(integral))), 1e-300))

@@ -11,11 +11,11 @@ Every eigenvalue is established twice, by independent routes:
     crosses the edge inside the well). Only the shot to x_a is integrated;
     past it the equation is phi'' = m^2 phi, and its solution has at most
     one zero on (x_a, inf), counted in closed form; an R short of that
-    flat tail raises TailNotAsymptotic. Every count shoots f = phi/zeta
-    over the closed-form zero mode zeta > 0, the variable of the match
-    below, whose zeros are those of phi; at mu2 = 0 f = 1 exactly. Cheap
-    counts at rtol 1e-7, atol 1e-9 halve (0, edge - 1e-6) until the jump
-    is isolated to at most 1e-6; they only choose where the match looks.
+    flat tail raises TailNotAsymptotic. Every shot here runs in
+    f = phi/zeta over the closed-form zero mode zeta > 0 (see ode_engine),
+    whose zeros are those of phi; at mu2 = 0 f = 1 exactly. Cheap counts
+    at rtol 1e-7 halve (0, edge - 1e-6) until the jump is isolated to at
+    most 1e-6; they only choose where the match looks.
     The certificate rests on two counts at the caller's tolerance, at the
     ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
@@ -23,11 +23,12 @@ Every eigenvalue is established twice, by independent routes:
     sign across the eigenvalue. The tail shot runs backward from the
     asymptotic radius x_a, where the count shots stop: past it the
     potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
-    Both legs shoot f = phi/zeta, whose second solution decreases outward,
-    so neither leg amplifies its start or step errors; the forward leg
-    starts on the series f = 1 - mu2 x^2/(4 nu + 2), or for k = inf on its
-    far-field start. The Wronskian of f is that of phi divided by zeta^2,
-    so the normalized mismatch is the same number in either form. The
+    In f the second solution decreases outward, so neither leg amplifies
+    its start or step errors; the forward leg starts on the series
+    f = 1 - mu2 x^2/(4 nu + 2), or for k = inf on its far-field start. The
+    Wronskian of f is that of phi divided by zeta^2, so the normalized
+    mismatch is the same number in either form. The matching point is the
+    potential minimum on [x0, x_a], so it does not depend on R. The
     mismatch must change sign across the isolation bracket, else
     InconsistentCertificate is raised. Illinois regula falsi then shrinks
     that sign change to the mismatch's noise floor: two iterates in a row
@@ -42,10 +43,14 @@ Wronskian residual is below 1e-8. If the isolation, the match or the
 certificate fails, all three are redone once with the isolation at the
 caller's tolerance; a second failure raises InconsistentCertificate.
 
-Threshold behavior is read off the affine tail of the shot at the continuum
-edge, whose slope b vanishes exactly when a resonance sits at the edge.
-Scans below the gap and into the continuum certify the absence of spurious
-point spectrum there.
+Threshold behavior is read off in closed form from the affine far field
+phi = a + b x of the regular solution at the continuum edge
+(ode_engine.fit_threshold), whose slope b vanishes exactly when a
+resonance sits at the edge. The scan below the gap counts zero states
+there. The embedded scan records the drift of the WKB amplitude of
+continuum shots over [R/2, R]; there U - edge is about exp(-R), and the
+amplitude's derivative is 2 phi phi' (U - edge)/kappa^2, so the drift
+measures integration error only and cannot see a trapped state.
 """
 
 import math
@@ -68,7 +73,6 @@ COUNT_MARGIN = 1e-6        # counting offset below the continuum edge
 BRACKET_WIDTH = 1e-10      # width of the certified bracket around the root
 # cheaper count shots isolate the jump to ISOLATION_WIDTH for the match
 ISOLATION_RTOL = 1e-7
-ISOLATION_ATOL = 1e-9
 ISOLATION_WIDTH = 1e-6
 WRONSKIAN_TOL = 1e-8
 EMBEDDED_FACTORS = (1.04, 1.2, 1.6, 2.0, 2.8, 4.0)
@@ -113,19 +117,20 @@ class SpectralReport:
 
     @property
     def embedded_scan_clear(self):
-        """True when every continuum probe's WKB amplitude stayed flat.
+        """True when every continuum probe's WKB amplitude drifted by less
+        than EMBEDDED_FLATNESS_TOL over [R/2, R].
 
-        Scattering states hold the drift near 1e-11; a trapped component
-        would push it to order one, so the tolerance is sharp."""
+        The drift is near 1e-11 here. Over that window U - edge is about
+        exp(-R), so the amplitude is flat for every solution, trapped or
+        not: the drift measures integration error, not point spectrum."""
         return bool(self.embedded_scan) and all(
             f < EMBEDDED_FLATNESS_TOL for _, f in self.embedded_scan)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Gap count and threshold fit at one lambda. resonance_a and
-    resonance_b are scale-relative (see ode_engine.fit_threshold): only the
-    sign of b and b/a are invariant."""
+    """Gap count and threshold read-out at one lambda: phi = a + b x at the
+    edge, phi with leading coefficient 1 (see ode_engine.fit_threshold)."""
 
     lam: float
     count: int
@@ -164,8 +169,8 @@ class MigrationReport:
 
 @dataclass(frozen=True)
 class LargeKPoint:
-    """One row of a large-k scan. resonance_b is scale-relative (see
-    ode_engine.fit_threshold): only its sign is invariant. A finite-k row is
+    """One row of a large-k scan. resonance_b is the threshold slope of
+    ode_engine.fit_threshold (for k = inf in s). A finite-k row is
     certified once, on its half-line pullback; halfline_mu2 and
     halfline_count repeat that certification's mu2 and count, and are kept
     for the document format."""
@@ -195,22 +200,21 @@ def default_count_radius(op):
     return 60.0
 
 
-def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11, atol=1e-13):
+def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11):
     """Sturm count: zeros of the regular solution on (0, inf), the number
     of eigenvalues below mu2.
 
     Below the edge the shot is integrated only up to the asymptotic radius,
     found by a backward scan from R, and the zero of the constant-
     coefficient tail past it is counted in closed form
-    (ode_engine.count_zeros), in f = phi/zeta; an R short of that flat
-    tail raises TailNotAsymptotic.
+    (ode_engine.count_zeros); an R short of that flat tail raises
+    TailNotAsymptotic.
     """
     if R is None:
         R = default_count_radius(op)
     if mu2 < continuum_edge(op):
         require_asymptotic(op, mu2, R)
-    start = series_start(op, mu2, factored=True)
-    return count_zeros(op, mu2, start, R, rtol=rtol, atol=atol)
+    return count_zeros(op, mu2, series_start(op, mu2), R, rtol=rtol)
 
 
 def _bisect(above, lo, hi, width):
@@ -228,25 +232,25 @@ def _bisect(above, lo, hi, width):
     return lo, hi
 
 
-def _matching_point(op, x0, R):
-    """Abscissa for Wronskian matching: the potential minimum.
+def _matching_point(op, x0, x1):
+    """Abscissa for Wronskian matching: the potential minimum on [x0, x1].
 
     Matching belongs at the well. Outside it the regular solution decays
     under the centrifugal barrier, so a forward shot carried further picks
     up the growing solution at the barrier's amplification factor and the
     mismatch turns noisy; at the minimum both legs still run in their
-    stable directions (the outward decay is shot backward from the
-    asymptotic radius x_a, which lies past the well). The result is
-    clamped to [x0 + 1e-4 (R - x0), (x0 + R)/2], so the forward leg is
-    never empty.
+    stable directions (the outward decay is shot backward from x1, the
+    asymptotic radius x_a for a certification, which lies past the well).
+    The result is clamped to [x0 + 1e-4 (x1 - x0), (x0 + x1)/2], so the
+    forward leg is never empty.
 
     The scan unions a uniform net with a geometric cluster at the left
     end: the wells narrow like 1/lambda around 2 artanh(1/lambda), so a
     uniform net alone steps straight over them once lambda is large."""
     code, kk, p = op_code(op)
-    span = R - x0
+    span = x1 - x0
     xs = np.concatenate([
-        np.linspace(x0, R, 2001)[1:-1],
+        np.linspace(x0, x1, 2001)[1:-1],
         x0 + span * np.geomspace(1e-6, 1.0, 1000)[:-1]])
     u = np.empty(xs.size)
     _kernels.pot_array(code, kk, p, xs, u)
@@ -254,26 +258,25 @@ def _matching_point(op, x0, R):
     return min(max(xm, x0 + 1e-4 * span), x0 + 0.5 * span)
 
 
-def _wronskian_mismatch(op, mu2, xm, R, rtol, atol):
+def _wronskian_mismatch(op, mu2, xm, R, rtol):
     """Signed normalized Wronskian of the regular and decaying shots at xm.
 
     The decaying leg starts at the asymptotic radius x_a, past which the
-    tail is exact. Both legs shoot f = phi/zeta: (f1 g2 - g1 f2)/(|f1| |f2| m)
-    is the phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since
-    zeta^2 and the W terms cancel.
+    tail is exact. In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the
+    phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and
+    the W terms cancel.
     """
     x_a = asymptotic_radius(op, mu2, R)
-    fwd = endpoint_state(op, mu2, series_start(op, mu2, factored=True),
-                         xm, rtol=rtol, atol=atol)
-    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a, True),
-                         xm, rtol=rtol, atol=atol)
+    fwd = endpoint_state(op, mu2, series_start(op, mu2), xm, rtol=rtol)
+    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a), xm,
+                         rtol=rtol)
     m = math.sqrt(continuum_edge(op) - mu2)
-    w = fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi
-    denom = max(abs(fwd.phi) * abs(bwd.phi) * m, 1e-300)
+    w = fwd.f * bwd.f_prime - fwd.f_prime * bwd.f
+    denom = max(abs(fwd.f) * abs(bwd.f) * m, 1e-300)
     return w / denom
 
 
-def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
+def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     """Illinois regula falsi on the Wronskian mismatch, inside the
     isolation bracket (lo, hi) it is given.
 
@@ -292,11 +295,12 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     # otherwise the located root inherits an O(rtol) bias that depends on
     # the matching point
     rtol = max(rtol * 1e-2, 1e-14)
-    atol = max(atol * 1e-2, 1e-15)
-    xm = _matching_point(op, series_start(op, 0.5 * (lo + hi)).x, R)
+    mid = 0.5 * (lo + hi)
+    xm = _matching_point(op, series_start(op, mid).x,
+                         asymptotic_radius(op, mid, R))
 
     def mismatch(mu2):
-        return _wronskian_mismatch(op, mu2, xm, R, rtol, atol)
+        return _wronskian_mismatch(op, mu2, xm, R, rtol)
 
     a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
     if va * vb > 0.0:
@@ -331,7 +335,7 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol, atol):
     return best, abs(vbest)
 
 
-def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
+def _locate_eigenvalue(op, index, edge, R_count, rtol):
     """Isolate, match and certify the eigenvalue with the given index.
 
     Counts at the isolation tolerance halve (0, edge - COUNT_MARGIN) down
@@ -341,15 +345,15 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
     any step raises InconsistentCertificate, all three are redone once with
     the isolation at the caller's tolerance.
     """
-    def count(mu2, tols):
-        return count_eigenvalues_below(op, mu2, R_count, *tols)
+    def count(mu2, tol):
+        return count_eigenvalues_below(op, mu2, R_count, tol)
 
-    for tols in ((ISOLATION_RTOL, ISOLATION_ATOL), (rtol, atol)):
+    for tol in (ISOLATION_RTOL, rtol):
         try:
-            lo, hi = _bisect(lambda mu2: count(mu2, tols) > index,
+            lo, hi = _bisect(lambda mu2: count(mu2, tol) > index,
                              0.0, edge - COUNT_MARGIN, ISOLATION_WIDTH)
             mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_count,
-                                            rtol, atol)
+                                            rtol)
             if not 0.0 < mu2 < edge:
                 raise InconsistentCertificate(
                     f"matched root {mu2:.12g} for index {index} lies "
@@ -357,7 +361,7 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
             # 0.45, not 0.5, so that rounding keeps hi - lo <= BRACKET_WIDTH
             lo = max(mu2 - 0.45 * BRACKET_WIDTH, 0.0)
             hi = mu2 + 0.45 * BRACKET_WIDTH
-            osc = (count(lo, (rtol, atol)), count(hi, (rtol, atol)))
+            osc = (count(lo, rtol), count(hi, rtol))
             if osc != (index, index + 1):
                 raise InconsistentCertificate(
                     f"zero counts {osc} across the bracket ({lo:.12g}, "
@@ -365,17 +369,18 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol, atol):
                     f"{(index, index + 1)}")
             return GapEigenvalue(mu2, (lo, hi), resid, index, osc, R_count)
         except InconsistentCertificate:
-            if tols == (rtol, atol):
+            if tol == rtol:
                 raise
 
 
-def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
-                         scans=True, threshold=True) -> SpectralReport:
+def find_gap_eigenvalues(op, R=None, rtol=1e-11, scans=True,
+                         threshold=True) -> SpectralReport:
     """Locate and certify every eigenvalue in the operator's spectral gap.
 
     Returns a SpectralReport carrying the certified eigenvalues, the affine
-    threshold fit at the continuum edge (when `threshold`), and the below-gap
-    and embedded-continuum clearance scans (when `scans`). Raises
+    threshold read-out at the continuum edge (when `threshold`), and the
+    below-gap and embedded-continuum scans (when `scans`). Every shot's
+    step control is relative, at rtol (see ode_engine._shoot). Raises
     InconsistentCertificate when an eigenvalue fails its certificate.
 
     The certified bracket width (BRACKET_WIDTH, 1e-10) and the Wronskian
@@ -394,51 +399,43 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, atol=1e-13,
         raise DomainError("the euclidean family has no spectral gap")
     edge = continuum_edge(op)
     R_count = default_count_radius(op) if R is None else float(R)
-    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count, rtol, atol)
+    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count, rtol)
     report = SpectralReport(operator=op, edge=edge, count=n, R_count=R_count)
     for j in range(n):
         report.eigenvalues.append(
-            _locate_eigenvalue(op, j, edge, R_count, rtol, atol))
+            _locate_eigenvalue(op, j, edge, R_count, rtol))
     if threshold:
-        report.threshold = _threshold_fit(op, R_count, rtol, atol)
+        report.threshold = fit_threshold(op, R_count, rtol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
             report.negative_scan.append(
-                (mu2, count_eigenvalues_below(op, mu2, R_count, rtol, atol)))
+                (mu2, count_eigenvalues_below(op, mu2, R_count, rtol)))
         for fac in EMBEDDED_FACTORS:
             mu2 = edge * fac
             report.embedded_scan.append(
-                (mu2, _embedded_flatness(op, mu2, edge, R_count, rtol, atol)))
+                (mu2, _embedded_flatness(op, mu2, edge, R_count, rtol)))
     return report
 
 
-def _threshold_fit(op, R, rtol=1e-11, atol=1e-13):
-    """Affine tail fit of the regular shot at the continuum edge."""
-    edge = continuum_edge(op)
-    # cap the step so the fit window holds enough samples: at the edge
-    # the far field is affine and the controller would stride across it
-    tr = integrate(op, edge, series_start(op, edge), R,
-                   rtol=rtol, atol=atol, max_step=R / 100.0)
-    return fit_threshold(tr)
-
-
-def _embedded_flatness(op, mu2, edge, R, rtol, atol):
+def _embedded_flatness(op, mu2, edge, R, rtol):
     """Amplitude drift of the shot inside the continuum over [R/2, R].
 
-    The WKB amplitude sqrt(phi^2 + (phi'/kappa)^2) of a scattering state is
-    R-independent once the potential has flattened; a trapped component
-    would make it drift. Returns max/min - 1 over the window.
+    Returns max/min - 1 of the WKB amplitude sqrt(phi^2 + (phi'/kappa)^2),
+    phi = zeta f and phi' = zeta (f' + W f), over the window. Its
+    derivative is 2 phi phi' (U - edge)/kappa^2, and U - edge is about
+    exp(-R) there, so the drift is the shot's integration error: it is
+    near 1e-11 for every solution, scattering or trapped.
     """
     kappa = math.sqrt(mu2 - edge)
-    tr = integrate(op, mu2, series_start(op, mu2), R, rtol=rtol, atol=atol)
-    xs = tr.grid
-    lo = xs[0] + 0.5 * (xs[-1] - xs[0])
-    sel = xs >= lo
-    ref = float(np.max(tr.log_scale[sel]))
-    scale = np.exp(tr.log_scale[sel] - ref)
-    phi = tr.values[sel, 0] * scale
-    dphi = tr.values[sel, 1] * scale
-    amp = np.sqrt(phi * phi + (dphi / kappa) ** 2)
+    code, kk, p = op_code(op)
+    tr = integrate(op, mu2, series_start(op, mu2), R, rtol=rtol)
+    sel = tr.grid >= tr.grid[0] + 0.5 * (tr.grid[-1] - tr.grid[0])
+    xs = tr.grid[sel]
+    lz = tr.log_scale[sel] + _kernels.logzeta(code, kk, p, xs)
+    w = np.array([_kernels.logder(code, kk, p, x) for x in xs])
+    z = np.exp(lz - np.max(lz))
+    f, fp = tr.values[sel, 0], tr.values[sel, 1]
+    amp = z * np.sqrt(f * f + ((fp + w * f) / kappa) ** 2)
     return float(np.max(amp) / np.min(amp) - 1.0)
 
 
@@ -456,7 +453,7 @@ def _sweep_point(args):
         cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN,
                                       Rc)
     if need != "count":
-        fit = _threshold_fit(op, Rc)
+        fit = fit_threshold(op, Rc)
         a, b, resid = fit.a, fit.b, fit.fit_residual
     return SweepPoint(lam, cnt, a, b, resid)
 

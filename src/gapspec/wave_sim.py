@@ -140,14 +140,28 @@ def nonlinear_source(geometry, r, u):
     return out if out.shape else float(out)
 
 
+def _hermite(x, xs, vals):
+    """Cubic Hermite interpolant at x of the (f, f') samples vals on the
+    increasing grid xs, held constant outside it."""
+    x = np.clip(x, xs[0], xs[-1])
+    i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
+    d = xs[i + 1] - xs[i]
+    t = (x - xs[i]) / d
+    s = 1.0 - t
+    return (s * s * ((1.0 + 2.0 * t) * vals[i, 0] + t * d * vals[i, 1])
+            + t * t * ((1.0 + 2.0 * s) * vals[i + 1, 0]
+                       - s * d * vals[i + 1, 1]))
+
+
 def _eigenmode_profile(geometry, mu2, index, r, zeta):
     """Eigenfunction w = zeta f on the nodes, max-normalized.
 
-    f = phi/zeta is stitched from the two factored legs of the Wronskian
-    match, the regular shot from the series start out to the matching
-    point and the decaying shot from R back to it, scaled to agree there.
-    Below the series start, f is the start's own series. zeta is the zero
-    mode on the nodes."""
+    f = phi/zeta is stitched from the two legs of the Wronskian match, the
+    regular shot from the series start out to the matching point and the
+    decaying shot from R back to it, scaled to agree there, and taken at
+    the nodes by cubic Hermite interpolation of the legs' (f, f'). Below
+    the series start, f is the start's own series. zeta is the zero mode
+    on the nodes."""
     op = half_line(geometry)
     if mu2 is None:
         rep = find_gap_eigenvalues(op, scans=False, threshold=False)
@@ -158,19 +172,19 @@ def _eigenmode_profile(geometry, mu2, index, r, zeta):
         mu2 = rep.eigenvalues[index].mu2
     R = float(r[-1])
     h = float(r[1] - r[0])
-    start = series_start(op, mu2, factored=True)
+    start = series_start(op, mu2)
     xm = _matching_point(op, start.x, R)
     fwd = integrate(op, mu2, start, xm, max_step=h)
-    bwd = integrate(op, mu2, tail_start_decaying(op, mu2, R, factored=True),
-                    xm, max_step=h)
-    vf = fwd.values[:, 0] * np.exp(fwd.log_scale - fwd.log_scale[-1])
-    gb = bwd.grid[::-1]
-    vb = (bwd.values[:, 0] * np.exp(bwd.log_scale - bwd.log_scale[-1]))[::-1]
-    f = np.where(r <= xm, np.interp(r, fwd.grid, vf),
-                 vf[-1] / vb[0] * np.interp(r, gb, vb))
+    bwd = integrate(op, mu2, tail_start_decaying(op, mu2, R), xm,
+                    max_step=h)
+    vf = fwd.values * np.exp(fwd.log_scale - fwd.log_scale[-1])[:, None]
+    vb = (bwd.values * np.exp(bwd.log_scale - bwd.log_scale[-1])[:, None]
+          )[::-1]
+    f = np.where(r <= xm, _hermite(r, fwd.grid, vf),
+                 vf[-1, 0] / vb[0, 0] * _hermite(r, bwd.grid[::-1], vb))
     for i in np.flatnonzero((r > 0.0) & (r < start.x)):
-        head = series_start(op, mu2, float(r[i]), factored=True)
-        f[i] = vf[0] * head.phi / start.phi
+        head = series_start(op, mu2, float(r[i]))
+        f[i] = vf[0, 0] * head.f / start.f
     w = zeta * f
     w[0] = 0.0
     w[-1] = 0.0

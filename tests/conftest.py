@@ -7,7 +7,7 @@ discrete operator. The deep-well values (lambda = 20 and 40, and sphere
 k=3) come from the independent factored scipy shot of test_oracle.py alone,
 which also checks the eigenvalues below against itself. They are frozen so
 regressions surface as value drift, not as silently moving baselines.
-Threshold slopes come from the affine far field fit at the continuum edge.
+Threshold slopes come from the affine far field at the continuum edge.
 """
 
 # sphere k=2 gap eigenvalues
@@ -33,11 +33,10 @@ MU2_SPHERE_K3_L40 = 2.90008882735e-06
 MU2_LARGEK_100 = {8: 7.943794009437e-03, 16: 7.415132251538e-03}
 MU2_LARGEK_INF_100 = 7.243283890948e-03
 
-# threshold fit slopes b for sphere k=1 (normalization: positive leading
-# Frobenius coefficient of the regular solution). b is taken relative to the
-# log scale at the start of the fit window, so it holds for the shot from
-# these members' default start, the series start at its radius; from
-# another start only the sign of b and b/a are the same
+# threshold slopes b for sphere k=1 (normalization: leading Frobenius
+# coefficient 1 of the regular solution, phi ~ r^(3/2)). b is read off
+# phi = zeta f with zeta normalized the same way, so it does not depend on
+# where the shot starts
 B_SPHERE_K1 = {
     0.25: 1.640510,
     0.5: 1.275100,

@@ -238,8 +238,8 @@ def test_criterion_13_self_consistency():
         base = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
         grown = gs.find_gap_eigenvalues(op, R=90.0, scans=False,
                                         threshold=False)
-        tight = gs.find_gap_eigenvalues(op, rtol=1e-12, atol=1e-14,
-                                        scans=False, threshold=False)
+        tight = gs.find_gap_eigenvalues(op, rtol=1e-12, scans=False,
+                                        threshold=False)
         mu2 = base.eigenvalues[0].mu2
         worst = max(worst, abs(grown.eigenvalues[0].mu2 - mu2),
                     abs(tight.eigenvalues[0].mu2 - mu2))

@@ -240,16 +240,50 @@ def test_zero_mode_derivatives_against_mpmath(geom):
 @pytest.mark.parametrize("geom", [gs.sphere(1, 3.0), gs.sphere(2, 40.0),
                                   gs.sphere(3, 40.0), gs.yang_mills(10.0)])
 def test_kernel_logder_is_zero_mode_log_derivative(geom):
-    # W = zeta'/zeta drives the factored shot; codes 2-3 evaluate it at
-    # r = 2 rho/lambda
+    # W = zeta'/zeta drives every shot; codes 2-3 evaluate it at
+    # r = 2 rho/lambda. logzeta is log zeta up to the constant that makes
+    # the leading coefficient 1
     for fam, coord in ((gs.half_line, gs.PHYSICAL_R),
                        (gs.rescaled, gs.RESCALED_RHO)):
         code, kk, p = op_code(fam(geom))
+        offsets = []
         for r in (1e-3, 0.05, 1.0, 7.0, 30.0):
             x = r if coord == gs.PHYSICAL_R else 0.5 * geom.lam * r
             val, d1, _ = gs.zero_mode(geom, coord, x, derivatives=True)
             assert _kernels.logder(code, kk, p, x) == pytest.approx(
                 d1 / val, rel=1e-13, abs=0.0)
+            offsets.append(float(_kernels.logzeta(code, kk, p, x))
+                           - math.log(val))
+        assert max(offsets) - min(offsets) < 1e-12
+        # leading coefficient 1: zeta/x^(kk + 1/2) -> 1 at the left end
+        x = 1e-7
+        assert math.exp(_kernels.logzeta(code, kk, p, x)) / x ** (
+            kk + 0.5) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_kernel_logzeta_closed_forms():
+    # the k = inf zero mode (rho/Theta) (1 + rho^2)^-1 L^(-1/2) in
+    # s = -log L: logzeta is its log, and logder its derivative (central
+    # differences); the euclidean W is that of rho^(k+1/2)/(1 + rho^(2k))
+    theta = 100.0
+    for s in (-2.0, 0.05, 0.7, 1.0, 3.0, 12.0):
+        L = math.exp(-s)
+        rho = theta * math.exp(-L)
+        closed = rho / theta / (1.0 + rho * rho) / math.sqrt(L)
+        lz = _kernels.logzeta(_kernels.LARGEK_INF, 0.0, theta, s)
+        assert math.exp(lz) == pytest.approx(closed, rel=1e-12)
+        h = 1e-5 * abs(s)
+        fd = (float(_kernels.logzeta(_kernels.LARGEK_INF, 0.0, theta, s + h))
+              - float(_kernels.logzeta(_kernels.LARGEK_INF, 0.0, theta,
+                                       s - h))) / (2.0 * h)
+        assert _kernels.logder(_kernels.LARGEK_INF, 0.0, theta, s) == \
+            pytest.approx(fd, rel=1e-8, abs=1e-9)
+    for k in (1, 3):
+        for x in (0.05, 0.7, 1.0, 3.0, 12.0):
+            t = x ** (2 * k)
+            w = (k + 0.5) / x - 2.0 * k * x ** (2 * k - 1) / (1.0 + t)
+            assert _kernels.logder(_kernels.EUCLIDEAN, float(k), 0.0, x) == \
+                pytest.approx(w, rel=1e-13)
 
 
 def test_zero_mode_positive_with_frobenius_power():

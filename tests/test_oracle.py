@@ -18,6 +18,14 @@ the second solution decreases outward, so neither leg amplifies its start
 error. At rtol 1e-13 the roots at R = 40 and 60 agree to 3e-14 relative,
 and rtol 1e-12 moves them by at most 6e-12.
 
+The same module holds a phi-form shot on the written-out half-line
+potential, phi'' = (U - mu2) phi from phi = r0^nu, phi' = nu r0^(nu - 1):
+the reference for tests that read phi, whose library values are zeta f.
+Its start leaves out the x^2 term of the Frobenius series; that error lies
+mostly along the regular solution itself, and its part along the second
+solution dies off like (r0/r)^(2 nu), so ratios of phi values and b/a at
+the edge do not see it.
+
 The k = inf large-k member is shot the same way in s = -log L,
 L = log(Theta/rho), over its zero mode rho (1 + rho^2)^-1 L^(-1/2), whose
 log-derivative is W = L (1 - rho^2)/(1 + rho^2) + 1/2: the regular leg
@@ -28,11 +36,13 @@ they match at rho = 1.
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import gapspec as gs
+from gapspec import _kernels
 from gapspec.cli import main
 from gapspec.errors import GapspecError
 
@@ -61,6 +71,33 @@ def _regular_start(kind, k, lam, mu2):
     r0 = min(1e-4, 2.0 * math.atanh(1e-12 ** (1.0 / power) / lam))
     c = -mu2 / (4.0 * nu + 2.0)
     return r0, [1.0 + c * r0 * r0, 2.0 * c * r0]
+
+
+def _potential(kind, k, lam, r):
+    """U of phi'' = (U - mu2) phi on the half-line, 1/4 at infinity."""
+    om2 = 1.0 / math.sinh(r) ** 2
+    T = math.tanh(0.5 * r)
+    if kind == "sphere":
+        x = (lam * T) ** k
+        v = -8.0 * k * k * om2 / (x + 1.0 / x) ** 2 if x > 0.0 else 0.0
+        return 0.25 + (k * k - 0.25) * om2 + v
+    y = (lam * T) ** 2
+    return 0.25 + 3.75 * om2 - 24.0 * y * om2 / (1.0 + y) ** 2
+
+
+def phi_shot(kind, k, lam, mu2, r0, r1, y0=None, rtol=1e-13, **kwargs):
+    """DOP853 shot of phi'' = (U - mu2) phi from r0 to r1, by default from
+    phi = r0^nu, phi' = nu r0^(nu - 1) (the regular solution); extra
+    keyword arguments go to solve_ivp."""
+    if y0 is None:
+        nu = (k if kind == "sphere" else 2) + 0.5
+        y0 = [r0 ** nu, nu * r0 ** (nu - 1.0)]
+
+    def rhs(r, y):
+        return [y[1], (_potential(kind, k, lam, r) - mu2) * y[0]]
+
+    return solve_ivp(rhs, (r0, r1), y0, method="DOP853", rtol=rtol,
+                     atol=1e-300, **kwargs)
 
 
 def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=1e-13):
@@ -267,3 +304,38 @@ def test_renorm_sign_change_matches_oracle(capsys, lam):
     got = json.loads(capsys.readouterr().out)["results"]["first_sign_change"]
     want = 0.5 * lam * oracle_first_zero("sphere", 2, lam, 0.25)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,k,lam", [
+    ("sphere", 1, 1.0), ("sphere", 2, 1.69), ("ym", 2, 2.09),
+    ("sphere", 16, 1.33)])
+def test_threshold_readout_matches_oracle(kind, k, lam):
+    # the library reads phi = a + b x off one f shot at the edge in closed
+    # form; the oracle fits a line by least squares to a phi shot on
+    # [30, 54], where U - 1/4 is below 1e-24
+    sol = phi_shot(kind, k, lam, 0.25, 1e-3, 54.0,
+                   t_eval=np.linspace(30.0, 54.0, 97))
+    b, a = np.polyfit(sol.t, sol.y[0], 1)
+    fit = gs.fit_threshold(gs.half_line(gs.GeometrySpec(kind, k, lam)), 60.0)
+    assert fit.b / fit.a == pytest.approx(b / a, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.skipif(_kernels.USE_NUMBA,
+                    reason="a compiled kernel does not see a patched W")
+def test_renorm_residual_sees_a_mutated_w(monkeypatch):
+    # W of the rescaled families scaled by 1 + 1e-6 leaves the shot a
+    # smooth solution of the wrong equation; the Volterra identity, whose
+    # zeta comes from operators.zero_mode, sees it
+    logder = _kernels.logder
+
+    def mutated(code, kk, p, x):
+        w = logder(code, kk, p, x)
+        return w * (1.0 + 1e-6) if code in (2, 3) else w
+
+    for lam in (20.0, 30.0, 40.0):
+        assert gs.renormalized_f(gs.sphere(2, lam), 0.25,
+                                 lam).shoot_residual < 1e-8
+    monkeypatch.setattr(_kernels, "logder", mutated)
+    for lam in (20.0, 30.0, 40.0):
+        assert gs.renormalized_f(gs.sphere(2, lam), 0.25,
+                                 lam).shoot_residual > 1e-6

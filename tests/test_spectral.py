@@ -15,6 +15,7 @@ from gapspec.ode_engine import asymptotic_radius
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM, B_SPHERE_K1)
+from test_oracle import phi_shot
 
 
 def _certified(geom):
@@ -114,8 +115,8 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
                                 gs.rescaled(gs.yang_mills(10.0))])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     # the decaying leg of every Wronskian match starts where the count
-    # shots stop, short of R; every count and both legs of every match
-    # shoot f = phi/zeta, the k = inf member included
+    # shots stop, short of R; every shot passes rk_shoot the 14 positional
+    # arguments the benchmark's tracer reads (args[13] is store)
     shots = []
     real_shoot = _kernels.rk_shoot
 
@@ -131,24 +132,21 @@ def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     for args in backward:
         mu2, x0 = args[3], args[4]
         assert x0 == asymptotic_radius(op, mu2, ev.R_used) < ev.R_used
-    assert all(args[14] is True for args in shots)
+    assert all(len(args) == 14 and args[13] is False for args in shots)
 
 
 @pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
 def test_factored_mismatch_is_the_phi_wronskian(mu2):
-    # zeta^2 and W cancel from the normalized Wronskian, so the factored
-    # legs give the number a tight phi-form match from R gives; the
+    # zeta^2 and W cancel from the normalized Wronskian, so the f legs give
+    # the number a tight scipy phi-form match from R = 80 gives; the
     # mismatch is of order one, and 0.0768 sits next to the root
     op = gs.half_line(gs.sphere(2, 5.0))
     xm = spectral._matching_point(op, gs.series_start(op, mu2).x, 80.0)
-    fwd = gs.endpoint_state(op, mu2, gs.series_start(op, mu2), xm,
-                            rtol=1e-13, atol=0.0)
-    bwd = gs.endpoint_state(op, mu2, gs.tail_start_decaying(op, mu2, 80.0),
-                            xm, rtol=1e-13, atol=0.0)
     m = math.sqrt(0.25 - mu2)
-    phi_form = ((fwd.phi * bwd.phi_prime - fwd.phi_prime * bwd.phi)
-                / (abs(fwd.phi) * abs(bwd.phi) * m))
-    got = spectral._wronskian_mismatch(op, mu2, xm, 80.0, 1e-13, 1e-15)
+    p1, d1 = phi_shot("sphere", 2, 5.0, mu2, 1e-3, xm).y[:, -1]
+    p2, d2 = phi_shot("sphere", 2, 5.0, mu2, 80.0, xm, y0=[1.0, -m]).y[:, -1]
+    phi_form = (p1 * d2 - d1 * p2) / (abs(p1) * abs(p2) * m)
+    got = spectral._wronskian_mismatch(op, mu2, xm, 80.0, 1e-13)
     assert got == pytest.approx(phi_form, rel=0.0, abs=1e-11)
 
 
@@ -206,11 +204,10 @@ def test_refine_rejects_bracket_off_root(shift):
     w = spectral.BRACKET_WIDTH
     lo = mu2 + (shift - 0.5) * w
     with pytest.raises(InconsistentCertificate, match="sign change"):
-        spectral._refine_eigenvalue(op, 0, lo, lo + w, 60.0, 1e-11, 1e-13)
+        spectral._refine_eigenvalue(op, 0, lo, lo + w, 60.0, 1e-11)
     # the bracket around the root refines to it
     got, resid = spectral._refine_eigenvalue(op, 0, mu2 - 0.5 * w,
-                                             mu2 + 0.5 * w, 60.0, 1e-11,
-                                             1e-13)
+                                             mu2 + 0.5 * w, 60.0, 1e-11)
     assert got == pytest.approx(mu2, rel=1e-9)
     assert resid < 1e-8
 
@@ -352,8 +349,7 @@ def test_count_radius_short_of_the_flat_tail_is_refused(R):
     # the scan itself stays on r > 0, and a shot to R still counts on
     # (start, R]
     assert asymptotic_radius(op, 0.2, R) == R
-    start = gs.series_start(op, 0.2, factored=True)
-    assert gs.count_zeros(op, 0.2, start, R) == 0
+    assert gs.count_zeros(op, 0.2, gs.series_start(op, 0.2), R) == 0
     # at or above the edge no tail is assumed, so there is nothing to refuse
     assert gs.count_eigenvalues_below(op, 0.5, R=R) == 0
 
@@ -389,6 +385,25 @@ def test_eigenvalue_R_independence():
     b = gs.find_gap_eigenvalues(op, R=90.0, scans=False, threshold=False)
     assert a.eigenvalues[0].mu2 == pytest.approx(b.eigenvalues[0].mu2,
                                                  rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("geom", [gs.sphere(2, 5.0), gs.yang_mills(20.0)],
+                         ids=["sphere2", "ym"])
+def test_count_radius_far_out_gives_the_same_certificate(geom):
+    # the asymptotic scan starts below r = 710, past which pot returns its
+    # limit exactly, so R = 1e308 no longer steps back forever (x - 0.5
+    # rounds to x past 9e15), and the matching point is the well's minimum
+    # on [x0, x_a], not on [x0, R]: its clamp once left the well at large R
+    # (sphere(2, 5) raised InconsistentCertificate at R = 1e6)
+    op = gs.half_line(geom)
+    ref = gs.find_gap_eigenvalues(op, R=60.0, scans=False)
+    mu2 = ref.eigenvalues[0].mu2
+    for R in (1e4, 1e6, 1e9, 1e308):
+        rep = gs.find_gap_eigenvalues(op, R=R, scans=False)
+        assert rep.eigenvalues[0].mu2 == mu2
+        assert rep.threshold == ref.threshold
+        assert asymptotic_radius(op, mu2, R) == asymptotic_radius(op, mu2,
+                                                                  60.0)
 
 
 def test_rescaled_family_scales_eigenvalue():
@@ -462,8 +477,8 @@ def test_sweep_midpoints_compute_only_the_deciding_half(monkeypatch):
 
     monkeypatch.setattr(spectral, "count_eigenvalues_below",
                         counted("count", spectral.count_eigenvalues_below))
-    monkeypatch.setattr(spectral, "_threshold_fit",
-                        counted("fit", spectral._threshold_fit))
+    monkeypatch.setattr(spectral, "fit_threshold",
+                        counted("fit", spectral.fit_threshold))
     rep = gs.sweep_lambda(gs.SPHERE, 1, [3.0, 3.5, 4.0], bisect_to=1e-3)
     # each bracket is 0.5/2^9 wide: 9 midpoints, plus the 3 grid points
     assert calls == {"count": 12, "fit": 12}

@@ -11,8 +11,10 @@ import gapspec as gs
 from gapspec import _kernels, wave_sim
 from gapspec.errors import (CFLViolation, DomainError, NoEigenmode,
                             TooFewSamples)
+from gapspec.ode_engine import _free_radius
 
 from conftest import MU2_SPHERE_K2
+from test_oracle import phi_shot
 
 MU2_K2L5 = MU2_SPHERE_K2[5.0]
 
@@ -84,31 +86,28 @@ def test_eigenmode_profile_normalized():
     assert not np.any(state.v)
 
 
-def _phi_shot(op, mu2, r0, r):
-    """phi at r from a tight shot off the series start at r0."""
-    end = gs.endpoint_state(op, mu2, gs.series_start(op, mu2, r0), r,
-                            rtol=1e-13)
-    return end.phi * math.exp(end.log_scale)
+def _phi_shot(geom, mu2, r0, r):
+    """phi at r from a tight scipy shot off phi = r0^(k+1/2)."""
+    return phi_shot(geom.kind, geom.k, geom.lam, mu2, r0, r).y[0, -1]
 
 
 def test_eigenmode_head_below_free_start():
-    # phi0 starts a phi shot of the k = 16, Theta = 100 pullback at
-    # r = 0.64, and the eigenmode is zeta f from factored shots that start
-    # on the series; the nodes below 0.64 hold the regular solution's own
-    # shape, checked against phi shots from the series start at 1e-3
+    # below r = 0.64, where the map's potential at the k = 16, Theta = 100
+    # pullback is 1e-12 in relative effect, the eigenmode zeta f holds the
+    # regular solution's own shape, checked against scipy phi shots from
+    # 1e-3
     k, mu2 = 16, 7.415132251538e-03
     geom = gs.sphere(k, 100.0 ** (1.0 / k))
-    op = gs.half_line(geom)
-    rf = gs.series_start(op, mu2).x
+    rf = _free_radius(k, geom.lam)
     state = gs.init_state(geom, 40.0, 4096, gs.GapEigenmode(mu2=mu2))
     head = np.flatnonzero((state.grid > 0.0) & (state.grid < rf))
     assert head.size > 50
 
     last = head[-1]
-    ref = _phi_shot(op, mu2, 1e-3, state.grid[last])
+    ref = _phi_shot(geom, mu2, 1e-3, state.grid[last])
     for i in head[::20]:
         assert state.w[i] / state.w[last] == pytest.approx(
-            _phi_shot(op, mu2, 1e-3, state.grid[i]) / ref, rel=1e-10)
+            _phi_shot(geom, mu2, 1e-3, state.grid[i]) / ref, rel=1e-10)
 
 
 def test_eigenmode_nodes_near_the_axis_match_a_tight_shot():
@@ -116,14 +115,14 @@ def test_eigenmode_nodes_near_the_axis_match_a_tight_shot():
     # steps; interpolating phi ~ r^(5/2) itself put the nodes at the well
     # of sphere(2, 20) up to 1e-4 off
     geom, mu2 = gs.sphere(2, 20.0), MU2_SPHERE_K2[20.0]
-    op = gs.half_line(geom)
     state = gs.init_state(geom, 40.0, 4096, gs.GapEigenmode(mu2=mu2))
     nodes = np.flatnonzero((state.grid > 0.0) & (state.grid < 0.2))
     last = nodes[-1]
-    ref = _phi_shot(op, mu2, 1e-4, state.grid[last])
+    ref = _phi_shot(geom, mu2, 1e-4, state.grid[last])
     for i in nodes:
         assert state.w[i] / state.w[last] == pytest.approx(
-            _phi_shot(op, mu2, 1e-4, state.grid[i]) / ref, rel=1e-7, abs=0.0)
+            _phi_shot(geom, mu2, 1e-4, state.grid[i]) / ref, rel=1e-7,
+            abs=0.0)
 
 
 def test_eigenmode_located_on_demand():
