@@ -204,8 +204,8 @@ def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11):
     """Sturm count: zeros of the regular solution on (0, inf), the number
     of eigenvalues below mu2.
 
-    Below the edge the shot is integrated only up to the asymptotic radius,
-    found by a backward scan from R, and the zero of the constant-
+    At or below the edge the shot is integrated only up to the asymptotic
+    radius, found by a backward scan from R, and the zero of the constant-
     coefficient tail past it is counted in closed form
     (ode_engine.count_zeros); an R short of that flat tail raises
     TailNotAsymptotic.

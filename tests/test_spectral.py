@@ -365,6 +365,18 @@ def test_count_radius_flat_only_at_itself_counts_the_tail():
     assert gs.count_eigenvalues_below(op, ev * (1.0 - 1e-9), R=16.0) == 0
 
 
+@pytest.mark.parametrize("lam,want", [(3.4, 0), (3.45, 1), (3.46, 1),
+                                      (3.6, 1)])
+def test_count_at_the_edge_counts_the_affine_tail(lam, want):
+    # at mu2 = 1/4 the solution past the flat point x_b is affine, and its
+    # zero there is counted in closed form; a count on (start, R] read 0 at
+    # lambda = 3.45 to 3.6, where the eigenvalue lies 6e-9 to 1.4e-4 below
+    # the edge, and so fell below the count at 1/4 - 1e-6 at 3.6
+    op = gs.half_line(gs.sphere(1, lam))
+    assert gs.count_eigenvalues_below(op, 0.25) == want
+    assert want >= gs.count_eigenvalues_below(op, 0.25 - 1e-6)
+
+
 def test_scans_clear_for_random_geometries():
     rng = np.random.default_rng(11)
     for _ in range(3):
