@@ -32,7 +32,8 @@ no start or shot exists for it here. The k = inf member is shot in
 s = -log log(Theta/rho) over zeta = rho (1 + rho^2)^-1 log^(-1/2)(Theta/rho)
 and starts at log(Theta/rho) = L0 = 25 on f = 1, f' = -mu2/(2W), W ~ L0;
 its start error lies along the second solution, which dies off like
-exp(-2 (L0 - L)) well before matching; mu2 meets a scipy f-shot to 6e-12.
+exp(-2 (L0 - L)) up to the match at L = log Theta; mu2 meets a scipy
+f-shot to 6e-12 for Theta <= 1e6.
 """
 
 import math
@@ -176,7 +177,8 @@ def series_start(op, mu2, r0=None):
     f = 1 + c x^2 + d x^4 + O(x^6), c = -mu2/(4 nu + 2), from
     f'' + 2W f' + mu2 f = 0 with W = nu/x + w1 x + O(x^3), at r0 or, with
     no r0, at the series radius (see the module docstring); an r0 beyond
-    it raises SeriesRadiusExceeded. For the
+    it raises SeriesRadiusExceeded, and one below 1e-13, where no shot can
+    take its first step, DomainError. For the
     k = inf large-k member this returns the far-field start in s described
     in the module docstring, and r0 is ignored; a finite-k large-k member
     raises DomainError (it is shot on its half-line pullback). Any start
@@ -201,8 +203,9 @@ def series_start(op, mu2, r0=None):
     elif r0 > rmax * (1.0 + 1e-12):
         raise SeriesRadiusExceeded(
             f"r0={r0:g} beyond series radius {rmax:g} for this operator")
-    elif r0 <= 0.0:
-        raise DomainError(f"r0 must be positive, got {r0}")
+    if r0 < 1e-13:  # rk_shoot's first step, 0.1 r0, must clear 1e-14
+        raise DomainError(f"start radius r0={r0:.6g} (lambda={op.lam}) is "
+                          f"below 1e-13: 0.1 r0 is under the step floor 1e-14")
     # W = nu/x + w1 x + O(x^3), with W^2 + W' = U giving w1 = U0/(2 nu + 1)
     # for U's constant term U0 = u0 + mu2
     c = -mu2 / (4.0 * nu + 2.0)

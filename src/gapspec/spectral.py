@@ -19,8 +19,8 @@ Every eigenvalue is established twice, by independent routes:
     The certificate rests on two counts at the caller's tolerance, at the
     ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
-    and the decaying tail shot, taken at the potential minimum, changes
-    sign across the eigenvalue. The tail shot runs backward from the
+    and the decaying tail shot, taken in the well, changes sign across the
+    eigenvalue. The tail shot runs backward from the
     asymptotic radius x_a, where the count shots stop: past it the
     potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
     In f the second solution decreases outward, so neither leg amplifies
@@ -28,12 +28,12 @@ Every eigenvalue is established twice, by independent routes:
     f = 1 - mu2 x^2/(4 nu + 2), or for k = inf on its far-field start. The
     Wronskian of f is that of phi divided by zeta^2, so the normalized
     mismatch is the same number in either form. The matching point is the
-    potential minimum on [x0, x_a], so it does not depend on R. The
-    mismatch must change sign across the isolation bracket, else
-    InconsistentCertificate is raised. Illinois regula falsi then shrinks
-    that sign change to the mismatch's noise floor: two iterates in a row
-    that do not lower |mismatch|, a bracket below 1e-13 relative, or an
-    exact zero.
+    map's midpoint, lambda tanh(r/2) = 1 (rho = 1 for k = inf), so it does
+    not depend on R. The mismatch must change sign across the isolation
+    bracket, else InconsistentCertificate is raised. Illinois regula falsi
+    then shrinks that sign change to the mismatch's noise floor: two
+    iterates in a row that do not lower |mismatch|, a bracket below 1e-13
+    relative to its ends, with no absolute floor, or an exact zero.
 
 Both routes solve the same problem on the same half-line, so the count
 jump sits at the matched root. A result is reported only when the matched
@@ -232,30 +232,23 @@ def _bisect(above, lo, hi, width):
     return lo, hi
 
 
-def _matching_point(op, x0, x1):
-    """Abscissa for Wronskian matching: the potential minimum on [x0, x1].
-
-    Matching belongs at the well. Outside it the regular solution decays
-    under the centrifugal barrier, so a forward shot carried further picks
-    up the growing solution at the barrier's amplification factor and the
-    mismatch turns noisy; at the minimum both legs still run in their
-    stable directions (the outward decay is shot backward from x1, the
-    asymptotic radius x_a for a certification, which lies past the well).
-    The result is clamped to [x0 + 1e-4 (x1 - x0), (x0 + x1)/2], so the
-    forward leg is never empty.
-
-    The scan unions a uniform net with a geometric cluster at the left
-    end: the wells narrow like 1/lambda around 2 artanh(1/lambda), so a
-    uniform net alone steps straight over them once lambda is large."""
-    code, kk, p = op_code(op)
-    span = x1 - x0
-    xs = np.concatenate([
-        np.linspace(x0, x1, 2001)[1:-1],
-        x0 + span * np.geomspace(1e-6, 1.0, 1000)[:-1]])
-    u = np.empty(xs.size)
-    _kernels.pot_array(code, kk, p, xs, u)
-    xm = float(xs[int(np.argmin(u))])
-    return min(max(xm, x0 + 1e-4 * span), x0 + 0.5 * span)
+def _matching_point(op):
+    """Abscissa for Wronskian matching: the harmonic map's midpoint, where
+    lambda tanh(r/2) = 1 and Q = pi/2 (sphere) or 1 (Yang-Mills) at every
+    k. The well sits there; past it the regular solution decays under the
+    centrifugal barrier, where a forward leg would pick up the growing
+    solution. In rho the point is lambda artanh(1/lambda); the k = inf
+    member matches at rho = 1, where C(rho) is smallest. lambda <= 1
+    (Theta <= 1) has no midpoint, no well and no gap eigenvalue, and raises
+    DomainError."""
+    p = op_code(op)[2]
+    if not p > 1.0:
+        raise DomainError(f"lambda (Theta for k = inf) = {p:g} <= 1: the "
+                          f"map has no midpoint, and no well to match in")
+    if op.family == LARGE_K:
+        return -math.log(math.log(p))
+    r = 2.0 * math.atanh(1.0 / p)
+    return 0.5 * p * r if op.family == RESCALED else r
 
 
 def _wronskian_mismatch(op, mu2, xm, R, rtol):
@@ -264,10 +257,15 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol):
     The decaying leg starts at the asymptotic radius x_a, past which the
     tail is exact. In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the
     phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and
-    the W terms cancel.
+    the W terms cancel. An xm outside (start, x_a) raises DomainError: the
+    k = inf start, at log(Theta/rho) = 25, lies past rho = 1 for large Theta.
     """
     x_a = asymptotic_radius(op, mu2, R)
-    fwd = endpoint_state(op, mu2, series_start(op, mu2), xm, rtol=rtol)
+    start = series_start(op, mu2)
+    if not start.x < xm < x_a:
+        raise DomainError(f"matching point {xm:.6g} outside (start, x_a) = "
+                          f"({start.x:.6g}, {x_a:.6g})")
+    fwd = endpoint_state(op, mu2, start, xm, rtol=rtol)
     bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a), xm,
                          rtol=rtol)
     m = math.sqrt(continuum_edge(op) - mu2)
@@ -277,8 +275,8 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol):
 
 
 def _refine_eigenvalue(op, index, lo, hi, R, rtol):
-    """Illinois regula falsi on the Wronskian mismatch, inside the
-    isolation bracket (lo, hi) it is given.
+    """Illinois regula falsi on the Wronskian mismatch at the map's
+    midpoint (_matching_point), inside the isolation bracket (lo, hi).
 
     The count and the match solve the same problem, so the mismatch must
     change sign across (lo, hi), where the counts put the jump; if it does
@@ -286,8 +284,8 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     retained end's mismatch is halved after each step that lands on the
     newest point's side) then shrinks that bracket until the mismatch hits
     its noise floor: it stops after two iterates in a row that do not lower
-    the smallest |mismatch| seen, when the bracket is below 1e-13 relative,
-    or on an exact zero. Returns the point of smallest |mismatch|, which lies
+    the smallest |mismatch| seen, when |b - a| < 1e-13 max(|a|, |b|), or
+    on an exact zero. Returns the point of smallest |mismatch|, which lies
     in [lo, hi], and that |mismatch|, which must be below 1e-8.
     """
     # the mismatch loses relative accuracy as it crosses zero, so the
@@ -295,9 +293,7 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     # otherwise the located root inherits an O(rtol) bias that depends on
     # the matching point
     rtol = max(rtol * 1e-2, 1e-14)
-    mid = 0.5 * (lo + hi)
-    xm = _matching_point(op, series_start(op, mid).x,
-                         asymptotic_radius(op, mid, R))
+    xm = _matching_point(op)
 
     def mismatch(mu2):
         return _wronskian_mismatch(op, mu2, xm, R, rtol)
@@ -310,10 +306,9 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     best, vbest = (a, va) if abs(va) < abs(vb) else (b, vb)
     stale = 0
     for _ in range(80):
-        # termination is relative: small eigenvalues at the foot of a deep
-        # well need mu2 resolved far below any absolute 1e-15
+        # relative only: deep-well roots reach 4e-150 (sphere(20, 1e4))
         if (stale >= 2 or vbest == 0.0
-                or abs(b - a) < 1e-13 * max(abs(a), abs(b), 1e-12)):
+                or abs(b - a) < 1e-13 * max(abs(a), abs(b))):
             break
         # va and vb have opposite signs, so this weighted mean of a and b
         # has no cancellation and stays in [a, b], also where the root lies

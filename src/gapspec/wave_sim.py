@@ -156,12 +156,12 @@ def _hermite(x, xs, vals):
 def _eigenmode_profile(geometry, mu2, index, r, zeta):
     """Eigenfunction w = zeta f on the nodes, max-normalized.
 
-    f = phi/zeta is stitched from the two legs of the Wronskian match, the
-    regular shot from the series start out to the matching point and the
-    decaying shot from R back to it, scaled to agree there, and taken at
-    the nodes by cubic Hermite interpolation of the legs' (f, f'). Below
-    the series start, f is the start's own series. zeta is the zero mode
-    on the nodes."""
+    f = phi/zeta is stitched from the two legs of the Wronskian match at
+    the map's midpoint 2 artanh(1/lambda) (lambda <= 1, which has none,
+    raises DomainError): the regular shot from the series start and the
+    decaying shot from R, scaled to agree there, and taken at the nodes by
+    cubic Hermite interpolation of the legs' (f, f'). Below the series
+    start, f is the start's series. zeta is the zero mode on the nodes."""
     op = half_line(geometry)
     if mu2 is None:
         rep = find_gap_eigenvalues(op, scans=False, threshold=False)
@@ -173,7 +173,7 @@ def _eigenmode_profile(geometry, mu2, index, r, zeta):
     R = float(r[-1])
     h = float(r[1] - r[0])
     start = series_start(op, mu2)
-    xm = _matching_point(op, start.x, R)
+    xm = _matching_point(op)
     fwd = integrate(op, mu2, start, xm, max_step=h)
     bwd = integrate(op, mu2, tail_start_decaying(op, mu2, R), xm,
                     max_step=h)

@@ -128,6 +128,12 @@ def test_library_error_exits_3(capsys):
     rc = main(["evolve", "--lambda", "1.0", "--initial", "eigenmode"])
     assert rc == 3
     assert "NoEigenmode" in capsys.readouterr().err
+    # nor does a given mu2 give it a well to match in: a potential scan
+    # once matched a profile here anyway and exited 0
+    rc = main(["evolve", "--k", "2", "--lambda", "1", "--initial",
+               "eigenmode", "--mu2", "0.1"])
+    assert rc == 3
+    assert "DomainError" in capsys.readouterr().err
     # a non-finite Theta is rejected before any shot
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3

@@ -69,6 +69,15 @@ def test_series_start_guards():
         gs.series_start(op, 0.1, 0.5)
     with pytest.raises(DomainError):
         gs.series_start(op, 0.1, -1.0)
+    # the k = 1 free radius, 1.4e-14 at lambda = 1e8, leaves a shot no
+    # first step above the kernel's step floor: it raised StepSizeUnderflow
+    deep = gs.half_line(gs.sphere(1, 1e8))
+    with pytest.raises(DomainError, match=r"r0=1\.41421e-14 "
+                       r"\(lambda=100000000\.0\).*1e-14"):
+        gs.series_start(deep, 0.1)
+    with pytest.raises(DomainError, match="start radius"):
+        gs.find_gap_eigenvalues(deep, scans=False, threshold=False)
+    assert gs.series_start(gs.half_line(gs.sphere(1, 1e7)), 0.1).x > 1e-13
 
 
 @pytest.mark.parametrize("geom", [gs.sphere(1, 1.0), gs.sphere(2, 1.0),

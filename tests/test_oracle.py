@@ -211,12 +211,26 @@ def test_frozen_eigenvalues_match_oracle(kind, k, lam):
     assert oracle_mu2(kind, k, lam, frozen) == pytest.approx(frozen, rel=rel)
 
 
-@pytest.mark.parametrize("kind,k,lam", [
+LARGE_LAMBDA = [
     ("sphere", 2, 200.0), ("sphere", 2, 600.0), ("sphere", 2, 800.0),
     ("sphere", 2, 1e4), ("sphere", 3, 100.0), ("sphere", 3, 200.0),
     ("sphere", 3, 1000.0), ("sphere", 5, 1500.0), ("sphere", 6, 300.0),
     ("sphere", 6, 100.0), ("sphere", 8, 20.0), ("sphere", 10, 50.0),
-    ("sphere", 16, 10.0), ("ym", 2, 1e3), ("ym", 2, 1e4)])
+    ("sphere", 16, 10.0), ("ym", 2, 1e3), ("ym", 2, 1e4)]
+# a matching point from a potential scan left the well from lambda ~ 5e3
+# on: sphere(4, 1e5) was certified 3.2e-4 off (its refine also stopped on
+# an absolute 1e-25 width), and the other seven raised
+DEEP_WELLS = [
+    ("sphere", 4, 1e5), ("sphere", 4, 3e4), ("sphere", 2, 1e6),
+    ("sphere", 2, 1e7), ("ym", 2, 1e6), ("ym", 2, 1e7), ("sphere", 3, 1e6),
+    ("sphere", 20, 1e4)]
+LAMBDA_GRID = [(kind, k, lam) for lam in (1e3, 1e4, 1e5, 1e6)
+               for kind, k in [("sphere", 2), ("sphere", 3), ("sphere", 4),
+                               ("sphere", 5), ("sphere", 6), ("ym", 2)]]
+
+
+@pytest.mark.parametrize("kind,k,lam", list(dict.fromkeys(
+    LARGE_LAMBDA + DEEP_WELLS + LAMBDA_GRID)))
 def test_large_lambda_certification_matches_oracle(kind, k, lam):
     # past the core a phi-form shot tunnels under the centrifugal barrier
     # in its unstable direction, so deep members hold both factored routes,
@@ -225,7 +239,9 @@ def test_large_lambda_certification_matches_oracle(kind, k, lam):
     # The k = 6 to 16 members at lambda <= 100 hold the factored start's
     # f', which must carry mu2's digits: taken as phi0'/phi0 - W, a
     # difference of two O(k/r) numbers, it certified sphere(16, 10) at
-    # 6.2e-21 for a root at 2.5e-28
+    # 6.2e-21 for a root at 2.5e-28. Of the lambda grid, the k = 5
+    # members sit 2.8e-10 to 7.7e-10 from the oracle, the k = 6 ones
+    # within 2.5e-11 and the rest within 5.2e-12
     rep = gs.find_gap_eigenvalues(gs.half_line(gs.GeometrySpec(kind, k, lam)),
                                   scans=False, threshold=False)
     assert rep.count == 1

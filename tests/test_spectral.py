@@ -12,10 +12,11 @@ from gapspec import _kernels, spectral
 from gapspec.errors import (DomainError, EigenvalueMissing,
                             InconsistentCertificate, TailNotAsymptotic)
 from gapspec.ode_engine import asymptotic_radius
+from gapspec.operators import op_code
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM, B_SPHERE_K1)
-from test_oracle import phi_shot
+from test_oracle import DEEP_WELLS, oracle_mu2, phi_shot
 
 
 def _certified(geom):
@@ -141,13 +142,53 @@ def test_factored_mismatch_is_the_phi_wronskian(mu2):
     # the number a tight scipy phi-form match from R = 80 gives; the
     # mismatch is of order one, and 0.0768 sits next to the root
     op = gs.half_line(gs.sphere(2, 5.0))
-    xm = spectral._matching_point(op, gs.series_start(op, mu2).x, 80.0)
+    xm = spectral._matching_point(op)
     m = math.sqrt(0.25 - mu2)
     p1, d1 = phi_shot("sphere", 2, 5.0, mu2, 1e-3, xm).y[:, -1]
     p2, d2 = phi_shot("sphere", 2, 5.0, mu2, 80.0, xm, y0=[1.0, -m]).y[:, -1]
     phi_form = (p1 * d2 - d1 * p2) / (abs(p1) * abs(p2) * m)
     got = spectral._wronskian_mismatch(op, mu2, xm, 80.0, 1e-13)
     assert got == pytest.approx(phi_form, rel=0.0, abs=1e-11)
+
+
+_WELL_MEMBERS = (
+    [gs.half_line(gs.GeometrySpec(kind, 2, lam)) for kind in ("sphere", "ym")
+     for lam in MU2_SPHERE_K2]
+    + [gs.half_line(gs.sphere(3, 40.0))]
+    + [gs.half_line(gs.sphere(k, 100.0 ** (1.0 / k))) for k in MU2_LARGEK_100]
+    + [gs.half_line(gs.sphere(k, lam)) for k in (3, 4, 6, 8, 10, 12, 16)
+       for lam in (5.0, 10.0, 20.0, 50.0, 100.0)]
+    + [gs.half_line(gs.GeometrySpec(*m)) for m in DEEP_WELLS]
+    + [gs.rescaled(gs.sphere(2, 5.0)), gs.rescaled(gs.yang_mills(10.0))]
+    + [gs.large_k(math.inf, theta) for theta in (100.0, 1e3, 1e4, 1e6)])
+
+
+@pytest.mark.parametrize("op", _WELL_MEMBERS, ids=lambda op: (
+    f"{op.family}-{op.geometry.kind}-{op.k:g}-{op.lam:g}" if op.geometry
+    else f"{op.family}-inf-{op.theta:g}"))
+def test_matching_point_lies_in_the_well(op):
+    # the map's midpoint lies past every regular start and short of the
+    # asymptotic radius, at both ends of the isolation range, and the
+    # potential is negative there: the scan it replaced put the match
+    # under the barrier (U > 0) from lambda ~ 5e3 on
+    xm = spectral._matching_point(op)
+    edge = gs.continuum_edge(op)
+    R = spectral.default_count_radius(op)
+    for mu2 in (0.0, edge - spectral.COUNT_MARGIN):
+        assert gs.series_start(op, mu2).x < xm < asymptotic_radius(op, mu2,
+                                                                   R)
+    assert _kernels.pot(*op_code(op), xm) < 0.0
+
+
+@pytest.mark.parametrize("op", [
+    gs.half_line(gs.sphere(2, 1.0)), gs.half_line(gs.yang_mills(0.5)),
+    gs.rescaled(gs.sphere(3, 1.0)), gs.large_k(math.inf, 1.0)],
+    ids=["sphere", "ym", "rescaled", "inf"])
+def test_matching_point_needs_a_midpoint(op):
+    # lambda <= 1 (Theta <= 1) has no well and no gap eigenvalue; the
+    # closed form's artanh(1/lambda) would raise a bare ValueError
+    with pytest.raises(DomainError, match="<= 1"):
+        spectral._matching_point(op)
 
 
 @pytest.mark.parametrize("wrong", [0, 1])
@@ -210,6 +251,14 @@ def test_refine_rejects_bracket_off_root(shift):
                                              mu2 + 0.5 * w, 60.0, 1e-11)
     assert got == pytest.approx(mu2, rel=1e-9)
     assert resid < 1e-8
+    # the stop is relative: a bracket 1e-3 wide around a root at 1.4e-29,
+    # far below any absolute width, refines to the root too (an absolute
+    # 1e-25 floor returned an end of the bracket untouched)
+    deep = gs.half_line(gs.sphere(4, 1e5))
+    root = oracle_mu2("sphere", 4, 1e5, 1.44e-29)
+    got, _ = spectral._refine_eigenvalue(deep, 0, root * (1.0 - 1e-3),
+                                         root * (1.0 + 1e-3), 60.0, 1e-11)
+    assert got == pytest.approx(root, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("geom", [gs.sphere(2, 40.0), gs.yang_mills(40.0)])
