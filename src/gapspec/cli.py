@@ -188,9 +188,8 @@ def _cmd_hm(args):
 
 
 def _spectrum_job(params):
-    kind, k, lam, R, scans = params
-    rep = find_gap_eigenvalues(half_line(geometry(kind, k, lam)), R=R,
-                               scans=scans)
+    kind, k, lam, scans = params
+    rep = find_gap_eigenvalues(half_line(geometry(kind, k, lam)), scans=scans)
     doc = dataclasses.asdict(rep)
     doc["negative_scan_clear"] = rep.negative_scan_clear
     doc["embedded_scan_clear"] = rep.embedded_scan_clear
@@ -200,14 +199,14 @@ def _spectrum_job(params):
 def _cmd_spectrum(args):
     k, jobs = _family_jobs(args)
     reps = _pool_map(_spectrum_job,
-                     [(args.geometry, k, lam, args.R, not args.no_scans)
+                     [(args.geometry, k, lam, not args.no_scans)
                       for lam in args.lam], jobs)
     return _emit(args, reps)
 
 
 def _cmd_sweep(args):
     k, jobs = _family_jobs(args)
-    rep = sweep_lambda(args.geometry, k, args.lam, R=args.R, jobs=jobs,
+    rep = sweep_lambda(args.geometry, k, args.lam, jobs=jobs,
                        bisect_to=args.bisect_to)
     doc = dataclasses.asdict(rep)
     header = ["lam", "count", "resonance_a", "resonance_b", "fit_residual"]
@@ -220,9 +219,8 @@ def _cmd_migrate(args):
     k, jobs = _family_jobs(args)
     rep = migration_curve(args.geometry, k, args.lam, jobs=jobs)
     doc = dataclasses.asdict(rep)
-    header = ["lambda", "mu2", "wronskian_residual", "R_used"]
-    rows = [[p.lam, p.mu2, p.wronskian_residual, p.R_used]
-            for p in rep.points]
+    header = ["lambda", "mu2", "wronskian_residual"]
+    rows = [[p.lam, p.mu2, p.wronskian_residual] for p in rep.points]
     return _emit(args, doc, csv_header=header, csv_rows=rows)
 
 
@@ -339,13 +337,11 @@ def build_parser():
 
     q = sp.add_parser("spectrum", help="certified gap spectrum per lambda")
     _add_common(q, jobs=True)
-    q.add_argument("--R", type=float, default=None)
     q.add_argument("--no-scans", action="store_true")
     q.set_defaults(func=_cmd_spectrum)
 
     q = sp.add_parser("sweep", help="threshold slope and count along lambda")
     _add_common(q, jobs=True)
-    q.add_argument("--R", type=float, default=None)
     q.add_argument("--bisect-to", type=float, default=1e-4)
     q.set_defaults(func=_cmd_sweep)
 

@@ -30,10 +30,18 @@ The finite-k large-k normal form is the exact pullback of the half-line
 sphere at lambda = Theta^(1/k) and is shot there (spectral redirects it), so
 no start or shot exists for it here. The k = inf member is shot in
 s = -log log(Theta/rho) over zeta = rho (1 + rho^2)^-1 log^(-1/2)(Theta/rho)
-and starts at log(Theta/rho) = L0 = 25 on f = 1, f' = -mu2/(2W), W ~ L0;
-its start error lies along the second solution, which dies off like
-exp(-2 (L0 - L)) up to the match at L = log Theta; mu2 meets a scipy
-f-shot to 6e-12 for Theta <= 1e6.
+and starts at rho0 = exp(-25), log(Theta/rho0) = L0 = 25 + log Theta
+(L0 = 25 for Theta <= 1), on f = 1, f' = -mu2/(2W), W ~ L0; its start
+error lies along the second solution, which dies off like exp(-2 (L0 - L))
+up to the match at L = log Theta, so it does not grow with Theta.
+
+Where a shot ends on the half-line is a closed form, not a caller's
+radius: past the tail radius (tail_radius) the potential is within
+max(1e-12 m^2, 1e-17) of its edge, m^2 = edge - mu2, by the bound
+|U - 1/4| <= (k^2 + 1/4)/sinh^2 r (k = inf: exp(-2s)), so the solution
+there is exp(+-m x), or affine at the edge. Counts stop there and count
+the tail's zero in closed form, the decaying match leg starts there, and
+the threshold is read off there.
 """
 
 import math
@@ -191,7 +199,8 @@ def series_start(op, mu2, r0=None):
             raise DomainError(
                 "a finite-k large-k member is shot on its half-line pullback "
                 "half_line(sphere(k, Theta^(1/k))), not in s")
-        x0 = -math.log(25.0)
+        # log(Theta/rho0) = L0, so rho0 = min(Theta, 1) exp(-25)
+        x0 = -math.log(25.0 + max(math.log(op.theta), 0.0))
         w = _kernels.logder(*op_code(op), x0)
         return StartData(x0, 1.0, -mu2 / (2.0 * w))
     nu, u0, u2 = _series_coeffs(op, mu2)
@@ -266,63 +275,50 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, max_step=0.0
         log_scale=lgs[:nst].copy(), zero_count=int(nzero))
 
 
-def _asymptotic(code, kk, p, edge, m2, x):
-    """True where the shooting system at x is phi'' = m^2 phi to 1e-12:
-    |U - edge| <= 1e-12 m^2, at the edge (m2 = 0) U = edge exactly."""
-    return abs(_kernels.pot(code, kk, p, x) - edge) <= 1e-12 * m2
+def tail_radius(op, mu2):
+    """Closed-form point x_a past which the potential is its edge for a
+    state at mu2, to max(1e-12 m^2, 1e-17); None for the finite-k large-k
+    normal form (shot on its pullback) and the euclidean family (no gap,
+    no flat tail).
 
-
-def require_asymptotic(op, mu2, R):
-    """Raise TailNotAsymptotic unless U(R) is asymptotic for mu2."""
-    if not math.isfinite(R):
-        raise DomainError(f"a tail point must be finite, got {R}")
-    code, kk, p = op_code(op)
-    edge = continuum_edge(op)
-    if not _asymptotic(code, kk, p, edge, edge - mu2, float(R)):
-        u = _kernels.pot(code, kk, p, float(R))
-        raise TailNotAsymptotic(
-            f"|U(R) - {edge:g}| = {abs(u - edge):.3g} at R={R:g}, "
-            f"not below 1e-12 m^2 = {1e-12 * (edge - mu2):.3g}")
-
-
-def asymptotic_radius(op, mu2, x_end):
-    """Smallest point of the grid x_end - j h, j = 0, 1, ..., past which the
-    potential sits at its asymptote for a state at mu2 (see _asymptotic).
-
-    The grid is scanned backward and the scan stops at the first point that
-    fails: U crosses the edge inside the well, so a forward search or a
-    bisection would stop at that crossing. h = 0.5 in r and s, where
-    U - edge decays like exp(-2x), and lambda/4 in rho, the same step in r.
-    Past x_lim, pot returns its limit exactly (r = 710, rho = 355 lambda,
-    and in s the point where L = exp(-s) underflows), so the scan starts at
-    the last grid point below x_lim and takes at most x_lim/h steps,
-    whatever x_end. Returns x_end itself when the potential has not
-    flattened there, and always when mu2 > edge. A non-finite x_end raises
-    DomainError.
+    Every half-line member obeys |U - 1/4| <= (k^2 + 1/4)/sinh^2 r, since
+    U - 1/4 = (k^2 cos 2Q - 1/4)/sinh^2 r, and Yang-Mills is the same with
+    k = 2 and 1 - 6y/(1 + y)^2, in [-1/2, 1], in place of cos 2Q. The k = inf
+    normal form has |U - 1/4| = L^2 |C(rho)| <= exp(-2s). x_a puts the bound
+    at tau = max(1e-12 m^2, 1e-17), m^2 = edge - mu2 in half-line units:
+    r_a = asinh(sqrt((k^2 + 1/4)/tau)), rho_a = lambda r_a/2 for the
+    rescaled family, s_a = -log(tau)/2 for k = inf. The floor is below half
+    an ulp of 1/4, so at and near the edge x_a is where U is 1/4 to
+    rounding (r_a = 21.0 for k = 2).
     """
-    if not math.isfinite(x_end):
-        raise DomainError(f"a count radius must be finite, got {x_end}")
-    code, kk, p = op_code(op)
-    edge = continuum_edge(op)
+    code = op_code(op)[0]
+    if code in (_kernels.EUCLIDEAN, _kernels.LARGEK_FIN):
+        return None
+    m2 = continuum_edge(op) - mu2
     if op.family == RESCALED:
-        h, x_lim = 0.25 * p, 355.0 * p
-    else:
-        h, x_lim = 0.5, (746.0 if op.family == LARGE_K else 710.0)
-    x = float(x_end)
-    if x > x_lim and _asymptotic(code, kk, p, edge, edge - mu2, x):
-        x = x_lim - math.fmod(x_lim - math.fmod(x, h), h)
-    while x - h > 0.0 and _asymptotic(code, kk, p, edge, edge - mu2, x - h):
-        x -= h
-    return x
+        m2 *= 0.25 * op.lam ** 2
+    tau = max(1e-12 * m2, 1e-17)
+    if op.family == LARGE_K:
+        return -0.5 * math.log(tau)
+    r_a = math.asinh(math.sqrt((op.k * op.k + 0.25) / tau))
+    return 0.5 * op.lam * r_a if op.family == RESCALED else r_a
+
+
+def _require_tail(op, mu2):
+    """tail_radius(op, mu2), or DomainError for a family without one."""
+    x_a = tail_radius(op, mu2)
+    if x_a is None:
+        raise DomainError(f"the {op.family} family has no flat tail")
+    return x_a
 
 
 def count_zeros(op, mu2, start, x_end, rtol=1e-11):
     """Sturm count: zeros of the shot of f = phi/zeta from `start`, which
     are those of phi because zeta > 0, without building a trace.
 
-    At or below the edge, once the potential has flattened by x_end, the
-    shot stops at x_a = asymptotic_radius(op, mu2, x_end) and the count is
-    on the whole half-line (start, inf). Past x_a the solution is
+    At or below the edge, with x_end at or past x_a = tail_radius(op, mu2),
+    the shot stops at x_a and the count is on the whole half-line
+    (start, inf). Past x_a the solution is
     phi_a cosh(m t) + (chi_a/m) sinh(m t), t = x - x_a,
     m = sqrt(edge - mu2) (affine at the edge), with (phi_a, chi_a) zeta
     (f, W f + f') at x_a, so it has at most one zero on (x_a, inf), and it
@@ -330,15 +326,15 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11):
     on phi_a = 0 ends on a simple zero that the kernel has not counted
     yet: it counts a zero when f next takes a sign other than the last
     nonzero one, and past x_a phi takes the sign of chi_a. Otherwise (mu2
-    above the edge, or a potential not yet flat at x_end) the count is on
-    (start, x_end].
+    above the edge, x_end short of x_a, or no flat tail) the count is on
+    (start, x_end]; a non-finite x_end raises DomainError.
     """
     if not isinstance(start, StartData):
         start = StartData(*start)
-    x_a = asymptotic_radius(op, mu2, x_end)
+    x_a = tail_radius(op, mu2)
     code, kk, p = op_code(op)
     edge = continuum_edge(op)
-    if not (start.x < x_a and _asymptotic(code, kk, p, edge, edge - mu2, x_a)):
+    if x_a is None or not (mu2 <= edge and start.x < x_a <= x_end < math.inf):
         return int(_shoot(op, mu2, start, x_end, rtol, 0.0, False)[6])
     out = _shoot(op, mu2, start, x_a, rtol, 0.0, False)
     zeros, f, g = int(out[6]), out[8], out[9]
@@ -361,14 +357,20 @@ def tail_start_decaying(op, mu2, R):
     """Decaying-branch start of f = phi/zeta at x = R: stored
     (1, -m - W(R)), true scale exp(-mR) (the factor 1/zeta(R) left out).
 
-    m = sqrt(edge - mu2) with edge the family's continuum edge. Requires the
-    potential to have reached its asymptote at R to 1e-12 m^2, else
-    TailNotAsymptotic.
+    m = sqrt(edge - mu2) with edge the family's continuum edge. An R inside
+    the tail radius (tail_radius), where the potential may still be off
+    its edge by more than 1e-12 m^2, raises TailNotAsymptotic; a family
+    with no flat tail, or a non-finite R, raises DomainError.
     """
     edge = continuum_edge(op)
     if not mu2 < edge:
         raise DomainError(f"need mu2 < {edge} for a decaying tail, got {mu2}")
-    require_asymptotic(op, mu2, R)
+    x_a = _require_tail(op, mu2)
+    if not math.isfinite(R):
+        raise DomainError(f"a tail point must be finite, got {R}")
+    if not R >= x_a:
+        raise TailNotAsymptotic(f"tail start R={R:g} inside the tail radius "
+                                f"{x_a:.6g} for mu2={mu2:g}")
     m = math.sqrt(edge - mu2)
     w = _kernels.logder(*op_code(op), float(R))
     return StartData(float(R), 1.0, -m - w, -m * float(R))
@@ -383,16 +385,17 @@ def _edge_readout(op, end):
     return z * end.f - end.x * b, b
 
 
-def fit_threshold(op, R, rtol=1e-11):
+def fit_threshold(op, rtol=1e-11):
     """Affine far field phi = a + b x of the regular solution at the
     continuum edge, read off in closed form.
 
-    At the edge phi'' = (U - edge) phi, and past
-    x_b = asymptotic_radius(op, edge, R) the potential is the edge exactly,
-    so phi is affine there: b = phi'(x_b), a = phi(x_b) - x_b b. One f shot
-    from the series start reaches x_b, and phi = zeta f with zeta
-    normalized to leading coefficient 1, so a and b are those of the
-    regular solution phi ~ x^(k+1/2) whatever the start. The same read-out
+    At the edge phi'' = (U - edge) phi, and past x_b = tail_radius(op, edge)
+    the potential is within 1e-17 of the edge (in half-line units), below
+    half an ulp of 1/4, so phi is affine there: b = phi'(x_b),
+    a = phi(x_b) - x_b b. One f shot from the series start reaches x_b,
+    and phi = zeta f with zeta normalized to leading coefficient 1, so a
+    and b are those of the regular solution phi ~ x^(k+1/2) whatever the
+    start. The same read-out
     at the earlier point x_e = x_b - (x_b - x0)/4 of that shot measures
     fit_residual, max(|da|, |db| (x_b - x_e)) / max(|a|, |b| (x_b - x_e));
     FitUnreliable at >= 1e-6. b vanishes exactly when a resonance sits at
@@ -400,8 +403,8 @@ def fit_threshold(op, R, rtol=1e-11):
     start's f = 1 at L0 times zeta of _kernels.logzeta.
     """
     edge = continuum_edge(op)
-    x_b = asymptotic_radius(op, edge, R)
     start = series_start(op, edge)
+    x_b = _require_tail(op, edge)
     x_e = x_b - 0.25 * (x_b - start.x)
     mid = endpoint_state(op, edge, start, x_e, rtol)
     a0, b0 = _edge_readout(op, mid)

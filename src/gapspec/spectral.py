@@ -5,13 +5,13 @@ Every eigenvalue is established twice, by independent routes:
   * a Sturm count: the number of zeros of the regular solution on the
     whole half-line (0, inf) is a step function of the spectral parameter,
     jumping by one as each eigenvalue is crossed, with no cancellation.
-    Every count runs to the operator's one count radius R: a grid scanned
-    backward from R finds the asymptotic radius x_a, where the potential
-    has reached the edge to 1e-12 m^2 (backward, because the potential
-    crosses the edge inside the well). Only the shot to x_a is integrated;
-    past it the equation is phi'' = m^2 phi, and its solution has at most
-    one zero on (x_a, inf), counted in closed form; an R short of that
-    flat tail raises TailNotAsymptotic. Every shot here runs in
+    There is no count radius: every count is integrated only up to the
+    tail radius x_a (ode_engine.tail_radius), a closed form from the bound
+    |U - 1/4| <= (k^2 + 1/4)/sinh^2 r, past which the potential is within
+    max(1e-12 m^2, 1e-17) of the edge. There the equation is
+    phi'' = m^2 phi, and its solution has at most one zero on (x_a, inf),
+    counted in closed form. A count above the edge has no such end point,
+    and raises DomainError. Every shot here runs in
     f = phi/zeta over the closed-form zero mode zeta > 0 (see ode_engine),
     whose zeros are those of phi; at mu2 = 0 f = 1 exactly. Cheap counts
     at rtol 1e-7 halve (0, edge - 1e-6) until the jump is isolated to at
@@ -20,16 +20,16 @@ Every eigenvalue is established twice, by independent routes:
     ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
     and the decaying tail shot, taken in the well, changes sign across the
-    eigenvalue. The tail shot runs backward from the
-    asymptotic radius x_a, where the count shots stop: past it the
-    potential sits at the edge to 1e-12 m^2, so exp(-m x) is exact there.
+    eigenvalue. The tail shot runs backward from the tail
+    radius x_a, where the count shots stop: past it the potential sits at
+    the edge to 1e-12 m^2, so exp(-m x) is exact there.
     In f the second solution decreases outward, so neither leg amplifies
     its start or step errors; the forward leg starts on the series
     f = 1 - mu2 x^2/(4 nu + 2), or for k = inf on its far-field start. The
     Wronskian of f is that of phi divided by zeta^2, so the normalized
     mismatch is the same number in either form. The matching point is the
-    map's midpoint, lambda tanh(r/2) = 1 (rho = 1 for k = inf), so it does
-    not depend on R. The mismatch must change sign across the isolation
+    map's midpoint, lambda tanh(r/2) = 1 (rho = 1 for k = inf). The
+    mismatch must change sign across the isolation
     bracket, else InconsistentCertificate is raised. Illinois regula falsi
     then shrinks that sign change to the mismatch's noise floor: two
     iterates in a row that do not lower |mismatch|, a bracket below 1e-13
@@ -48,9 +48,10 @@ phi = a + b x of the regular solution at the continuum edge
 (ode_engine.fit_threshold), whose slope b vanishes exactly when a
 resonance sits at the edge. The scan below the gap counts zero states
 there. The embedded scan records the drift of the WKB amplitude of
-continuum shots over [R/2, R]; there U - edge is about exp(-R), and the
-amplitude's derivative is 2 phi phi' (U - edge)/kappa^2, so the drift
-measures integration error only and cannot see a trapped state.
+continuum shots over [R/2, R], R = 60 in r (30 lambda in rho, 20 in s);
+there U - edge is about exp(-R), and the amplitude's derivative is
+2 phi phi' (U - edge)/kappa^2, so the drift measures integration error
+only and cannot see a trapped state.
 """
 
 import math
@@ -62,10 +63,9 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
 from .harmonic_maps import geometry, sphere
-from .ode_engine import (ThresholdFit, asymptotic_radius, count_zeros,
-                         endpoint_state, fit_threshold, integrate,
-                         require_asymptotic, series_start,
-                         tail_start_decaying)
+from .ode_engine import (ThresholdFit, count_zeros, endpoint_state,
+                         fit_threshold, integrate, series_start,
+                         tail_radius, tail_start_decaying)
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
 
@@ -91,7 +91,6 @@ class GapEigenvalue:
     wronskian_residual: float
     index: int
     oscillation: tuple
-    R_used: float
     # never set: the count stops COUNT_MARGIN below the edge
     near_threshold: bool = False
 
@@ -107,7 +106,6 @@ class SpectralReport:
     threshold: ThresholdFit = None
     negative_scan: list = field(default_factory=list)
     embedded_scan: list = field(default_factory=list)
-    R_count: float = 0.0
 
     @property
     def negative_scan_clear(self):
@@ -156,7 +154,6 @@ class MigrationPoint:
     lam: float
     mu2: float
     wronskian_residual: float
-    R_used: float
 
 
 @dataclass
@@ -189,32 +186,24 @@ class LargeKReport:
     points: list
 
 
-def default_count_radius(op):
-    """Radius from which the asymptotic radius of every count is scanned;
-    far enough that the potential has flattened there. The rescaled one is
-    the half-line's 60 at r = 2 rho/lambda."""
-    if op.family == RESCALED:
-        return 30.0 * op.lam
-    if op.family == LARGE_K:
-        return 20.0
-    return 60.0
-
-
-def count_eigenvalues_below(op, mu2, R=None, rtol=1e-11):
+def count_eigenvalues_below(op, mu2, rtol=1e-11):
     """Sturm count: zeros of the regular solution on (0, inf), the number
     of eigenvalues below mu2.
 
-    At or below the edge the shot is integrated only up to the asymptotic
-    radius, found by a backward scan from R, and the zero of the constant-
-    coefficient tail past it is counted in closed form
-    (ode_engine.count_zeros); an R short of that flat tail raises
-    TailNotAsymptotic.
+    The shot is integrated only up to the tail radius
+    (ode_engine.tail_radius), and the zero of the constant-coefficient tail
+    past it is counted in closed form (ode_engine.count_zeros). A mu2 above
+    the edge, where no count is an eigenvalue count, and the euclidean
+    family, which has no gap, raise DomainError.
     """
-    if R is None:
-        R = default_count_radius(op)
-    if mu2 < continuum_edge(op):
-        require_asymptotic(op, mu2, R)
-    return count_zeros(op, mu2, series_start(op, mu2), R, rtol=rtol)
+    if op.family == EUCLIDEAN:
+        raise DomainError("the euclidean family has no spectral gap")
+    edge = continuum_edge(op)
+    if not mu2 <= edge:
+        raise DomainError(f"mu2={mu2!r} is not at or below the edge "
+                          f"{edge:g}: no count there counts eigenvalues")
+    start = series_start(op, mu2)
+    return count_zeros(op, mu2, start, tail_radius(op, mu2), rtol=rtol)
 
 
 def _bisect(above, lo, hi, width):
@@ -251,16 +240,15 @@ def _matching_point(op):
     return 0.5 * p * r if op.family == RESCALED else r
 
 
-def _wronskian_mismatch(op, mu2, xm, R, rtol):
+def _wronskian_mismatch(op, mu2, xm, rtol):
     """Signed normalized Wronskian of the regular and decaying shots at xm.
 
-    The decaying leg starts at the asymptotic radius x_a, past which the
-    tail is exact. In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the
-    phi-form (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and
-    the W terms cancel. An xm outside (start, x_a) raises DomainError: the
-    k = inf start, at log(Theta/rho) = 25, lies past rho = 1 for large Theta.
+    The decaying leg starts at the tail radius x_a, past which the tail is
+    exact. In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the phi-form
+    (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and the W
+    terms cancel. An xm outside (start, x_a) raises DomainError.
     """
-    x_a = asymptotic_radius(op, mu2, R)
+    x_a = tail_radius(op, mu2)
     start = series_start(op, mu2)
     if not start.x < xm < x_a:
         raise DomainError(f"matching point {xm:.6g} outside (start, x_a) = "
@@ -274,7 +262,7 @@ def _wronskian_mismatch(op, mu2, xm, R, rtol):
     return w / denom
 
 
-def _refine_eigenvalue(op, index, lo, hi, R, rtol):
+def _refine_eigenvalue(op, index, lo, hi, rtol):
     """Illinois regula falsi on the Wronskian mismatch at the map's
     midpoint (_matching_point), inside the isolation bracket (lo, hi).
 
@@ -296,7 +284,7 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     xm = _matching_point(op)
 
     def mismatch(mu2):
-        return _wronskian_mismatch(op, mu2, xm, R, rtol)
+        return _wronskian_mismatch(op, mu2, xm, rtol)
 
     a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
     if va * vb > 0.0:
@@ -330,7 +318,7 @@ def _refine_eigenvalue(op, index, lo, hi, R, rtol):
     return best, abs(vbest)
 
 
-def _locate_eigenvalue(op, index, edge, R_count, rtol):
+def _locate_eigenvalue(op, index, edge, rtol):
     """Isolate, match and certify the eigenvalue with the given index.
 
     Counts at the isolation tolerance halve (0, edge - COUNT_MARGIN) down
@@ -341,14 +329,13 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol):
     the isolation at the caller's tolerance.
     """
     def count(mu2, tol):
-        return count_eigenvalues_below(op, mu2, R_count, tol)
+        return count_eigenvalues_below(op, mu2, tol)
 
     for tol in (ISOLATION_RTOL, rtol):
         try:
             lo, hi = _bisect(lambda mu2: count(mu2, tol) > index,
                              0.0, edge - COUNT_MARGIN, ISOLATION_WIDTH)
-            mu2, resid = _refine_eigenvalue(op, index, lo, hi, R_count,
-                                            rtol)
+            mu2, resid = _refine_eigenvalue(op, index, lo, hi, rtol)
             if not 0.0 < mu2 < edge:
                 raise InconsistentCertificate(
                     f"matched root {mu2:.12g} for index {index} lies "
@@ -362,13 +349,13 @@ def _locate_eigenvalue(op, index, edge, R_count, rtol):
                     f"zero counts {osc} across the bracket ({lo:.12g}, "
                     f"{hi:.12g}) around the matched root, expected "
                     f"{(index, index + 1)}")
-            return GapEigenvalue(mu2, (lo, hi), resid, index, osc, R_count)
+            return GapEigenvalue(mu2, (lo, hi), resid, index, osc)
         except InconsistentCertificate:
             if tol == rtol:
                 raise
 
 
-def find_gap_eigenvalues(op, R=None, rtol=1e-11, scans=True,
+def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
                          threshold=True) -> SpectralReport:
     """Locate and certify every eigenvalue in the operator's spectral gap.
 
@@ -384,36 +371,38 @@ def find_gap_eigenvalues(op, R=None, rtol=1e-11, scans=True,
     mu2 = 7.44e-12 in (0, 5.2e-11)), and the digits come from the match
     alone, whose residual bound does not bind there either.
 
+    Every count and every decaying match leg ends at the closed-form tail
+    radius (ode_engine.tail_radius), where |U - edge| <= max(1e-12 m^2,
+    1e-17) by the bound |U - 1/4| <= (k^2 + 1/4)/sinh^2 r; no caller's
+    radius enters the certificate.
+
     A finite-k large_k member is the exact pullback of
     half_line(sphere(k, Theta^(1/k))) and is certified there: the report's
-    operator is that half-line member, and a caller-given R is in r.
+    operator is that half-line member.
     """
     if op.family == LARGE_K and op.k != math.inf:
         op = half_line(sphere(int(op.k), op.theta ** (1.0 / op.k)))
-    if op.family == EUCLIDEAN:
-        raise DomainError("the euclidean family has no spectral gap")
     edge = continuum_edge(op)
-    R_count = default_count_radius(op) if R is None else float(R)
-    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, R_count, rtol)
-    report = SpectralReport(operator=op, edge=edge, count=n, R_count=R_count)
+    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, rtol)
+    report = SpectralReport(operator=op, edge=edge, count=n)
     for j in range(n):
-        report.eigenvalues.append(
-            _locate_eigenvalue(op, j, edge, R_count, rtol))
+        report.eigenvalues.append(_locate_eigenvalue(op, j, edge, rtol))
     if threshold:
-        report.threshold = fit_threshold(op, R_count, rtol)
+        report.threshold = fit_threshold(op, rtol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
             report.negative_scan.append(
-                (mu2, count_eigenvalues_below(op, mu2, R_count, rtol)))
+                (mu2, count_eigenvalues_below(op, mu2, rtol)))
         for fac in EMBEDDED_FACTORS:
             mu2 = edge * fac
             report.embedded_scan.append(
-                (mu2, _embedded_flatness(op, mu2, edge, R_count, rtol)))
+                (mu2, _embedded_flatness(op, mu2, edge, rtol)))
     return report
 
 
-def _embedded_flatness(op, mu2, edge, R, rtol):
-    """Amplitude drift of the shot inside the continuum over [R/2, R].
+def _embedded_flatness(op, mu2, edge, rtol):
+    """Amplitude drift of the shot inside the continuum over [R/2, R],
+    R = 60 in r, the same point 30 lambda in rho, and 20 in s.
 
     Returns max/min - 1 of the WKB amplitude sqrt(phi^2 + (phi'/kappa)^2),
     phi = zeta f and phi' = zeta (f' + W f), over the window. Its
@@ -423,6 +412,7 @@ def _embedded_flatness(op, mu2, edge, R, rtol):
     """
     kappa = math.sqrt(mu2 - edge)
     code, kk, p = op_code(op)
+    R = {RESCALED: 30.0 * op.lam, LARGE_K: 20.0}.get(op.family, 60.0)
     tr = integrate(op, mu2, series_start(op, mu2), R, rtol=rtol)
     sel = tr.grid >= tr.grid[0] + 0.5 * (tr.grid[-1] - tr.grid[0])
     xs = tr.grid[sel]
@@ -435,20 +425,18 @@ def _embedded_flatness(op, mu2, edge, R, rtol):
 
 
 def _sweep_point(args):
-    """SweepPoint at one lambda; args is (kind, k, lam, R, need).
+    """SweepPoint at one lambda; args is (kind, k, lam, need).
 
     need selects the halves: "both" for a grid point, "count" or "fit" for
     a bisection midpoint, whose predicate reads only that half; the fields
     of the half not computed are None."""
-    kind, k, lam, R, need = args
+    kind, k, lam, need = args
     op = half_line(geometry(kind, k, lam))
-    Rc = default_count_radius(op) if R is None else R
     cnt = a = b = resid = None
     if need != "fit":
-        cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN,
-                                      Rc)
+        cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN)
     if need != "count":
-        fit = fit_threshold(op, Rc)
+        fit = fit_threshold(op)
         a, b, resid = fit.a, fit.b, fit.fit_residual
     return SweepPoint(lam, cnt, a, b, resid)
 
@@ -460,8 +448,7 @@ def _pool_map(fn, items, jobs):
         return list(ex.map(fn, items, chunksize=1))
 
 
-def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
-                 bisect_to=1e-4) -> SweepReport:
+def sweep_lambda(kind, k, lam_grid, jobs=1, bisect_to=1e-4) -> SweepReport:
     """Track the threshold slope and gap count along a lambda grid.
 
     Two independent transition brackets are refined to width `bisect_to`,
@@ -478,8 +465,7 @@ def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
     if not (math.isfinite(bisect_to) and bisect_to > 0.0):
         raise DomainError(f"bisect_to must be finite and positive, "
                           f"got {bisect_to!r}")
-    pts = _pool_map(_sweep_point, [(kind, k, v, R, "both") for v in lams],
-                    jobs)
+    pts = _pool_map(_sweep_point, [(kind, k, v, "both") for v in lams], jobs)
 
     def bracket(crosses, past, need):
         # bisect the first grid interval (p, q) where crosses(p, q) holds;
@@ -487,7 +473,7 @@ def sweep_lambda(kind, k, lam_grid, R=None, jobs=1,
         for p, q, lo, hi in zip(pts, pts[1:], lams, lams[1:]):
             if crosses(p, q):
                 return _bisect(
-                    lambda lam: past(p, _sweep_point((kind, k, lam, R, need))),
+                    lambda lam: past(p, _sweep_point((kind, k, lam, need))),
                     lo, hi, bisect_to)
         return None
 
@@ -508,7 +494,7 @@ def _migration_point(args):
         raise EigenvalueMissing(
             f"no gap eigenvalue for {kind} k={k} lambda={lam:g}")
     ev = rep.eigenvalues[0]
-    return MigrationPoint(lam, ev.mu2, ev.wronskian_residual, ev.R_used)
+    return MigrationPoint(lam, ev.mu2, ev.wronskian_residual)
 
 
 def migration_curve(kind, k, lams, jobs=1) -> MigrationReport:
@@ -551,7 +537,8 @@ def largek_gap_scan(ks, theta, jobs=1) -> LargeKReport:
     lambda = theta^(1/k), whose exact pullback the normal form is (see
     find_gap_eigenvalues); its count, mu2 and threshold slope b are that
     member's, in r. The k = inf row, which has no pullback, is shot in f
-    over its zero mode in s = -log log(theta/rho), 6e-12 from a scipy shot.
+    over its zero mode in s = -log log(theta/rho), within 6e-12 of a scipy
+    shot for theta from 100 to 1e12.
     """
     rows = _pool_map(_largek_point,
                      [(float(k) if k != math.inf else math.inf, theta)

@@ -138,18 +138,15 @@ def test_library_error_exits_3(capsys):
     rc = main(["largek", "--ks", "inf", "--theta", "inf", "--jobs", "1"])
     assert rc == 3
     assert "DomainError" in capsys.readouterr().err
-    # a non-finite count radius is rejected before any shot: nan once
-    # counted an empty gap, inf hung the asymptotic-radius scan
-    for R in ("nan", "inf"):
-        for argv in (["spectrum", "--k", "2", "--lambda", "10"],
-                     ["sweep", "--k", "1", "--lambda", "3.0,4.0"]):
-            assert main(argv + ["--R", R, "--jobs", "1"]) == 3, (argv, R)
-            assert "DomainError" in capsys.readouterr().err
-    # a count radius short of the flat tail once reported an empty gap
-    rc = main(["spectrum", "--k", "2", "--lambda", "10", "--R", "1",
-               "--jobs", "1"])
-    assert rc == 3
-    assert "TailNotAsymptotic" in capsys.readouterr().err
+    # spectrum and sweep take no count radius: every count ends at the
+    # closed-form tail radius (--R nan once counted an empty gap, inf hung
+    # a backward scan, and 1 reported an empty gap)
+    for argv in (["spectrum", "--k", "2", "--lambda", "10"],
+                 ["sweep", "--k", "1", "--lambda", "3.0,4.0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--R", "60", "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "--R" in capsys.readouterr().err
     # a negative eigenmode index once rang the index-0 mode
     rc = main(["evolve", "--k", "2", "--lambda", "5", "--initial",
                "eigenmode", "--index", "-1"])

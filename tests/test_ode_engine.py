@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import gapspec as gs
-from gapspec import _kernels
+from gapspec import _kernels, ode_engine
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic)
 from gapspec.operators import op_code
 from gapspec.ode_engine import (_edge_readout, _free_radius, _series_coeffs,
-                                _series_radius, asymptotic_radius)
-from gapspec.spectral import default_count_radius
+                                _series_radius, tail_radius)
 
 from conftest import (B_SPHERE_K1, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM)
@@ -231,23 +230,25 @@ def test_finite_k_large_k_has_no_shot():
     for shot in (gs.integrate, gs.endpoint_state, gs.count_zeros):
         with pytest.raises(DomainError):
             shot(lk, 0.01, (-3.0, 1.0, 1.0, 0.0), -1.0)
-    # the k = inf member starts in s at L0 = 25 on f = 1, f' = -mu2/(2W)
+    # the k = inf member starts in s at rho0 = exp(-25), that is at
+    # L0 = log(Theta/rho0) = 25 + log Theta, on f = 1, f' = -mu2/(2W)
     inf = gs.large_k(math.inf, 100.0)
     mu2 = MU2_LARGEK_INF_100 * (1.0 + 1e-6)
     start = gs.series_start(inf, mu2)
-    w = _kernels.logder(_kernels.LARGEK_INF, 0.0, 100.0, -math.log(25.0))
-    assert start == gs.StartData(-math.log(25.0), 1.0, -mu2 / (2.0 * w))
-    assert gs.count_zeros(inf, mu2, start, default_count_radius(inf)) == 1
+    s0 = -math.log(25.0 + math.log(100.0))
+    w = _kernels.logder(_kernels.LARGEK_INF, 0.0, 100.0, s0)
+    assert start == gs.StartData(s0, 1.0, -mu2 / (2.0 * w))
+    assert 100.0 * math.exp(-math.exp(-start.x)) == pytest.approx(
+        math.exp(-25.0), rel=1e-12)
+    assert gs.count_zeros(inf, mu2, start, tail_radius(inf, mu2)) == 1
 
 
 @pytest.mark.parametrize("x_end", [math.nan, math.inf, -math.inf])
 def test_non_finite_shot_end_is_refused(x_end):
     # a NaN end once made the kernel loop run no step (a silent count of
-    # 0), and an infinite count radius made the asymptotic scan loop forever
+    # 0), and an infinite count radius made a backward scan loop forever
     op = gs.half_line(gs.sphere(2, 10.0))
     start = gs.series_start(op, 0.2)
-    with pytest.raises(DomainError):
-        asymptotic_radius(op, 0.2, x_end)
     for shot in (gs.integrate, gs.endpoint_state, gs.count_zeros):
         with pytest.raises(DomainError):
             shot(op, 0.2, start, x_end)
@@ -322,11 +323,11 @@ def test_count_zeros_matches_trace():
         start = gs.series_start(op, mu2)
         tr = gs.integrate(op, mu2, start, 25.0)
         assert gs.count_zeros(op, mu2, start, 25.0) == tr.zero_count
-    # count shots stop at the asymptotic radius and count the tail's zero
-    # on (x_a, inf) in closed form; a trace out to forty decay lengths,
-    # past any zero of the tail, counts them all, and so does a count from
-    # the count radius. The eigenvalues are in each operator's own
-    # parameter, and the offsets and probes scale with its edge
+    # count shots stop at the tail radius and count the tail's zero on
+    # (x_a, inf) in closed form; a trace out to forty decay lengths, past
+    # any zero of the tail, counts them all, and so does a count that ends
+    # at x_a. The eigenvalues are in each operator's own parameter, and
+    # the offsets and probes scale with its edge
     cases = [
         (gs.half_line(gs.sphere(2, 5.0)), MU2_SPHERE_K2[5.0]),
         (gs.half_line(gs.yang_mills(10.0)), MU2_YM[10.0]),
@@ -334,24 +335,86 @@ def test_count_zeros_matches_trace():
         (gs.rescaled(gs.sphere(2, 5.0)), 4.0 * MU2_SPHERE_K2[5.0] / 25.0)]
     for op, ev in cases:
         edge = gs.continuum_edge(op)
-        R_count = default_count_radius(op)
         probes = [ev + 4.0 * edge * d for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
         probes += [4.0 * edge * f for f in (0.1, 0.2, 0.249)]
         for mu2 in probes:
-            R = max(R_count, min(200.0, 40.0 / math.sqrt(edge - mu2)))
-            x_a = asymptotic_radius(op, mu2, R)
-            assert x_a < R
+            x_a = tail_radius(op, mu2)
+            R = max(1.5 * x_a, min(200.0, 40.0 / math.sqrt(edge - mu2)))
             start = gs.series_start(op, mu2)
             tr = gs.integrate(op, mu2, start, R)
-            assert gs.count_zeros(op, mu2, start, R) == tr.zero_count
             assert tr.zero_count == (mu2 > ev)
-            assert gs.count_zeros(op, mu2, start, R_count) == tr.zero_count
+            assert gs.count_zeros(op, mu2, start, x_a) == tr.zero_count
             if mu2 == probes[2]:
                 # just above the eigenvalue the zero sits past x_a, so the
                 # closed-form branch decides it
                 f = tr.values[:, 0]
                 last = np.nonzero(f[1:] * f[:-1] < 0.0)[0][-1]
                 assert tr.grid[last] > x_a
+
+
+def _tail_bound(op, x, c):
+    """c/sinh^2 r of the half-line families, at r = 2 rho/lambda times
+    4/lambda^2 for the rescaled one, and exp(-2s) for k = inf."""
+    if op.family == gs.LARGE_K:
+        return math.exp(-2.0 * x)
+    if op.family == gs.RESCALED:
+        return 4.0 / op.lam ** 2 * c / math.sinh(2.0 * x / op.lam) ** 2
+    return c / math.sinh(x) ** 2
+
+
+_BOUND_MEMBERS = (
+    [gs.half_line(gs.sphere(k, lam)) for k in (1, 2, 3, 5, 8, 20)
+     for lam in (0.3, 1.0, 1.05, 2.0, 10.0, 1e4)]
+    + [gs.half_line(gs.yang_mills(lam)) for lam in (0.3, 1.0, 2.0, 40.0, 1e6)]
+    + [gs.rescaled(g) for g in (gs.sphere(1, 1.05), gs.sphere(2, 5.0),
+                                gs.sphere(8, 2.0), gs.yang_mills(10.0))]
+    + [gs.large_k(math.inf, theta) for theta in (100.0, 1e6)])
+
+
+def test_tail_radius_bounds_the_potential():
+    # |U - 1/4| <= (k^2 + 1/4)/sinh^2 r on every half-line member (k = 2
+    # for Yang-Mills; exp(-2s) for k = inf) up to rounding, on a dense
+    # grid from the core to where U rounds to its edge; past the tail
+    # radius the potential is then within max(1e-12 m^2, 1e-17) of the
+    # edge. The constant k^2 - 1/4, the centrifugal term alone, is too
+    # small: the map's potential adds up to -2 k^2/sinh^2 r
+    low_constant_fails = False
+    for op in _BOUND_MEMBERS:
+        code, kk, p = op_code(op)
+        edge = gs.continuum_edge(op)
+        ulp2 = 2.0 * np.spacing(edge)
+        c = op.k * op.k + 0.25
+        if op.family == gs.LARGE_K:
+            xs = np.linspace(-3.0, 22.0, 2001)
+        else:
+            hi = 24.0 if op.family == gs.HALF_LINE else 12.0 * op.lam
+            xs = np.geomspace(1e-3 * hi / 24.0, hi, 2001)
+        for x in xs:
+            dev = abs(_kernels.pot(code, kk, p, float(x)) - edge)
+            assert dev <= _tail_bound(op, x, c) + ulp2, (op, x)
+            if op.family != gs.LARGE_K:
+                low_constant_fails |= (
+                    dev > _tail_bound(op, x, op.k * op.k - 0.25) + ulp2)
+        half = 0.25 * op.lam ** 2 if op.family == gs.RESCALED else 1.0
+        for mu2 in (0.0, edge * (1.0 - 1e-6), edge):
+            x_a = tail_radius(op, mu2)
+            tau = max(1e-12 * (edge - mu2) * half, 1e-17) / half
+            assert _tail_bound(op, x_a, c) == pytest.approx(tau, rel=1e-9)
+            for x in x_a * np.array([1.0, 1.001, 1.1, 1.5, 2.0]):
+                dev = abs(_kernels.pot(code, kk, p, float(x)) - edge)
+                assert dev <= tau * (1.0 + 1e-9) + ulp2, (op, mu2, x)
+    assert low_constant_fails
+
+
+def test_tail_radius_of_families_without_a_flat_tail():
+    # the euclidean family and the finite-k normal form have no tail
+    # radius; the threshold read-out and a decaying leg need one
+    for op in (gs.euclidean(2), gs.large_k(8, 100.0)):
+        assert tail_radius(op, 0.0) is None
+    with pytest.raises(DomainError):
+        gs.fit_threshold(gs.euclidean(2))
+    with pytest.raises(DomainError):
+        gs.tail_start_decaying(gs.euclidean(2), -0.1, 60.0)
 
 
 @given(data=st.data())
@@ -393,38 +456,39 @@ def test_forward_backward_wronskian_at_eigenvalue():
 
 def test_fit_threshold_frozen_intercepts():
     op = gs.half_line(gs.sphere(1, 1.0))
-    fit = gs.fit_threshold(op, 60.0)
+    fit = gs.fit_threshold(op)
     assert fit.fit_residual < 1e-10
     assert fit.a == pytest.approx(0.4319284, rel=1e-5)
     assert fit.b == pytest.approx(B_SPHERE_K1[1.0], rel=1e-5)
 
 
 def test_fit_threshold_free_operator_slope():
-    assert gs.fit_threshold(gs.half_line(gs.sphere(1, 0.0)), 60.0).b > 0.0
+    assert gs.fit_threshold(gs.half_line(gs.sphere(1, 0.0))).b > 0.0
 
 
 @pytest.mark.parametrize("k,lam", [(16, 1.33), (2, 1.35)])
 def test_fit_threshold_scale_invariants(k, lam):
     # a and b are those of phi = zeta f with leading coefficient 1, so they
     # do not depend on where the shot starts: a shot from a start ten
-    # times farther in reads the same (a, b), and a larger R the same
-    # read-out point
+    # times farther in reads the same (a, b) at the tail radius
     op = gs.half_line(gs.sphere(k, lam))
-    fit = gs.fit_threshold(op, 60.0)
+    fit = gs.fit_threshold(op)
     x_b = fit.window[1]
+    assert x_b == tail_radius(op, 0.25)
     inner = gs.series_start(op, 0.25, gs.series_start(op, 0.25).x / 10)
     a, b = _edge_readout(op, gs.endpoint_state(op, 0.25, inner, x_b))
     assert a == pytest.approx(fit.a, rel=1e-9)
     assert b == pytest.approx(fit.b, rel=1e-9)
-    assert gs.fit_threshold(op, 1e9) == fit
 
 
-def test_fit_threshold_window_guard():
-    # at R = 8 the potential is 1e-7 off the edge, so phi is not affine
-    # there, and the read-outs at the window's two ends disagree
+def test_fit_threshold_window_guard(monkeypatch):
+    # with the read-out moved in to r = 8, where the potential is 1e-7 off
+    # the edge, phi is not affine there, and the read-outs at the window's
+    # two ends disagree
+    monkeypatch.setattr(ode_engine, "tail_radius", lambda op, mu2: 8.0)
     op = gs.half_line(gs.sphere(1, 1.0))
     with pytest.raises(FitUnreliable):
-        gs.fit_threshold(op, 8.0)
+        gs.fit_threshold(op)
 
 
 def test_renormalized_identity_at_zero_energy():

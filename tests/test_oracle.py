@@ -29,8 +29,10 @@ the edge do not see it.
 The k = inf large-k member is shot the same way in s = -log L,
 L = log(Theta/rho), over its zero mode rho (1 + rho^2)^-1 L^(-1/2), whose
 log-derivative is W = L (1 - rho^2)/(1 + rho^2) + 1/2: the regular leg
-starts at L = 30 on f = 1, f' = -mu2/(2W), the decaying one at s = 20, and
-they match at rho = 1.
+starts at rho = exp(-30), L = 30 + log Theta, on f = 1, f' = -mu2/(2W),
+the decaying one at s = 20, and they match at rho = 1. A start at fixed
+L = 30, rho = Theta exp(-30), drifts like Theta^2: 6e-11 at Theta = 1e9,
+8e-9 at 1e10.
 """
 
 import json
@@ -170,7 +172,8 @@ def _largek_inf_mismatch(theta, mu2, factored=True, rtol=1e-13):
     """Normalized Wronskian at rho = 1 of the k = inf member, shot in f or,
     with the same starts times the zero mode, in phi against the written-out
     potential W^2 + W_s."""
-    s0, s1, sm = -math.log(30.0), 20.0, -math.log(math.log(theta))
+    s0 = -math.log(30.0 + math.log(theta))
+    s1, sm = 20.0, -math.log(math.log(theta))
     w0 = _largek_inf_logder(theta, s0)
     m = math.sqrt(0.25 - mu2)
     fp = -mu2 / (2.0 * w0)
@@ -269,11 +272,14 @@ def test_finite_large_k_matches_oracle(k, theta):
                                    rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("theta", [100.0, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("theta", [100.0, 1e3, 1e4, 1e6, 1e7, 1e8, 1e10,
+                                   1e12])
 def test_large_k_inf_matches_oracle(theta):
     # the k = inf member shoots f over its closed-form zero mode; its former
     # phi shot in s put this row 6.4e-10, 4.8e-8 and 8.4e-5 off the root at
-    # Theta = 1e3, 1e4 and 1e6, with no error raised
+    # Theta = 1e3, 1e4 and 1e6, with no error raised; its start at
+    # log(Theta/rho) = 25, rho0 = Theta exp(-25), put it 1.5e-10, 1.9e-8 and
+    # 5.9e-4 off at Theta = 1e7, 1e8 and 1e10, and 1e12 raised DomainError
     rep = gs.find_gap_eigenvalues(gs.large_k(math.inf, theta), scans=False,
                                   threshold=False)
     assert rep.count == 1
@@ -332,7 +338,7 @@ def test_threshold_readout_matches_oracle(kind, k, lam):
     sol = phi_shot(kind, k, lam, 0.25, 1e-3, 54.0,
                    t_eval=np.linspace(30.0, 54.0, 97))
     b, a = np.polyfit(sol.t, sol.y[0], 1)
-    fit = gs.fit_threshold(gs.half_line(gs.GeometrySpec(kind, k, lam)), 60.0)
+    fit = gs.fit_threshold(gs.half_line(gs.GeometrySpec(kind, k, lam)))
     assert fit.b / fit.a == pytest.approx(b / a, rel=1e-8, abs=0.0)
 
 

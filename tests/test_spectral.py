@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import gapspec as gs
-from gapspec import _kernels, spectral
+from gapspec import _kernels, ode_engine, spectral
 from gapspec.errors import (DomainError, EigenvalueMissing,
                             InconsistentCertificate, TailNotAsymptotic)
-from gapspec.ode_engine import asymptotic_radius
+from gapspec.ode_engine import tail_radius
 from gapspec.operators import op_code
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
@@ -78,10 +78,10 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
 
 
 def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
-    # every count shot ends where the potential has flattened, short of the
-    # count radius; the tail's zero past it is counted in closed form
+    # every count shot ends at the closed-form tail radius, where the
+    # potential has flattened; the tail's zero past it is counted in closed
+    # form
     op = gs.half_line(gs.sphere(2, 10.0))
-    R_count = spectral.default_count_radius(op)
     kernel_ends, counts = [], []
     real_shoot = _kernels.rk_shoot
     real_count = spectral.count_zeros
@@ -103,8 +103,8 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
     assert ev.mu2 == pytest.approx(MU2_SPHERE_K2[10.0], rel=1e-9)
     assert len(counts) > 20
     for mu2, x_end, shots in counts:
-        x_a = asymptotic_radius(op, mu2, x_end)
-        assert x_end >= R_count > x_a
+        x_a = tail_radius(op, mu2)
+        assert x_end == x_a
         assert len(shots) == 1
         x1, end = shots[0]
         assert x1 == x_a
@@ -115,9 +115,9 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
                                 gs.large_k(math.inf, 100.0),
                                 gs.rescaled(gs.yang_mills(10.0))])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
-    # the decaying leg of every Wronskian match starts where the count
-    # shots stop, short of R; every shot passes rk_shoot the 14 positional
-    # arguments the benchmark's tracer reads (args[13] is store)
+    # the decaying leg of every Wronskian match starts at the tail radius,
+    # where the count shots stop; every shot passes rk_shoot the 14
+    # positional arguments the benchmark's tracer reads (args[13] is store)
     shots = []
     real_shoot = _kernels.rk_shoot
 
@@ -126,28 +126,28 @@ def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
         return real_shoot(*args)
 
     monkeypatch.setattr(_kernels, "rk_shoot", shoot)
-    ev = gs.find_gap_eigenvalues(op, scans=False,
-                                 threshold=False).eigenvalues[0]
+    gs.find_gap_eigenvalues(op, scans=False, threshold=False)
     backward = [args for args in shots if args[8] < args[4]]   # x1 < x0
     assert len(backward) > 2
     for args in backward:
         mu2, x0 = args[3], args[4]
-        assert x0 == asymptotic_radius(op, mu2, ev.R_used) < ev.R_used
+        assert x0 == tail_radius(op, mu2)
     assert all(len(args) == 14 and args[13] is False for args in shots)
 
 
 @pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
 def test_factored_mismatch_is_the_phi_wronskian(mu2):
     # zeta^2 and W cancel from the normalized Wronskian, so the f legs give
-    # the number a tight scipy phi-form match from R = 80 gives; the
-    # mismatch is of order one, and 0.0768 sits next to the root
+    # the number a tight scipy phi-form match from R = 80 gives, although
+    # the library's decaying leg starts at the tail radius; the mismatch is
+    # of order one, and 0.0768 sits next to the root
     op = gs.half_line(gs.sphere(2, 5.0))
     xm = spectral._matching_point(op)
     m = math.sqrt(0.25 - mu2)
     p1, d1 = phi_shot("sphere", 2, 5.0, mu2, 1e-3, xm).y[:, -1]
     p2, d2 = phi_shot("sphere", 2, 5.0, mu2, 80.0, xm, y0=[1.0, -m]).y[:, -1]
     phi_form = (p1 * d2 - d1 * p2) / (abs(p1) * abs(p2) * m)
-    got = spectral._wronskian_mismatch(op, mu2, xm, 80.0, 1e-13)
+    got = spectral._wronskian_mismatch(op, mu2, xm, 1e-13)
     assert got == pytest.approx(phi_form, rel=0.0, abs=1e-11)
 
 
@@ -168,15 +168,13 @@ _WELL_MEMBERS = (
     else f"{op.family}-inf-{op.theta:g}"))
 def test_matching_point_lies_in_the_well(op):
     # the map's midpoint lies past every regular start and short of the
-    # asymptotic radius, at both ends of the isolation range, and the
-    # potential is negative there: the scan it replaced put the match
-    # under the barrier (U > 0) from lambda ~ 5e3 on
+    # tail radius, at both ends of the isolation range, and the potential
+    # is negative there: the scan it replaced put the match under the
+    # barrier (U > 0) from lambda ~ 5e3 on
     xm = spectral._matching_point(op)
     edge = gs.continuum_edge(op)
-    R = spectral.default_count_radius(op)
     for mu2 in (0.0, edge - spectral.COUNT_MARGIN):
-        assert gs.series_start(op, mu2).x < xm < asymptotic_radius(op, mu2,
-                                                                   R)
+        assert gs.series_start(op, mu2).x < xm < tail_radius(op, mu2)
     assert _kernels.pot(*op_code(op), xm) < 0.0
 
 
@@ -245,10 +243,10 @@ def test_refine_rejects_bracket_off_root(shift):
     w = spectral.BRACKET_WIDTH
     lo = mu2 + (shift - 0.5) * w
     with pytest.raises(InconsistentCertificate, match="sign change"):
-        spectral._refine_eigenvalue(op, 0, lo, lo + w, 60.0, 1e-11)
+        spectral._refine_eigenvalue(op, 0, lo, lo + w, 1e-11)
     # the bracket around the root refines to it
     got, resid = spectral._refine_eigenvalue(op, 0, mu2 - 0.5 * w,
-                                             mu2 + 0.5 * w, 60.0, 1e-11)
+                                             mu2 + 0.5 * w, 1e-11)
     assert got == pytest.approx(mu2, rel=1e-9)
     assert resid < 1e-8
     # the stop is relative: a bracket 1e-3 wide around a root at 1.4e-29,
@@ -257,7 +255,7 @@ def test_refine_rejects_bracket_off_root(shift):
     deep = gs.half_line(gs.sphere(4, 1e5))
     root = oracle_mu2("sphere", 4, 1e5, 1.44e-29)
     got, _ = spectral._refine_eigenvalue(deep, 0, root * (1.0 - 1e-3),
-                                         root * (1.0 + 1e-3), 60.0, 1e-11)
+                                         root * (1.0 + 1e-3), 1e-11)
     assert got == pytest.approx(root, rel=1e-9, abs=0.0)
 
 
@@ -366,52 +364,93 @@ def test_count_monotone_and_empty_below_zero(geom, log_lam, mu2s):
 def test_count_eigenvalues_below():
     edge_probe = 0.25 - 1e-6
     assert gs.count_eigenvalues_below(
-        gs.half_line(gs.sphere(1, 1.0)), edge_probe, 60.0) == 0
+        gs.half_line(gs.sphere(1, 1.0)), edge_probe) == 0
     assert gs.count_eigenvalues_below(
-        gs.half_line(gs.sphere(2, 20.0)), edge_probe, 60.0) == 1
+        gs.half_line(gs.sphere(2, 20.0)), edge_probe) == 1
     assert gs.count_eigenvalues_below(
-        gs.half_line(gs.yang_mills(3.0)), -1.0, 60.0) == 0
+        gs.half_line(gs.yang_mills(3.0)), -1.0) == 0
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf])
 def test_non_finite_count_radius_is_refused(R):
-    # R = nan once counted 0 below 0.2 (the true count is 1) and reported
-    # an empty gap; R = inf hung the asymptotic-radius scan
+    # a count or a decaying leg that ends at a non-finite point is refused,
+    # and so is a non-finite mu2 (a count radius of nan once counted 0
+    # below 0.2, where the true count is 1, and inf hung a backward scan)
     op = gs.half_line(gs.sphere(2, 10.0))
     with pytest.raises(DomainError):
-        gs.count_eigenvalues_below(op, 0.2, R=R)
+        gs.count_zeros(op, 0.2, gs.series_start(op, 0.2), R)
     with pytest.raises(DomainError):
-        gs.find_gap_eigenvalues(op, R=R, threshold=False)
+        gs.tail_start_decaying(op, 0.2, R)
     with pytest.raises(DomainError):
-        gs.find_gap_eigenvalues(gs.large_k(math.inf, 100.0), R=R)
+        gs.count_eigenvalues_below(op, R)
 
 
 @pytest.mark.parametrize("R", [1.0, 0.5])
 def test_count_radius_short_of_the_flat_tail_is_refused(R):
-    # R = 1 once reported an empty gap (the true count is 1) and R = 0.5
-    # stepped the asymptotic-radius scan onto r = 0, a division by zero
+    # no closed-form tail is assumed short of the tail radius: a decaying
+    # leg from R is refused, and a count to R is one on (start, R] only (a
+    # count radius of 1 once reported an empty gap, and 0.5 stepped a
+    # backward scan onto r = 0, a division by zero)
     op = gs.half_line(gs.sphere(2, 10.0))
+    assert R < tail_radius(op, 0.2)
     with pytest.raises(TailNotAsymptotic):
-        gs.count_eigenvalues_below(op, 0.2, R=R)
-    with pytest.raises(TailNotAsymptotic):
-        gs.find_gap_eigenvalues(op, R=R, scans=False, threshold=False)
-    # the scan itself stays on r > 0, and a shot to R still counts on
-    # (start, R]
-    assert asymptotic_radius(op, 0.2, R) == R
+        gs.tail_start_decaying(op, 0.2, R)
     assert gs.count_zeros(op, 0.2, gs.series_start(op, 0.2), R) == 0
-    # at or above the edge no tail is assumed, so there is nothing to refuse
-    assert gs.count_eigenvalues_below(op, 0.5, R=R) == 0
+    assert gs.count_eigenvalues_below(op, 0.2) == 1
 
 
 def test_count_radius_flat_only_at_itself_counts_the_tail():
-    # at R = 16 the potential has flattened for these mu2 but not half a
-    # unit inside, so the asymptotic radius is R itself; the tail's zero
-    # past R was once dropped there, a count of 0 just above the eigenvalue
+    # just above the eigenvalue the zero of the regular solution lies past
+    # the tail radius x_a: a count that ends exactly at x_a counts it in
+    # closed form (a backward scan once dropped it where the flat point was
+    # the count radius itself), and one that ends a float short of x_a
+    # counts on (start, x_end] only
     op = gs.half_line(gs.sphere(2, 10.0))
     ev = MU2_SPHERE_K2[10.0]
-    assert asymptotic_radius(op, ev, 16.0) == 16.0
-    assert gs.count_eigenvalues_below(op, ev * (1.0 + 1e-9), R=16.0) == 1
-    assert gs.count_eigenvalues_below(op, ev * (1.0 - 1e-9), R=16.0) == 0
+    for mu2, want in ((ev * (1.0 + 1e-9), 1), (ev * (1.0 - 1e-9), 0)):
+        start = gs.series_start(op, mu2)
+        x_a = tail_radius(op, mu2)
+        assert gs.count_zeros(op, mu2, start, x_a) == want
+        assert gs.count_zeros(op, mu2, start, np.nextafter(x_a, 0.0)) == 0
+
+
+def _move_tail(monkeypatch, move):
+    """Replace the tail radius x_a by move(x_a) for counts and matches."""
+    real = ode_engine.tail_radius
+
+    def moved(op, mu2):
+        return move(real(op, mu2))
+
+    monkeypatch.setattr(ode_engine, "tail_radius", moved)
+    monkeypatch.setattr(spectral, "tail_radius", moved)
+
+
+def test_eigenvalue_R_independence(monkeypatch):
+    # the closed-form tail radius lies where the tail is already exact: the
+    # eigenvalue does not move when it is taken 1.5 times farther out
+    op = gs.half_line(gs.sphere(2, 10.0))
+    a = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
+    _move_tail(monkeypatch, lambda x: 1.5 * x)
+    b = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
+    assert a.eigenvalues[0].mu2 == pytest.approx(b.eigenvalues[0].mu2,
+                                                 rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("geom", [gs.sphere(2, 5.0), gs.yang_mills(20.0)],
+                         ids=["sphere2", "ym"])
+def test_count_radius_far_out_gives_the_same_certificate(monkeypatch, geom):
+    # 40 units past the tail radius U - 1/4 is 35 decades smaller, and the
+    # counts, the match and the threshold read-out taken there give the
+    # same certificate to within their step errors
+    op = gs.half_line(geom)
+    ref = gs.find_gap_eigenvalues(op, scans=False)
+    _move_tail(monkeypatch, lambda x: x + 40.0)
+    rep = gs.find_gap_eigenvalues(op, scans=False)
+    ev, ev_ref = rep.eigenvalues[0], ref.eigenvalues[0]
+    assert ev.oscillation == ev_ref.oscillation == (0, 1)
+    assert ev.mu2 == pytest.approx(ev_ref.mu2, rel=1e-11, abs=0.0)
+    assert rep.threshold.b == pytest.approx(ref.threshold.b, rel=1e-9)
+    assert rep.threshold.window[1] == ref.threshold.window[1] + 40.0
 
 
 @pytest.mark.parametrize("lam,want", [(3.4, 0), (3.45, 1), (3.46, 1),
@@ -426,6 +465,28 @@ def test_count_at_the_edge_counts_the_affine_tail(lam, want):
     assert want >= gs.count_eigenvalues_below(op, 0.25 - 1e-6)
 
 
+@pytest.mark.parametrize("op", [gs.half_line(gs.sphere(2, 10.0)),
+                                gs.rescaled(gs.yang_mills(10.0)),
+                                gs.large_k(math.inf, 100.0)],
+                         ids=["sphere", "rescaled", "inf"])
+def test_count_above_the_edge_is_refused(op):
+    # above the edge no solution decays, the tail radius has no meaning and
+    # a count on (start, x_end] is no eigenvalue count: it is refused,
+    # naming mu2 and the edge, while exactly at the edge it still counts
+    edge = gs.continuum_edge(op)
+    for mu2 in (edge * (1.0 + 1e-12), 2.0 * edge, math.nan):
+        with pytest.raises(DomainError, match=f"{edge:g}"):
+            gs.count_eigenvalues_below(op, mu2)
+    assert gs.count_eigenvalues_below(op, edge) == 1
+
+
+def test_euclidean_count_is_refused():
+    # the euclidean family has no gap, so nothing it counts is an
+    # eigenvalue count
+    with pytest.raises(DomainError, match="gap"):
+        gs.count_eigenvalues_below(gs.euclidean(2), -0.1)
+
+
 def test_scans_clear_for_random_geometries():
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -438,33 +499,6 @@ def test_scans_clear_for_random_geometries():
         assert rep.negative_scan_clear
         assert rep.embedded_scan_clear
         assert rep.count <= 1    # unique simple eigenvalue at most
-
-
-def test_eigenvalue_R_independence():
-    op = gs.half_line(gs.sphere(2, 10.0))
-    a = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
-    b = gs.find_gap_eigenvalues(op, R=90.0, scans=False, threshold=False)
-    assert a.eigenvalues[0].mu2 == pytest.approx(b.eigenvalues[0].mu2,
-                                                 rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("geom", [gs.sphere(2, 5.0), gs.yang_mills(20.0)],
-                         ids=["sphere2", "ym"])
-def test_count_radius_far_out_gives_the_same_certificate(geom):
-    # the asymptotic scan starts below r = 710, past which pot returns its
-    # limit exactly, so R = 1e308 no longer steps back forever (x - 0.5
-    # rounds to x past 9e15), and the matching point is the well's minimum
-    # on [x0, x_a], not on [x0, R]: its clamp once left the well at large R
-    # (sphere(2, 5) raised InconsistentCertificate at R = 1e6)
-    op = gs.half_line(geom)
-    ref = gs.find_gap_eigenvalues(op, R=60.0, scans=False)
-    mu2 = ref.eigenvalues[0].mu2
-    for R in (1e4, 1e6, 1e9, 1e308):
-        rep = gs.find_gap_eigenvalues(op, R=R, scans=False)
-        assert rep.eigenvalues[0].mu2 == mu2
-        assert rep.threshold == ref.threshold
-        assert asymptotic_radius(op, mu2, R) == asymptotic_radius(op, mu2,
-                                                                  60.0)
 
 
 def test_rescaled_family_scales_eigenvalue():
@@ -605,11 +639,10 @@ def test_largek_scan_certifies_theta_1e6():
 
 
 def test_finite_large_k_is_certified_on_its_pullback():
-    # one redirect: the report is the pullback's, and a given R is in r
-    rep = gs.find_gap_eigenvalues(gs.large_k(8, 100.0), R=45.0, scans=False)
+    # one redirect: the report is the pullback's
+    rep = gs.find_gap_eigenvalues(gs.large_k(8, 100.0), scans=False)
     pull = gs.half_line(gs.sphere(8, 100.0 ** (1.0 / 8)))
     assert rep.operator == pull
-    assert rep.R_count == rep.eigenvalues[0].R_used == 45.0
     assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_LARGEK_100[8],
                                                    rel=1e-9)
     assert rep.threshold.b < 0.0
