@@ -15,7 +15,7 @@ from .harmonic_maps import (SPHERE, YANG_MILLS, EnergyBreakdown, GeometrySpec,
                             metric_g, metric_g_double_prime, metric_g_prime,
                             sphere, yang_mills)
 from .ode_engine import (RenormalizedSolution, ShootingTrace, StartData,
-                         ThresholdFit, count_zeros, endpoint_state,
+                         StepMesh, ThresholdFit, count_zeros, endpoint_state,
                          fit_threshold, integrate, renormalized_f,
                          series_start, tail_start_decaying)
 from .operators import (EUCLIDEAN, FROM_HALF_LINE, HALF_LINE, LARGE_K,

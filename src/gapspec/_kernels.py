@@ -4,7 +4,10 @@ importable, and the wave stepper, vectorized in numpy.
 Without numba every jitted kernel runs as plain Python. The choice is made
 once at import; the jitted kernels are either all compiled or all plain, so
 compiled kernels only ever call compiled kernels, and the numpy routines
-(the remainder, the acceleration and the wave stepper) are never compiled.
+(the step and error matrices of a fixed mesh, the remainder, the
+acceleration and the wave stepper) are never compiled. The Dormand-Prince
+tableau below is the one source for rk_shoot's adaptive steps and for the
+matrices that mesh_walk applies on a given mesh.
 The wave stepper is velocity Verlet with one kick per step: it carries the
 half-step momentum dt*v through a chunk, builds the stencil coefficients
 and its buffers once per chunk, and returns w, v and the acceleration at
@@ -346,6 +349,114 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
         steps += 1
 
     return (status, nst, xs, fs, gs, lgs, nzero, x, f, g, lg)
+
+
+# a step's six distinct stage abscissae are x + c h: stages 6 and 7 share x + h
+STAGE_C = (0.0, _C2, _C3, _C4, _C5, 1.0)
+
+
+@_jit
+def logder_array(code, kk, p, xs, out):
+    for i in range(xs.shape[0]):
+        out[i] = logder(code, kk, p, xs[i])
+
+
+# steps per block of step_matrices: a block's stage temporaries stay near
+# 200 kB, and numpy's per-call cost stays small beside the work
+_BLOCK = 512
+
+
+def step_matrices(mu2, h, w):
+    """rk_shoot's step as matrices, for many steps at once, in numpy.
+
+    f' = g, g' = -mu2 f - 2W g is linear, so a Dormand-Prince step of
+    length h maps (f, g) to M (f, g), and its embedded error estimate is
+    E (f, g). h (n,) holds signed steps and w (6, n) W at each step's
+    stage abscissae x + c h, c in STAGE_C. Returns (M, E), each a
+    (2, 2, n) stack of 2x2 matrices, built _BLOCK steps at a time so that
+    the stages' temporaries stay small.
+    """
+    n = h.shape[0]
+    m = np.empty((2, 2, n))
+    e = np.empty((2, 2, n))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        _step_block(mu2, h[a:b], -2.0 * w[:, a:b], m[:, :, a:b],
+                    e[:, :, a:b])
+    return m, e
+
+
+def _step_block(mu2, h, v, m, e):
+    """step_matrices on one block, v = -2W, into the views m and e."""
+    def slope(j, y):
+        # A y for A = [[0, 1], [-mu2, -2W]] at stage abscissa j
+        k = np.empty_like(y)
+        k[0] = y[1]
+        np.multiply(v[j], y[1], out=k[1])
+        k[1] -= mu2 * y[0]
+        return k
+
+    def combine(coefs, ks, out):
+        # h sum(c K), in place
+        np.multiply(ks[0], coefs[0], out=out)
+        for c, k in zip(coefs[1:], ks[1:]):
+            out += c * k
+        out *= h
+        return out
+
+    def stage(coefs, ks, out=None):
+        # I + h sum(c K): the stage's state as a matrix of the step's start
+        y = combine(coefs, ks, np.empty_like(ks[0]) if out is None else out)
+        y[0, 0] += 1.0
+        y[1, 1] += 1.0
+        return y
+
+    eye = np.zeros((2, 2, h.shape[0]))
+    eye[0, 0] = eye[1, 1] = 1.0
+    k1 = slope(0, eye)
+    k2 = slope(1, stage((_A21,), (k1,)))
+    k3 = slope(2, stage((_A31, _A32), (k1, k2)))
+    k4 = slope(3, stage((_A41, _A42, _A43), (k1, k2, k3)))
+    k5 = slope(4, stage((_A51, _A52, _A53, _A54), (k1, k2, k3, k4)))
+    k6 = slope(5, stage((_A61, _A62, _A63, _A64, _A65),
+                        (k1, k2, k3, k4, k5)))
+    stage((_A71, _A73, _A74, _A75, _A76), (k1, k3, k4, k5, k6), m)
+    combine((_E1, _E3, _E4, _E5, _E6, _E7),
+            (k1, k3, k4, k5, k6, slope(5, m)), e)
+
+
+def step_errors(m, e, fs, gs, rtol, atol):
+    """rk_shoot's embedded error norm of each step of step_matrices, from
+    the states (fs, gs) that enter the steps; a step passes rk_shoot's
+    acceptance test where it is <= 1."""
+    y1f = m[0, 0] * fs + m[0, 1] * gs
+    y1g = m[1, 0] * fs + m[1, 1] * gs
+    ef = e[0, 0] * fs + e[0, 1] * gs
+    eg = e[1, 0] * fs + e[1, 1] * gs
+    sf = atol + rtol * np.maximum(np.abs(fs), np.abs(y1f))
+    sg = atol + rtol * np.maximum(np.abs(gs), np.abs(y1g))
+    return np.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
+
+
+@_jit
+def mesh_walk(m00, m01, m10, m11, f, g, lg, fs, gs):
+    """Apply the step matrices [[m00, m01], [m10, m11]][i] to (f, g) in
+    sequence, with rk_shoot's running log scale lg and its rescale rule.
+
+    fs[i], gs[i] receive the stored state entering step i. Returns the
+    end state (f, g, lg); true values are exp(lg) * stored.
+    """
+    for i in range(m00.shape[0]):
+        fs[i] = f
+        gs[i] = g
+        f, g = m00[i] * f + m01[i] * g, m10[i] * f + m11[i] * g
+        mag = max(abs(f), abs(g))
+        if mag > 1e100 or (0.0 < mag < 1e-100):
+            c = 1.0 / mag
+            f *= c
+            g *= c
+            lg += math.log(mag)
+    return f, g, lg
 
 
 def remainder(d, geom, sin2q, cos2q, qm1):

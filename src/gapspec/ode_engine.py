@@ -35,6 +35,15 @@ and starts at rho0 = exp(-25), log(Theta/rho0) = L0 = 25 + log Theta
 error lies along the second solution, which dies off like exp(-2 (L0 - L))
 up to the match at L = log Theta, so it does not grow with Theta.
 
+A linear shot on a known set of steps is a product of 2x2 step matrices.
+A StepMesh keeps the accepted steps of one stored shot, with W at their
+stage abscissae, and endpoint_state walks it at another mu2 with the
+kernel's own tableau (_kernels.step_matrices, _kernels.mesh_walk). Every
+walked step is checked a posteriori with rk_shoot's acceptance test, on
+the state the walk carries into it, and a step that fails is halved and
+the walk repeated; so every walked step has passed the test the kernel
+applies to its own steps.
+
 Where a shot ends on the half-line is a closed form, not a caller's
 radius: past the tail radius (tail_radius) the potential is within
 max(1e-12 m^2, 1e-17) of its edge, m^2 = edge - mu2, by the bound
@@ -223,6 +232,23 @@ def series_start(op, mu2, r0=None):
     return StartData(r0, 1.0 + (c + d * r2) * r2, (2.0 * c + 4.0 * d * r2) * r0)
 
 
+def _check_rtol(rtol):
+    if not 0.0 < rtol < 1.0:
+        raise DomainError(f"rtol must lie in (0, 1), got {rtol!r}")
+
+
+def _normalized(start):
+    """(f, f', log scale) of `start` with the state's magnitude brought
+    into [1e-2, 1e2] when it lies outside."""
+    f, g, lg = start.f, start.f_prime, start.log_scale
+    mag = max(abs(f), abs(g))
+    if mag > 0.0 and not (1e-2 <= mag <= 1e2):
+        f /= mag
+        g /= mag
+        lg += math.log(mag)
+    return f, g, lg
+
+
 def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     """Kernel call with start normalization; returns the raw kernel tuple.
 
@@ -231,7 +257,9 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     common absolute floor would bound the error of f' in deep wells and of
     a decaying f far out instead of rtol. The kernel's atol is 1e-300,
     which keeps a component that is exactly zero throughout (f' at
-    mu2 = 0) from dividing 0 by 0."""
+    mu2 = 0) from dividing 0 by 0. An rtol outside (0, 1), nan included,
+    raises DomainError."""
+    _check_rtol(rtol)
     code, kk, p = op_code(op)
     if code == _kernels.LARGEK_FIN:
         raise DomainError("no shot runs the finite-k large-k normal form: "
@@ -242,12 +270,7 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
         raise DomainError("half-line coordinates must be positive")
     if x_end == start.x:
         raise DomainError("empty integration interval")
-    f, g, lg = start.f, start.f_prime, start.log_scale
-    mag = max(abs(f), abs(g))
-    if mag > 0.0 and not (1e-2 <= mag <= 1e2):
-        f /= mag
-        g /= mag
-        lg += math.log(mag)
+    f, g, lg = _normalized(start)
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, f, g, lg,
                             x_end, rtol, 1e-300, MAX_STEPS, max_step, store)
     status = out[0]
@@ -345,12 +368,110 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11):
     return zeros + ((f < 0.0) != (chi < 0.0) and abs(chi) > m * abs(f))
 
 
-def endpoint_state(op, mu2, start, x_end, rtol=1e-11):
-    """End StartData of the shot without storing samples."""
+class StepMesh:
+    """The accepted steps of one stored shot, to be walked at other mu2.
+
+    nodes holds the step ends in the shot's direction, and w (6, n) W at
+    each step's six stage abscissae x + c h (_kernels.STAGE_C); W does not
+    depend on mu2. endpoint_state walks the mesh, and adds nodes to it
+    where a step fails the acceptance test.
+    """
+
+    def __init__(self, trace):
+        self.operator = trace.operator
+        self.nodes = trace.grid.copy()
+        self.direction = 1.0 if self.nodes[-1] > self.nodes[0] else -1.0
+        self.w = self._stage_w(self.nodes[:-1], self.nodes[1:])
+
+    def _stage_w(self, x0, x1):
+        """W at the stage abscissae of the steps from x0 to x1, (6, n)."""
+        xs = np.multiply.outer(_kernels.STAGE_C, x1 - x0)
+        xs += x0
+        xs[-1] = x1
+        w = np.empty(xs.size)
+        _kernels.logder_array(*op_code(self.operator), xs.ravel(), w)
+        return w.reshape(xs.shape)
+
+    def insert(self, xs):
+        """Add nodes at xs, none of them a node already, and W for the
+        steps they make; the other steps keep their W."""
+        n = self.nodes.shape[0]
+        nodes = np.concatenate((self.nodes, xs))
+        order = np.argsort(self.direction * nodes, kind="stable")
+        left, right = order[:-1], order[1:]
+        # an old step keeps its two ends, adjacent, and no node between
+        kept = (right == left + 1) & (right < n)
+        self.nodes = nodes[order]
+        w = np.empty((6, self.nodes.shape[0] - 1))
+        w[:, kept] = self.w[:, left[kept]]
+        new = ~kept
+        w[:, new] = self._stage_w(self.nodes[:-1][new], self.nodes[1:][new])
+        self.w = w
+
+
+def _walk(mesh, mu2, start, x_end, rtol):
+    """End state of the walk on `mesh` from `start` to x_end at mu2.
+
+    The walk takes the mesh's nodes that lie strictly between start.x and
+    x_end, and partial first and last steps wherever those lie off a node.
+    Every step is checked with rk_shoot's acceptance test on the state the
+    walk carries into it; the steps that fail are halved in the mesh, and
+    the walk is repeated.
+    """
+    direc = mesh.direction
+    if not (x_end - start.x) * direc > 0.0:
+        raise DomainError(f"a walk from {start.x:.6g} to {x_end:.6g} runs "
+                          f"against its mesh")
+    f0, g0, lg0 = _normalized(start)
+    while True:
+        nodes = mesh.nodes
+        key = direc * nodes
+        lo = int(np.searchsorted(key, direc * start.x, side="right"))
+        hi = int(np.searchsorted(key, direc * x_end, side="left"))
+        xs = np.concatenate(([start.x], nodes[lo:hi], [x_end]))
+        # walk step i is mesh step cols[i] unless it is a partial step
+        cols = np.clip(np.arange(lo - 1, hi), 0, nodes.shape[0] - 2)
+        fresh = (nodes[cols] != xs[:-1]) | (nodes[cols + 1] != xs[1:])
+        w = mesh.w[:, cols]
+        if fresh.any():
+            w[:, fresh] = mesh._stage_w(xs[:-1][fresh], xs[1:][fresh])
+        h = np.diff(xs)
+        m, e = _kernels.step_matrices(mu2, h, w)
+        fs = np.empty(h.shape[0])
+        gs = np.empty(h.shape[0])
+        f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
+                                      f0, g0, lg0, fs, gs)
+        bad = ~(_kernels.step_errors(m, e, fs, gs, rtol, 1e-300) <= 1.0)
+        if not bad.any():
+            return StartData(float(x_end), float(f), float(g), float(lg))
+        x, hb = xs[:-1][bad], 0.5 * h[bad]
+        small = np.abs(hb) < 1e-14 * np.maximum(np.abs(x), 1.0)
+        if small.any():
+            raise StepSizeUnderflow(
+                f"step underflow at x={x[small][0]:.6g} (mu2={mu2:g})")
+        mesh.insert(x + hb)
+
+
+def endpoint_state(op, mu2, start, x_end, rtol=1e-11, mesh=None):
+    """End StartData of the shot without storing samples.
+
+    With a StepMesh of this operator, the shot walks the mesh instead of
+    choosing its own steps (_walk): every walked step has passed
+    rk_shoot's acceptance test at rtol, on the state the walk carried
+    into it, so the walk keeps the kernel's local error bound on another
+    set of steps. An rtol outside (0, 1) raises DomainError.
+    """
     if not isinstance(start, StartData):
         start = StartData(*start)
-    out = _shoot(op, mu2, start, x_end, rtol, 0.0, False)
-    return StartData(*out[7:])
+    if mesh is None:
+        out = _shoot(op, mu2, start, x_end, rtol, 0.0, False)
+        return StartData(*out[7:])
+    _check_rtol(rtol)
+    if mesh.operator != op:
+        raise DomainError("the mesh was built for another operator")
+    if not math.isfinite(x_end):
+        raise DomainError(f"a shot must end at a finite point, got {x_end}")
+    return _walk(mesh, mu2, start, x_end, rtol)
 
 
 def tail_start_decaying(op, mu2, R):

@@ -33,7 +33,12 @@ Every eigenvalue is established twice, by independent routes:
     bracket, else InconsistentCertificate is raised. Illinois regula falsi
     then shrinks that sign change to the mismatch's noise floor: two
     iterates in a row that do not lower |mismatch|, a bracket below 1e-13
-    relative to its ends, with no absolute floor, or an exact zero.
+    relative to its ends, with no absolute floor, or an exact zero. The
+    kernel shoots both legs once, at the bracket's upper end, and stores
+    their accepted steps; every other iterate walks those steps
+    (ode_engine.StepMesh). Each walked step has passed the kernel's own
+    acceptance test at the new mu2, and a step that fails it is halved, so
+    a walked leg keeps the kernel's local error bound.
 
 Both routes solve the same problem on the same half-line, so the count
 jump sits at the matched root. A result is reported only when the matched
@@ -63,9 +68,9 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
 from .harmonic_maps import geometry, sphere
-from .ode_engine import (ThresholdFit, count_zeros, endpoint_state,
-                         fit_threshold, integrate, series_start,
-                         tail_radius, tail_start_decaying)
+from .ode_engine import (StepMesh, ThresholdFit, count_zeros,
+                         endpoint_state, fit_threshold, integrate,
+                         series_start, tail_radius, tail_start_decaying)
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
 
@@ -240,22 +245,33 @@ def _matching_point(op):
     return 0.5 * p * r if op.family == RESCALED else r
 
 
-def _wronskian_mismatch(op, mu2, xm, rtol):
-    """Signed normalized Wronskian of the regular and decaying shots at xm.
-
-    The decaying leg starts at the tail radius x_a, past which the tail is
-    exact. In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the phi-form
-    (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and the W
-    terms cancel. An xm outside (start, x_a) raises DomainError.
-    """
+def _match_starts(op, mu2, xm):
+    """Starts of the regular leg and of the decaying leg, which starts at
+    the tail radius x_a, past which the tail is exact. An xm outside
+    (start, x_a) raises DomainError."""
     x_a = tail_radius(op, mu2)
     start = series_start(op, mu2)
     if not start.x < xm < x_a:
         raise DomainError(f"matching point {xm:.6g} outside (start, x_a) = "
                           f"({start.x:.6g}, {x_a:.6g})")
-    fwd = endpoint_state(op, mu2, start, xm, rtol=rtol)
-    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, x_a), xm,
-                         rtol=rtol)
+    return start, tail_start_decaying(op, mu2, x_a)
+
+
+def _wronskian_mismatch(op, mu2, xm, rtol, meshes=(None, None)):
+    """Signed normalized Wronskian of the regular and decaying shots at xm,
+    each shot by the kernel or, given its StepMesh, walked on it.
+
+    In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the phi-form
+    (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and the W
+    terms cancel.
+    """
+    fwd, bwd = (endpoint_state(op, mu2, start, xm, rtol=rtol, mesh=mesh)
+                for start, mesh in zip(_match_starts(op, mu2, xm), meshes))
+    return _normalized_wronskian(op, mu2, fwd, bwd)
+
+
+def _normalized_wronskian(op, mu2, fwd, bwd):
+    """(f1 g2 - g1 f2)/(|f1| |f2| m) of the two legs' end states."""
     m = math.sqrt(continuum_edge(op) - mu2)
     w = fwd.f * bwd.f_prime - fwd.f_prime * bwd.f
     denom = max(abs(fwd.f) * abs(bwd.f) * m, 1e-300)
@@ -275,6 +291,14 @@ def _refine_eigenvalue(op, index, lo, hi, rtol):
     the smallest |mismatch| seen, when |b - a| < 1e-13 max(|a|, |b|), or
     on an exact zero. Returns the point of smallest |mismatch|, which lies
     in [lo, hi], and that |mismatch|, which must be below 1e-8.
+
+    The two legs are shot by the kernel once, stored, at hi: hi > 0 always,
+    while at lo = 0 f = 1 exactly and every step would pass, so a mesh
+    built there says nothing about other mu2. Every other evaluation walks
+    those two meshes (ode_engine.endpoint_state with a mesh): every walked
+    step has passed rk_shoot's acceptance test at its mu2, a partial first
+    step covers a start off the mesh's nodes (the tail radius moves with
+    mu2), and a step that fails the test is halved in the mesh.
     """
     # the mismatch loses relative accuracy as it crosses zero, so the
     # refinement shots run two decades tighter than the counting shots;
@@ -282,11 +306,15 @@ def _refine_eigenvalue(op, index, lo, hi, rtol):
     # the matching point
     rtol = max(rtol * 1e-2, 1e-14)
     xm = _matching_point(op)
+    traces = [integrate(op, hi, start, xm, rtol=rtol)
+              for start in _match_starts(op, hi, xm)]
+    meshes = [StepMesh(tr) for tr in traces]
 
     def mismatch(mu2):
-        return _wronskian_mismatch(op, mu2, xm, rtol)
+        return _wronskian_mismatch(op, mu2, xm, rtol, meshes)
 
-    a, va, b, vb = lo, mismatch(lo), hi, mismatch(hi)
+    vb = _normalized_wronskian(op, hi, *(tr.end for tr in traces))
+    a, va, b = lo, mismatch(lo), hi
     if va * vb > 0.0:
         raise InconsistentCertificate(
             f"no Wronskian sign change across the isolation bracket "

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import gapspec as gs
-from gapspec import _kernels, ode_engine
+from gapspec import _kernels, ode_engine, spectral
 from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic)
 from gapspec.operators import op_code
@@ -581,3 +581,120 @@ def test_scale_ledger_reconstruction():
     lift = math.exp(tr.log_scale[ib] - tr.log_scale[ia])
     assert tr.values[ib, 0] * lift == pytest.approx(float(ref[0]), rel=1e-9)
     assert tr.values[ib, 1] * lift == pytest.approx(float(ref[1]), rel=1e-9)
+
+
+# one member of each kind the refine walks: sphere, Yang-Mills, rescaled
+# and k = inf, each with its regular and its decaying match leg
+_WALK_MEMBERS = [(gs.half_line(gs.sphere(2, 10.0)), 0.0229),
+                 (gs.half_line(gs.yang_mills(20.0)), 0.0122),
+                 (gs.rescaled(gs.sphere(2, 5.0)), 0.0014),
+                 (gs.large_k(math.inf, 100.0), 0.0072)]
+_WALK_IDS = ["sphere", "ym", "rescaled", "inf"]
+WALK_RTOL = 1e-13
+
+
+def _legs(op, mu2):
+    """(start, x_end) of the two match legs at mu2: the series start and
+    the decaying tail start, both ending at the map's midpoint."""
+    xm = spectral._matching_point(op)
+    tail = gs.tail_start_decaying(op, mu2, tail_radius(op, mu2))
+    return [(gs.series_start(op, mu2), xm), (tail, xm)]
+
+
+def _rel(a, b):
+    """Max-norm distance of two states (f, f') over b's size, at b's scale."""
+    s = math.exp(a.log_scale - b.log_scale)
+    return (max(abs(a.f * s - b.f), abs(a.f_prime * s - b.f_prime))
+            / max(abs(b.f), abs(b.f_prime)))
+
+
+def _walked_errors(op, mu2, start, x_end, mesh):
+    """rk_shoot's error norm of each step a walk from start to x_end takes
+    on the mesh as it stands: the mesh's nodes strictly between, with W
+    recomputed here, and the end state of those steps."""
+    code, kk, p = op_code(op)
+    key = mesh.direction * mesh.nodes
+    inner = mesh.nodes[(key > mesh.direction * start.x)
+                       & (key < mesh.direction * x_end)]
+    xs = np.concatenate(([start.x], inner, [x_end]))
+    h = np.diff(xs)
+    w = np.array([[_kernels.logder(code, kk, p, x if c < 1.0 else x1)
+                   for x, x1 in zip(xs[:-1] + c * h, xs[1:])]
+                  for c in _kernels.STAGE_C])
+    m, e = _kernels.step_matrices(mu2, h, w)
+    fs, gs_ = np.empty(h.size), np.empty(h.size)
+    f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
+                                  *ode_engine._normalized(start), fs, gs_)
+    return (_kernels.step_errors(m, e, fs, gs_, WALK_RTOL, 1e-300),
+            gs.StartData(x_end, f, g, lg))
+
+
+@pytest.mark.parametrize("op,mu2", _WALK_MEMBERS, ids=_WALK_IDS)
+def test_walk_on_the_kernel_nodes_is_the_kernel_shot(op, mu2):
+    # on the accepted steps of a kernel trace, at its own mu2, every step
+    # passes again and the walk lands on the kernel's end state
+    for start, x_end in _legs(op, mu2):
+        tr = gs.integrate(op, mu2, start, x_end, rtol=WALK_RTOL)
+        mesh = gs.StepMesh(tr)
+        end = gs.endpoint_state(op, mu2, start, x_end, rtol=WALK_RTOL,
+                                mesh=mesh)
+        np.testing.assert_array_equal(mesh.nodes, tr.grid)
+        assert end.x == x_end
+        assert _rel(end, tr.end) < 1e-13
+
+
+@pytest.mark.parametrize("thin", [1, 2])
+@pytest.mark.parametrize("op,mu2", _WALK_MEMBERS, ids=_WALK_IDS)
+def test_walk_steps_pass_the_acceptance_test(op, mu2, thin):
+    # at a neighbouring mu2, on the kernel's mesh and on one with every
+    # other node dropped, each step the walk returns has passed rk_shoot's
+    # acceptance test (the walk halves the steps that fail), and the end
+    # states meet a fresh kernel shot to a few hundred rtol
+    for start, x_end in _legs(op, mu2):
+        tr = gs.integrate(op, mu2, start, x_end, rtol=WALK_RTOL)
+        tr.grid = np.concatenate((tr.grid[:-1:thin], tr.grid[-1:]))
+        mesh = gs.StepMesh(tr)
+        near = mu2 * (1.0 + 1e-3)
+        start, x_end = _legs(op, near)[0 if start.x < x_end else 1]
+        end = gs.endpoint_state(op, near, start, x_end, rtol=WALK_RTOL,
+                                mesh=mesh)
+        err, walked = _walked_errors(op, near, start, x_end, mesh)
+        assert np.all(err <= 1.0)
+        assert _rel(walked, end) < 1e-14
+        kernel = gs.endpoint_state(op, near, start, x_end, rtol=WALK_RTOL)
+        assert _rel(end, kernel) < 300 * WALK_RTOL
+
+
+def test_walk_guards():
+    op = gs.half_line(gs.sphere(2, 10.0))
+    (start, xm), _ = _legs(op, 0.02)
+    mesh = gs.StepMesh(gs.integrate(op, 0.02, start, xm, rtol=WALK_RTOL))
+    with pytest.raises(DomainError, match="another operator"):
+        gs.endpoint_state(gs.half_line(gs.sphere(2, 20.0)), 0.02, start, xm,
+                          mesh=mesh)
+    with pytest.raises(DomainError, match="against its mesh"):
+        gs.endpoint_state(op, 0.02, gs.StartData(xm, 1.0, 0.0), start.x,
+                          mesh=mesh)
+    with pytest.raises(DomainError, match="finite"):
+        gs.endpoint_state(op, 0.02, start, math.nan, mesh=mesh)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-11, 1.0, math.nan, math.inf])
+def test_bad_rtol_is_refused(rtol):
+    # rtol = 0 overflowed in the error norm, nan raised a step underflow,
+    # and a negative rtol ran as its absolute value
+    op = gs.half_line(gs.sphere(2, 10.0))
+    start = gs.series_start(op, 0.02)
+    (_, xm), _ = _legs(op, 0.02)
+    mesh = gs.StepMesh(gs.integrate(op, 0.02, start, xm))
+    calls = [
+        lambda: gs.count_eigenvalues_below(op, 0.02, rtol),
+        lambda: gs.endpoint_state(op, 0.02, start, xm, rtol),
+        lambda: gs.endpoint_state(op, 0.02, start, xm, rtol, mesh=mesh),
+        lambda: gs.integrate(op, 0.02, start, xm, rtol),
+        lambda: gs.fit_threshold(op, rtol),
+        lambda: gs.find_gap_eigenvalues(op, rtol, scans=False,
+                                        threshold=False)]
+    for call in calls:
+        with pytest.raises(DomainError, match="rtol"):
+            call()

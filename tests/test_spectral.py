@@ -116,23 +116,39 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
                                 gs.rescaled(gs.yang_mills(10.0))])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     # the decaying leg of every Wronskian match starts at the tail radius,
-    # where the count shots stop; every shot passes rk_shoot the 14
-    # positional arguments the benchmark's tracer reads (args[13] is store)
-    shots = []
+    # where the count shots stop, both where the kernel shoots it (the
+    # refine's two stored build shots per eigenvalue) and where the refine
+    # walks their mesh; every kernel shot passes rk_shoot the 14 positional
+    # arguments the benchmark's tracer reads (args[13] is store)
+    shots, walks = [], []
     real_shoot = _kernels.rk_shoot
+    real_endpoint = spectral.endpoint_state
 
     def shoot(*args):
         shots.append(args)
         return real_shoot(*args)
 
+    def endpoint(op, mu2, start, x_end, **kwargs):
+        walks.append((mu2, start.x, x_end, kwargs["mesh"]))
+        return real_endpoint(op, mu2, start, x_end, **kwargs)
+
     monkeypatch.setattr(_kernels, "rk_shoot", shoot)
-    gs.find_gap_eigenvalues(op, scans=False, threshold=False)
-    backward = [args for args in shots if args[8] < args[4]]   # x1 < x0
-    assert len(backward) > 2
-    for args in backward:
-        mu2, x0 = args[3], args[4]
+    monkeypatch.setattr(spectral, "endpoint_state", endpoint)
+    rep = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
+    assert rep.count == 1
+    assert all(len(args) == 14 and isinstance(args[13], bool)
+               for args in shots)
+    builds = [args for args in shots if args[13]]
+    assert len(builds) == 2
+    backward = [args for args in builds if args[8] < args[4]]  # x1 < x0
+    assert len(backward) == 1
+    mu2, x0 = backward[0][3], backward[0][4]
+    assert x0 == tail_radius(op, mu2)
+    assert all(mesh is not None for *_, mesh in walks)
+    walked = [(mu2, x0) for mu2, x0, x1, _ in walks if x1 < x0]
+    assert len(walked) > 2
+    for mu2, x0 in walked:
         assert x0 == tail_radius(op, mu2)
-    assert all(len(args) == 14 and args[13] is False for args in shots)
 
 
 @pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
@@ -261,16 +277,26 @@ def test_refine_rejects_bracket_off_root(shift):
 
 @pytest.mark.parametrize("geom", [gs.sphere(2, 40.0), gs.yang_mills(40.0)])
 def test_match_shots_per_eigenvalue(monkeypatch, geom):
-    calls = []
+    # the refine stores its two legs once, at the isolation bracket's upper
+    # end, and walks their meshes at every other mu2
+    calls, builds = [], []
     real = spectral.endpoint_state
+    real_integrate = spectral.integrate
 
     def counted(*args, **kwargs):
         calls.append(args[1])   # mu2
         return real(*args, **kwargs)
 
+    def stored(*args, **kwargs):
+        builds.append(args[1])
+        return real_integrate(*args, **kwargs)
+
     monkeypatch.setattr(spectral, "endpoint_state", counted)
+    monkeypatch.setattr(spectral, "integrate", stored)
     _certified(geom)
     assert len(calls) <= 16
+    assert len(builds) == 2 and builds[0] == builds[1]
+    assert builds[0] not in calls
 
 
 @pytest.mark.parametrize("kind,lam", [
