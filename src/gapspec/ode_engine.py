@@ -37,12 +37,14 @@ up to the match at L = log Theta, so it does not grow with Theta.
 
 A linear shot on a known set of steps is a product of 2x2 step matrices.
 A StepMesh keeps the accepted steps of one stored shot, with W at their
-stage abscissae, and endpoint_state walks it at another mu2 with the
-kernel's own tableau (_kernels.step_matrices, _kernels.mesh_walk). Every
-walked step is checked a posteriori with rk_shoot's acceptance test, on
-the state the walk carries into it, and a step that fails is halved and
-the walk repeated; so every walked step has passed the test the kernel
-applies to its own steps.
+stage abscissae, and endpoint_state walks the whole of it, from its first
+node to its last, at another mu2 with the kernel's own tableau
+(_kernels.step_matrices, _kernels.mesh_walk). Every walked step is checked
+a posteriori with rk_shoot's acceptance test, on the state the walk
+carries into it. If any step fails, the walk is dropped, the kernel takes
+the shot, and the mesh is rebuilt on the kernel's steps; so every step
+behind a returned state has passed the test the kernel applies to its own
+steps.
 
 Where a shot ends on the half-line is a closed form, not a caller's
 radius: past the tail radius (tail_radius) the potential is within
@@ -371,95 +373,68 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11):
 class StepMesh:
     """The accepted steps of one stored shot, to be walked at other mu2.
 
-    nodes holds the step ends in the shot's direction, and w (6, n) W at
-    each step's six stage abscissae x + c h (_kernels.STAGE_C); W does not
-    depend on mu2. endpoint_state walks the mesh, and adds nodes to it
-    where a step fails the acceptance test.
+    nodes holds the step ends in the shot's direction, from its start to
+    its end, and w (6, n) W at each step's six stage abscissae x + c h
+    (_kernels.STAGE_C); W does not depend on mu2. It is evaluated once at
+    each of the n + 1 nodes, which serve the steps on both sides, and at
+    the four interior stages of each step. endpoint_state walks the whole
+    mesh, and rebuilds it from a kernel shot where a walked step fails the
+    acceptance test.
     """
 
     def __init__(self, trace):
+        self.rebuild(trace)
+
+    def rebuild(self, trace):
+        """Take the accepted steps of `trace`, a shot of the same leg."""
         self.operator = trace.operator
         self.nodes = trace.grid.copy()
-        self.direction = 1.0 if self.nodes[-1] > self.nodes[0] else -1.0
-        self.w = self._stage_w(self.nodes[:-1], self.nodes[1:])
-
-    def _stage_w(self, x0, x1):
-        """W at the stage abscissae of the steps from x0 to x1, (6, n)."""
-        xs = np.multiply.outer(_kernels.STAGE_C, x1 - x0)
-        xs += x0
-        xs[-1] = x1
-        w = np.empty(xs.size)
-        _kernels.logder_array(*op_code(self.operator), xs.ravel(), w)
-        return w.reshape(xs.shape)
-
-    def insert(self, xs):
-        """Add nodes at xs, none of them a node already, and W for the
-        steps they make; the other steps keep their W."""
-        n = self.nodes.shape[0]
-        nodes = np.concatenate((self.nodes, xs))
-        order = np.argsort(self.direction * nodes, kind="stable")
-        left, right = order[:-1], order[1:]
-        # an old step keeps its two ends, adjacent, and no node between
-        kept = (right == left + 1) & (right < n)
-        self.nodes = nodes[order]
-        w = np.empty((6, self.nodes.shape[0] - 1))
-        w[:, kept] = self.w[:, left[kept]]
-        new = ~kept
-        w[:, new] = self._stage_w(self.nodes[:-1][new], self.nodes[1:][new])
-        self.w = w
+        x0, n = self.nodes[:-1], self.nodes.shape[0] - 1
+        inner = np.multiply.outer(_kernels.STAGE_C[1:5], self.nodes[1:] - x0)
+        inner += x0
+        w = np.empty(n + 1 + inner.size)
+        _kernels.logder_array(*op_code(self.operator),
+                              np.concatenate((self.nodes, inner.ravel())), w)
+        self.w = np.empty((6, n))
+        self.w[0], self.w[5] = w[:n], w[1:n + 1]
+        self.w[1:5] = w[n + 1:].reshape(4, n)
 
 
 def _walk(mesh, mu2, start, x_end, rtol):
-    """End state of the walk on `mesh` from `start` to x_end at mu2.
+    """End state of the walk at mu2 over the whole mesh, from its first
+    node to its last, or None if a step fails rk_shoot's acceptance test
+    on the state the walk carries into it.
 
-    The walk takes the mesh's nodes that lie strictly between start.x and
-    x_end, and partial first and last steps wherever those lie off a node.
-    Every step is checked with rk_shoot's acceptance test on the state the
-    walk carries into it; the steps that fail are halved in the mesh, and
-    the walk is repeated.
+    start.x must be the first node, and x_end the last to within the
+    kernel's own end tolerance, 1e-14 of the span; otherwise DomainError.
     """
-    direc = mesh.direction
-    if not (x_end - start.x) * direc > 0.0:
-        raise DomainError(f"a walk from {start.x:.6g} to {x_end:.6g} runs "
-                          f"against its mesh")
-    f0, g0, lg0 = _normalized(start)
-    while True:
-        nodes = mesh.nodes
-        key = direc * nodes
-        lo = int(np.searchsorted(key, direc * start.x, side="right"))
-        hi = int(np.searchsorted(key, direc * x_end, side="left"))
-        xs = np.concatenate(([start.x], nodes[lo:hi], [x_end]))
-        # walk step i is mesh step cols[i] unless it is a partial step
-        cols = np.clip(np.arange(lo - 1, hi), 0, nodes.shape[0] - 2)
-        fresh = (nodes[cols] != xs[:-1]) | (nodes[cols + 1] != xs[1:])
-        w = mesh.w[:, cols]
-        if fresh.any():
-            w[:, fresh] = mesh._stage_w(xs[:-1][fresh], xs[1:][fresh])
-        h = np.diff(xs)
-        m, e = _kernels.step_matrices(mu2, h, w)
-        fs = np.empty(h.shape[0])
-        gs = np.empty(h.shape[0])
-        f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
-                                      f0, g0, lg0, fs, gs)
-        bad = ~(_kernels.step_errors(m, e, fs, gs, rtol, 1e-300) <= 1.0)
-        if not bad.any():
-            return StartData(float(x_end), float(f), float(g), float(lg))
-        x, hb = xs[:-1][bad], 0.5 * h[bad]
-        small = np.abs(hb) < 1e-14 * np.maximum(np.abs(x), 1.0)
-        if small.any():
-            raise StepSizeUnderflow(
-                f"step underflow at x={x[small][0]:.6g} (mu2={mu2:g})")
-        mesh.insert(x + hb)
+    nodes = mesh.nodes
+    span = abs(nodes[-1] - nodes[0])
+    if not (start.x == nodes[0]
+            and abs(x_end - nodes[-1]) <= 1e-14 * max(span, 1.0)):
+        raise DomainError(f"a walk from {start.x:.6g} to {x_end:.6g} is off "
+                          f"its mesh's ends {nodes[0]:.6g}, {nodes[-1]:.6g}")
+    m, e = _kernels.step_matrices(mu2, np.diff(nodes), mesh.w)
+    fs = np.empty(nodes.shape[0] - 1)
+    gs = np.empty(nodes.shape[0] - 1)
+    f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
+                                  *_normalized(start), fs, gs)
+    if not np.all(_kernels.step_errors(m, e, fs, gs, rtol, 1e-300) <= 1.0):
+        return None
+    return StartData(float(nodes[-1]), float(f), float(g), float(lg))
 
 
 def endpoint_state(op, mu2, start, x_end, rtol=1e-11, mesh=None):
     """End StartData of the shot without storing samples.
 
-    With a StepMesh of this operator, the shot walks the mesh instead of
-    choosing its own steps (_walk): every walked step has passed
+    With a StepMesh of this operator, whose first and last nodes are the
+    shot's start and end, the shot walks the whole mesh instead of
+    choosing its own steps (_walk). If every walked step passes
     rk_shoot's acceptance test at rtol, on the state the walk carried
-    into it, so the walk keeps the kernel's local error bound on another
-    set of steps. An rtol outside (0, 1) raises DomainError.
+    into it, the walk's end is returned; otherwise the kernel takes the
+    shot (integrate), the mesh is rebuilt on its steps, and its end is
+    returned. Either way every step behind the state has passed the
+    kernel's test. An rtol outside (0, 1) raises DomainError.
     """
     if not isinstance(start, StartData):
         start = StartData(*start)
@@ -471,7 +446,12 @@ def endpoint_state(op, mu2, start, x_end, rtol=1e-11, mesh=None):
         raise DomainError("the mesh was built for another operator")
     if not math.isfinite(x_end):
         raise DomainError(f"a shot must end at a finite point, got {x_end}")
-    return _walk(mesh, mu2, start, x_end, rtol)
+    end = _walk(mesh, mu2, start, x_end, rtol)
+    if end is None:
+        tr = integrate(op, mu2, start, x_end, rtol)
+        mesh.rebuild(tr)
+        end = tr.end
+    return end
 
 
 def tail_start_decaying(op, mu2, R):

@@ -35,10 +35,11 @@ Every eigenvalue is established twice, by independent routes:
     iterates in a row that do not lower |mismatch|, a bracket below 1e-13
     relative to its ends, with no absolute floor, or an exact zero. The
     kernel shoots both legs once, at the bracket's upper end, and stores
-    their accepted steps; every other iterate walks those steps
-    (ode_engine.StepMesh). Each walked step has passed the kernel's own
-    acceptance test at the new mu2, and a step that fails it is halved, so
-    a walked leg keeps the kernel's local error bound.
+    their accepted steps; every other iterate walks all of those steps
+    (ode_engine.StepMesh), between the same two ends. Every walked step
+    is checked with the kernel's own acceptance test at the new mu2; a
+    walk with a step that fails it is dropped and the kernel takes that
+    leg again, so a returned leg keeps the kernel's local error bound.
 
 Both routes solve the same problem on the same half-line, so the count
 jump sits at the matched root. A result is reported only when the matched
@@ -257,16 +258,21 @@ def _match_starts(op, mu2, xm):
     return start, tail_start_decaying(op, mu2, x_a)
 
 
-def _wronskian_mismatch(op, mu2, xm, rtol, meshes=(None, None)):
-    """Signed normalized Wronskian of the regular and decaying shots at xm,
-    each shot by the kernel or, given its StepMesh, walked on it.
+def _wronskian_mismatch(op, mu2, xm, rtol, meshes):
+    """Signed normalized Wronskian at xm of the regular and decaying legs,
+    each walked on its StepMesh from the mesh's first node: the regular
+    leg on the series there, the decaying leg on the tail there, which
+    must lie at or past the tail radius at mu2.
 
     In f = phi/zeta, (f1 g2 - g1 f2)/(|f1| |f2| m) is the phi-form
     (phi1 phi2' - phi1' phi2)/(|phi1| |phi2| m), since zeta^2 and the W
     terms cancel.
     """
-    fwd, bwd = (endpoint_state(op, mu2, start, xm, rtol=rtol, mesh=mesh)
-                for start, mesh in zip(_match_starts(op, mu2, xm), meshes))
+    reg, dec = meshes
+    fwd = endpoint_state(op, mu2, series_start(op, mu2, r0=reg.nodes[0]),
+                         xm, rtol=rtol, mesh=reg)
+    bwd = endpoint_state(op, mu2, tail_start_decaying(op, mu2, dec.nodes[0]),
+                         xm, rtol=rtol, mesh=dec)
     return _normalized_wronskian(op, mu2, fwd, bwd)
 
 
@@ -295,10 +301,13 @@ def _refine_eigenvalue(op, index, lo, hi, rtol):
     The two legs are shot by the kernel once, stored, at hi: hi > 0 always,
     while at lo = 0 f = 1 exactly and every step would pass, so a mesh
     built there says nothing about other mu2. Every other evaluation walks
-    those two meshes (ode_engine.endpoint_state with a mesh): every walked
-    step has passed rk_shoot's acceptance test at its mu2, a partial first
-    step covers a start off the mesh's nodes (the tail radius moves with
-    mu2), and a step that fails the test is halved in the mesh.
+    those two meshes whole (ode_engine.endpoint_state with a mesh), with
+    the legs' ends fixed at the meshes' ends: the regular leg starts at the
+    series radius at hi, and the decaying leg at the tail radius at hi,
+    which lies at or past the tail radius of every mu2 <= hi, since m^2
+    falls as mu2 rises, so the tail is exact there. A walk with a step
+    that fails rk_shoot's acceptance test at its mu2 is dropped, and the
+    kernel takes that leg and rebuilds its mesh.
     """
     # the mismatch loses relative accuracy as it crosses zero, so the
     # refinement shots run two decades tighter than the counting shots;
@@ -445,7 +454,8 @@ def _embedded_flatness(op, mu2, edge, rtol):
     sel = tr.grid >= tr.grid[0] + 0.5 * (tr.grid[-1] - tr.grid[0])
     xs = tr.grid[sel]
     lz = tr.log_scale[sel] + _kernels.logzeta(code, kk, p, xs)
-    w = np.array([_kernels.logder(code, kk, p, x) for x in xs])
+    w = np.empty(xs.size)
+    _kernels.logder_array(code, kk, p, xs, w)
     z = np.exp(lz - np.max(lz))
     f, fp = tr.values[sel, 0], tr.values[sel, 1]
     amp = z * np.sqrt(f * f + ((fp + w * f) / kappa) ** 2)

@@ -608,15 +608,12 @@ def _rel(a, b):
             / max(abs(b.f), abs(b.f_prime)))
 
 
-def _walked_errors(op, mu2, start, x_end, mesh):
-    """rk_shoot's error norm of each step a walk from start to x_end takes
-    on the mesh as it stands: the mesh's nodes strictly between, with W
-    recomputed here, and the end state of those steps."""
+def _walked_errors(op, mu2, start, mesh):
+    """rk_shoot's error norm of each step of a walk from start over the
+    whole mesh as it stands, with W recomputed here, and the walk's end
+    state."""
     code, kk, p = op_code(op)
-    key = mesh.direction * mesh.nodes
-    inner = mesh.nodes[(key > mesh.direction * start.x)
-                       & (key < mesh.direction * x_end)]
-    xs = np.concatenate(([start.x], inner, [x_end]))
+    xs = mesh.nodes
     h = np.diff(xs)
     w = np.array([[_kernels.logder(code, kk, p, x if c < 1.0 else x1)
                    for x, x1 in zip(xs[:-1] + c * h, xs[1:])]
@@ -626,7 +623,15 @@ def _walked_errors(op, mu2, start, x_end, mesh):
     f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
                                   *ode_engine._normalized(start), fs, gs_)
     return (_kernels.step_errors(m, e, fs, gs_, WALK_RTOL, 1e-300),
-            gs.StartData(x_end, f, g, lg))
+            gs.StartData(xs[-1], f, g, lg))
+
+
+def _leg_start(op, mu2, x0, forward):
+    """Start at x0, a mesh's first node, of the regular (forward) or the
+    decaying leg at mu2, as the refine starts its walks."""
+    if forward:
+        return gs.series_start(op, mu2, r0=x0)
+    return gs.tail_start_decaying(op, mu2, x0)
 
 
 @pytest.mark.parametrize("op,mu2", _WALK_MEMBERS, ids=_WALK_IDS)
@@ -646,23 +651,30 @@ def test_walk_on_the_kernel_nodes_is_the_kernel_shot(op, mu2):
 @pytest.mark.parametrize("thin", [1, 2])
 @pytest.mark.parametrize("op,mu2", _WALK_MEMBERS, ids=_WALK_IDS)
 def test_walk_steps_pass_the_acceptance_test(op, mu2, thin):
-    # at a neighbouring mu2, on the kernel's mesh and on one with every
-    # other node dropped, each step the walk returns has passed rk_shoot's
-    # acceptance test (the walk halves the steps that fail), and the end
-    # states meet a fresh kernel shot to a few hundred rtol
+    # at a neighbouring mu2 below the mesh's, from the mesh's first node as
+    # in the refine: on the kernel's own mesh every walked step passes
+    # rk_shoot's acceptance test, the mesh is kept, and the end state meets
+    # a fresh kernel shot to a few hundred rtol; on a mesh with every other
+    # node dropped a step fails, so the kernel takes the shot, its end
+    # state is returned and the mesh is rebuilt on its steps
+    near = mu2 * (1.0 - 1e-3)
     for start, x_end in _legs(op, mu2):
         tr = gs.integrate(op, mu2, start, x_end, rtol=WALK_RTOL)
         tr.grid = np.concatenate((tr.grid[:-1:thin], tr.grid[-1:]))
         mesh = gs.StepMesh(tr)
-        near = mu2 * (1.0 + 1e-3)
-        start, x_end = _legs(op, near)[0 if start.x < x_end else 1]
+        start = _leg_start(op, near, start.x, start.x < x_end)
         end = gs.endpoint_state(op, near, start, x_end, rtol=WALK_RTOL,
                                 mesh=mesh)
-        err, walked = _walked_errors(op, near, start, x_end, mesh)
-        assert np.all(err <= 1.0)
-        assert _rel(walked, end) < 1e-14
-        kernel = gs.endpoint_state(op, near, start, x_end, rtol=WALK_RTOL)
-        assert _rel(end, kernel) < 300 * WALK_RTOL
+        kernel = gs.integrate(op, near, start, x_end, rtol=WALK_RTOL)
+        if thin == 1:
+            np.testing.assert_array_equal(mesh.nodes, tr.grid)
+            err, walked = _walked_errors(op, near, start, mesh)
+            assert np.all(err <= 1.0)
+            assert _rel(walked, end) < 1e-14
+            assert _rel(end, kernel.end) < 300 * WALK_RTOL
+        else:
+            np.testing.assert_array_equal(mesh.nodes, kernel.grid)
+            assert end == kernel.end
 
 
 def test_walk_guards():
@@ -672,9 +684,13 @@ def test_walk_guards():
     with pytest.raises(DomainError, match="another operator"):
         gs.endpoint_state(gs.half_line(gs.sphere(2, 20.0)), 0.02, start, xm,
                           mesh=mesh)
-    with pytest.raises(DomainError, match="against its mesh"):
-        gs.endpoint_state(op, 0.02, gs.StartData(xm, 1.0, 0.0), start.x,
-                          mesh=mesh)
+    # a walk covers its whole mesh: backward, or from or to an inner point,
+    # is refused
+    inner = 0.5 * (start.x + xm)
+    for x0, x1 in [(xm, start.x), (start.x, inner), (inner, xm)]:
+        with pytest.raises(DomainError, match="off its mesh's ends"):
+            gs.endpoint_state(op, 0.02, gs.StartData(x0, 1.0, 0.0), x1,
+                              mesh=mesh)
     with pytest.raises(DomainError, match="finite"):
         gs.endpoint_state(op, 0.02, start, math.nan, mesh=mesh)
 

@@ -115,10 +115,11 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
                                 gs.large_k(math.inf, 100.0),
                                 gs.rescaled(gs.yang_mills(10.0))])
 def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
-    # the decaying leg of every Wronskian match starts at the tail radius,
-    # where the count shots stop, both where the kernel shoots it (the
-    # refine's two stored build shots per eigenvalue) and where the refine
-    # walks their mesh; every kernel shot passes rk_shoot the 14 positional
+    # the decaying leg of every Wronskian match starts at a tail radius:
+    # the refine's backward build shot at tail_radius(op, hi), where the
+    # counts at its upper end hi stop, and every walk of its mesh at that
+    # same node, which lies at or past tail_radius(op, mu2) for every
+    # walked mu2 <= hi; every kernel shot passes rk_shoot the 14 positional
     # arguments the benchmark's tracer reads (args[13] is store)
     shots, walks = [], []
     real_shoot = _kernels.rk_shoot
@@ -142,13 +143,14 @@ def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     assert len(builds) == 2
     backward = [args for args in builds if args[8] < args[4]]  # x1 < x0
     assert len(backward) == 1
-    mu2, x0 = backward[0][3], backward[0][4]
-    assert x0 == tail_radius(op, mu2)
+    hi, x_hi = backward[0][3], backward[0][4]
+    assert x_hi == tail_radius(op, hi)
     assert all(mesh is not None for *_, mesh in walks)
     walked = [(mu2, x0) for mu2, x0, x1, _ in walks if x1 < x0]
     assert len(walked) > 2
     for mu2, x0 in walked:
-        assert x0 == tail_radius(op, mu2)
+        assert mu2 <= hi
+        assert x0 == x_hi >= tail_radius(op, mu2)
 
 
 @pytest.mark.parametrize("mu2", [0.02, 0.0768, 0.15])
@@ -163,7 +165,9 @@ def test_factored_mismatch_is_the_phi_wronskian(mu2):
     p1, d1 = phi_shot("sphere", 2, 5.0, mu2, 1e-3, xm).y[:, -1]
     p2, d2 = phi_shot("sphere", 2, 5.0, mu2, 80.0, xm, y0=[1.0, -m]).y[:, -1]
     phi_form = (p1 * d2 - d1 * p2) / (abs(p1) * abs(p2) * m)
-    got = spectral._wronskian_mismatch(op, mu2, xm, 1e-13)
+    meshes = [gs.StepMesh(gs.integrate(op, mu2, start, xm, rtol=1e-13))
+              for start in spectral._match_starts(op, mu2, xm)]
+    got = spectral._wronskian_mismatch(op, mu2, xm, 1e-13, meshes)
     assert got == pytest.approx(phi_form, rel=0.0, abs=1e-11)
 
 
@@ -297,6 +301,33 @@ def test_match_shots_per_eigenvalue(monkeypatch, geom):
     assert len(calls) <= 16
     assert len(builds) == 2 and builds[0] == builds[1]
     assert builds[0] not in calls
+
+
+def test_deep_well_walk_is_reshot_by_the_kernel(monkeypatch):
+    # sphere(3, 1000) has its root at 7.4e-12, far below the isolation
+    # bracket's upper end hi, where its meshes are built: a walk there has
+    # a step that fails the acceptance test, so the kernel takes that leg
+    # again from the same start and rebuilds its mesh, which later
+    # iterates walk; here twice (the decaying leg at 0 and at the first
+    # iterate), four kernel shots in all
+    shots = []
+    real = ode_engine.integrate
+
+    def stored(op, mu2, start, x_end, *args, **kwargs):
+        shots.append((mu2, start.x))
+        return real(op, mu2, start, x_end, *args, **kwargs)
+
+    monkeypatch.setattr(ode_engine, "integrate", stored)
+    monkeypatch.setattr(spectral, "integrate", stored)
+    ev = _certified(gs.sphere(3, 1000.0))
+    assert len(shots) == 4
+    (hi, x_reg), (hi2, x_dec) = shots[:2]
+    assert hi == hi2 and x_reg < x_dec
+    for mu2, x0 in shots[2:]:
+        assert mu2 < hi
+        assert x0 in (x_reg, x_dec)
+    assert ev.mu2 == pytest.approx(oracle_mu2("sphere", 3, 1000.0, ev.mu2),
+                                   rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("kind,lam", [
