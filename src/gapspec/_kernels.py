@@ -108,9 +108,8 @@ def pot(code, kk, p, x):
         sh = math.sinh(x)
         om2 = 1.0 / (sh * sh)
         t = p * math.tanh(0.5 * x)
-        y = t * t
-        opy = 1.0 + y
-        return 0.25 + 3.75 * om2 - 24.0 * y * om2 / (opy * opy)
+        s = t + 1.0 / t if t > 0.0 else math.inf  # y = t^2 may overflow
+        return 0.25 + 3.75 * om2 - 24.0 * om2 / (s * s)
     if code < 4:
         return 4.0 / (p * p) * pot(code - 2, kk, p, 2.0 * x / p)
     if code == 4:

@@ -23,9 +23,10 @@ from .harmonic_maps import (SPHERE, YANG_MILLS, amplitude_bound,
                             endpoint, energy_closed_form, energy_quadrature,
                             geometry)
 from .ode_engine import renormalized_f
-from .operators import half_line
-from .spectral import (_bisect, _pool_map, find_gap_eigenvalues,
-                       largek_gap_scan, migration_curve, sweep_lambda)
+from .operators import half_line, rescaled
+from .spectral import (_bisect, _matching_point, _pool_map,
+                       find_gap_eigenvalues, largek_gap_scan, migration_curve,
+                       sweep_lambda)
 from .wave_sim import (GapEigenmode, GaussianBump, init_state, probe_spectrum,
                        run)
 
@@ -256,7 +257,7 @@ def _cmd_renorm(args):
         "shoot_residual": sol.shoot_residual,
     }
     if lam > 1.0:
-        rho0 = lam * math.atanh(1.0 / lam)
+        rho0 = _matching_point(rescaled(g))
         summary["rho_bulk"] = rho0
         summary["f_at_bulk"] = float(_interp4(rho0, rho, f))
         summary["f_prime_at_bulk"] = float(_interp4(rho0, rho, sol.f_prime))

@@ -52,7 +52,7 @@ max(1e-12 m^2, 1e-17) of its edge, m^2 = edge - mu2, by the bound
 |U - 1/4| <= (k^2 + 1/4)/sinh^2 r (k = inf: exp(-2s)), so the solution
 there is exp(+-m x), or affine at the edge. Counts stop there and count
 the tail's zero in closed form, the decaying match leg starts there, and
-the threshold is read off there.
+the threshold shot, also the count at the edge, is read off there.
 """
 
 import math
@@ -107,12 +107,13 @@ class ShootingTrace:
 @dataclass(frozen=True)
 class ThresholdFit:
     """Affine far field phi = a + b x at the continuum edge, read off at
-    the two abscissae of `window` (see fit_threshold)."""
+    `window`, and the gap count of the same shot (see fit_threshold)."""
 
     a: float
     b: float
     fit_residual: float
     window: tuple
+    count: int
 
 
 @dataclass
@@ -342,32 +343,35 @@ def count_zeros(op, mu2, start, x_end, rtol=1e-11):
     are those of phi because zeta > 0, without building a trace.
 
     At or below the edge, with x_end at or past x_a = tail_radius(op, mu2),
-    the shot stops at x_a and the count is on the whole half-line
-    (start, inf). Past x_a the solution is
-    phi_a cosh(m t) + (chi_a/m) sinh(m t), t = x - x_a,
-    m = sqrt(edge - mu2) (affine at the edge), with (phi_a, chi_a) zeta
-    (f, W f + f') at x_a, so it has at most one zero on (x_a, inf), and it
-    has one iff phi_a chi_a < 0 and |chi_a| > m |phi_a|. A shot that ends
-    on phi_a = 0 ends on a simple zero that the kernel has not counted
-    yet: it counts a zero when f next takes a sign other than the last
-    nonzero one, and past x_a phi takes the sign of chi_a. Otherwise (mu2
-    above the edge, x_end short of x_a, or no flat tail) the count is on
-    (start, x_end]; a non-finite x_end raises DomainError.
+    the shot stops at x_a, and the zero of the tail past it is counted in
+    closed form (_tail_zeros), so the count is on the whole half-line
+    (start, inf). Otherwise (mu2 above the edge, x_end short of x_a, or no
+    flat tail) the count is on (start, x_end]; a non-finite x_end raises
+    DomainError.
     """
     if not isinstance(start, StartData):
         start = StartData(*start)
     x_a = tail_radius(op, mu2)
-    code, kk, p = op_code(op)
-    edge = continuum_edge(op)
-    if x_a is None or not (mu2 <= edge and start.x < x_a <= x_end < math.inf):
+    if x_a is None or not (mu2 <= continuum_edge(op)
+                           and start.x < x_a <= x_end < math.inf):
         return int(_shoot(op, mu2, start, x_end, rtol, 0.0, False)[6])
     out = _shoot(op, mu2, start, x_a, rtol, 0.0, False)
-    zeros, f, g = int(out[6]), out[8], out[9]
+    return int(out[6]) + _tail_zeros(op, mu2, StartData(*out[7:]))
+
+
+def _tail_zeros(op, mu2, end):
+    """Zeros, 0 or 1, on [x_a, inf) of phi = phi_a cosh(m t) + (chi_a/m)
+    sinh(m t), t = x - x_a, m^2 = edge - mu2, (phi_a, chi_a) = zeta
+    (f, W f + f') of the state `end` at x_a, at or past the tail radius:
+    one iff phi_a chi_a < 0 and |chi_a| > m |phi_a|. An end on phi_a = 0 is
+    a zero that the kernel, which counts one when f next takes a sign
+    other than the last nonzero one, has not counted."""
+    f, g = end.f, end.f_prime
     if f == 0.0:
-        return zeros + (g != 0.0)
-    chi = g + _kernels.logder(code, kk, p, x_a) * f
-    m = math.sqrt(edge - mu2)
-    return zeros + ((f < 0.0) != (chi < 0.0) and abs(chi) > m * abs(f))
+        return int(g != 0.0)
+    chi = g + _kernels.logder(*op_code(op), end.x) * f
+    m = math.sqrt(continuum_edge(op) - mu2)
+    return int((f < 0.0) != (chi < 0.0) and abs(chi) > m * abs(f))
 
 
 class StepMesh:
@@ -488,35 +492,39 @@ def _edge_readout(op, end):
 
 def fit_threshold(op, rtol=1e-11):
     """Affine far field phi = a + b x of the regular solution at the
-    continuum edge, read off in closed form.
+    continuum edge, read off in closed form, and the gap count.
 
-    At the edge phi'' = (U - edge) phi, and past x_b = tail_radius(op, edge)
-    the potential is within 1e-17 of the edge (in half-line units), below
-    half an ulp of 1/4, so phi is affine there: b = phi'(x_b),
-    a = phi(x_b) - x_b b. One f shot from the series start reaches x_b,
-    and phi = zeta f with zeta normalized to leading coefficient 1, so a
-    and b are those of the regular solution phi ~ x^(k+1/2) whatever the
-    start. The same read-out
-    at the earlier point x_e = x_b - (x_b - x0)/4 of that shot measures
+    Past x_b = tail_radius(op, edge) the potential is within 1e-17 of the
+    edge (in half-line units), below half an ulp of 1/4, so phi is affine:
+    b = phi'(x_b), a = phi(x_b) - x_b b. phi = zeta f with zeta of leading
+    coefficient 1, so a and b are those of phi ~ x^(k+1/2) whatever the
+    start (for k = inf, which has none, the start's f = 1 at L0 times
+    zeta). The same read-out at x_e = x_b - (x_b - x0)/4 gives
     fit_residual, max(|da|, |db| (x_b - x_e)) / max(|a|, |b| (x_b - x_e));
     FitUnreliable at >= 1e-6. b vanishes exactly when a resonance sits at
-    the edge. For k = inf, which has no leading coefficient, phi is the
-    start's f = 1 at L0 times zeta of _kernels.logzeta.
+    the edge. `count`, the Sturm count at the edge, is the zeros of the
+    shot's legs, start to x_e and x_e to x_b, plus the tail's past x_b
+    (_tail_zeros); a zero on x_e, which neither leg counts, is added once.
     """
     edge = continuum_edge(op)
     start = series_start(op, edge)
     x_b = _require_tail(op, edge)
     x_e = x_b - 0.25 * (x_b - start.x)
-    mid = endpoint_state(op, edge, start, x_e, rtol)
+    out = _shoot(op, edge, start, x_e, rtol, 0.0, False)
+    mid = StartData(*out[7:])
+    zeros = int(out[6]) + (mid.f == 0.0 and mid.f_prime != 0.0)
+    out = _shoot(op, edge, mid, x_b, rtol, 0.0, False)
+    end = StartData(*out[7:])
+    zeros += int(out[6]) + _tail_zeros(op, edge, end)
     a0, b0 = _edge_readout(op, mid)
-    a, b = _edge_readout(op, endpoint_state(op, edge, mid, x_b, rtol))
+    a, b = _edge_readout(op, end)
     dx = x_b - x_e
     rel = (max(abs(a - a0), abs(b - b0) * dx)
            / max(abs(a), abs(b) * dx, 1e-300))
     if not rel < 1e-6:
         raise FitUnreliable(f"threshold read-out moved by {rel:.3g} "
                             f"between x = {x_e:.6g} and {x_b:.6g}")
-    return ThresholdFit(a, b, rel, (x_e, x_b))
+    return ThresholdFit(a, b, rel, (x_e, x_b), zeros)
 
 
 def renormalized_f(geometry, mu2, rho_max):

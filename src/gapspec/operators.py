@@ -140,20 +140,20 @@ def continuum_edge(op):
 def potential_V(geometry, r):
     """Half-line linearization potential; <= 0 with exp(-2r) tail.
 
-    Sphere: k^2 (cos 2Q - 1)/sinh^2 r = -8 k^2 x^2/((1+x^2)^2 sinh^2 r) with
-    x = (lambda tanh(r/2))^k. Yang-Mills: 6 Q(Q-2)/sinh^2 r = -24 y/((1+y)^2
-    sinh^2 r), y = (lambda tanh(r/2))^2. Both assembled without cancellation.
+    Sphere: k^2 (cos 2Q - 1)/sinh^2 r = -8 k^2/((xi + 1/xi)^2 sinh^2 r) with
+    xi = (lambda tanh(r/2))^k. Yang-Mills: 6 Q(Q-2)/sinh^2 r =
+    -24/((t + 1/t)^2 sinh^2 r), t = lambda tanh(r/2). Both assembled without
+    cancellation, as in the kernel's potential (_kernels.pot): an xi or t
+    that overflows to inf, or is 0, gives V = 0, its limit.
     """
     r = np.asarray(r, dtype=float)
-    sh = np.sinh(r)
-    om2 = 1.0 / (sh * sh)
     t = geometry.lam * np.tanh(0.5 * r)
-    if geometry.kind == SPHERE:
-        x2 = t ** (2 * geometry.k)
-        k2 = float(geometry.k) ** 2
-        return -8.0 * k2 * om2 * x2 / (1.0 + x2) ** 2
-    y = t * t
-    return -24.0 * y * om2 / (1.0 + y) ** 2
+    c = 8.0 * float(geometry.k) ** 2 if geometry.kind == SPHERE else 24.0
+    with np.errstate(over="ignore", divide="ignore"):
+        if geometry.kind == SPHERE:
+            t = t ** geometry.k
+        s = np.sinh(r) * (t + 1.0 / t)
+        return -c / (s * s)
 
 
 def effective_potential(op, x):

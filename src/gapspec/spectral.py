@@ -13,9 +13,11 @@ Every eigenvalue is established twice, by independent routes:
     counted in closed form. A count above the edge has no such end point,
     and raises DomainError. Every shot here runs in
     f = phi/zeta over the closed-form zero mode zeta > 0 (see ode_engine),
-    whose zeros are those of phi; at mu2 = 0 f = 1 exactly. Cheap counts
-    at rtol 1e-7 halve (0, edge - 1e-6) until the jump is isolated to at
-    most 1e-6; they only choose where the match looks.
+    whose zeros are those of phi; at mu2 = 0 f = 1 exactly. The gap count
+    is the threshold shot's count at the edge (ode_engine.fit_threshold).
+    Cheap counts at rtol 1e-7 halve (0, edge) until the jump is isolated to
+    at most 1e-6; they only choose where the match looks, up to an ulp
+    below the edge, the smallest binding resolved (2.8e-17 at 1/4).
     The certificate rests on two counts at the caller's tolerance, at the
     ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
@@ -75,7 +77,6 @@ from .ode_engine import (StepMesh, ThresholdFit, count_zeros,
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
 
-COUNT_MARGIN = 1e-6        # counting offset below the continuum edge
 BRACKET_WIDTH = 1e-10      # width of the certified bracket around the root
 # cheaper count shots isolate the jump to ISOLATION_WIDTH for the match
 ISOLATION_RTOL = 1e-7
@@ -97,7 +98,7 @@ class GapEigenvalue:
     wronskian_residual: float
     index: int
     oscillation: tuple
-    # never set: the count stops COUNT_MARGIN below the edge
+    # never set: an eigenvalue the edge count finds is certified or raises
     near_threshold: bool = False
 
 
@@ -358,8 +359,8 @@ def _refine_eigenvalue(op, index, lo, hi, rtol):
 def _locate_eigenvalue(op, index, edge, rtol):
     """Isolate, match and certify the eigenvalue with the given index.
 
-    Counts at the isolation tolerance halve (0, edge - COUNT_MARGIN) down
-    to ISOLATION_WIDTH, the match refines the root inside that bracket, and
+    Counts at the isolation tolerance halve (0, edge) down to
+    ISOLATION_WIDTH, the match refines the root inside that bracket, and
     two counts at the caller's tolerance, at the ends of a bracket at most
     BRACKET_WIDTH wide around the root, must read (index, index + 1). If
     any step raises InconsistentCertificate, all three are redone once with
@@ -371,7 +372,8 @@ def _locate_eigenvalue(op, index, edge, rtol):
     for tol in (ISOLATION_RTOL, rtol):
         try:
             lo, hi = _bisect(lambda mu2: count(mu2, tol) > index,
-                             0.0, edge - COUNT_MARGIN, ISOLATION_WIDTH)
+                             0.0, edge, ISOLATION_WIDTH)
+            hi = min(hi, math.nextafter(edge, 0.0))  # tail must decay
             mu2, resid = _refine_eigenvalue(op, index, lo, hi, rtol)
             if not 0.0 < mu2 < edge:
                 raise InconsistentCertificate(
@@ -379,7 +381,7 @@ def _locate_eigenvalue(op, index, edge, rtol):
                     f"outside the gap (0, {edge:g})")
             # 0.45, not 0.5, so that rounding keeps hi - lo <= BRACKET_WIDTH
             lo = max(mu2 - 0.45 * BRACKET_WIDTH, 0.0)
-            hi = mu2 + 0.45 * BRACKET_WIDTH
+            hi = min(mu2 + 0.45 * BRACKET_WIDTH, edge)
             osc = (count(lo, rtol), count(hi, rtol))
             if osc != (index, index + 1):
                 raise InconsistentCertificate(
@@ -396,11 +398,13 @@ def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
                          threshold=True) -> SpectralReport:
     """Locate and certify every eigenvalue in the operator's spectral gap.
 
-    Returns a SpectralReport carrying the certified eigenvalues, the affine
-    threshold read-out at the continuum edge (when `threshold`), and the
-    below-gap and embedded-continuum scans (when `scans`). Every shot's
-    step control is relative, at rtol (see ode_engine._shoot). Raises
-    InconsistentCertificate when an eigenvalue fails its certificate.
+    Returns a SpectralReport carrying the gap count, the certified
+    eigenvalues, the affine threshold read-out at the continuum edge (when
+    `threshold`), and the below-gap and embedded-continuum scans (when
+    `scans`). The count and the read-out come from one threshold shot,
+    always made. Every shot's step control is relative, at rtol (see
+    ode_engine._shoot). Raises InconsistentCertificate when an eigenvalue
+    fails its certificate, as one within an ulp of the edge does.
 
     The certified bracket width (BRACKET_WIDTH, 1e-10) and the Wronskian
     residual bound (1e-8) are absolute. Below mu2 of about 1e-10 the count
@@ -408,10 +412,8 @@ def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
     mu2 = 7.44e-12 in (0, 5.2e-11)), and the digits come from the match
     alone, whose residual bound does not bind there either.
 
-    Every count and every decaying match leg ends at the closed-form tail
-    radius (ode_engine.tail_radius), where |U - edge| <= max(1e-12 m^2,
-    1e-17) by the bound |U - 1/4| <= (k^2 + 1/4)/sinh^2 r; no caller's
-    radius enters the certificate.
+    Every count and decaying match leg ends at the closed-form tail radius
+    (ode_engine.tail_radius); no caller's radius enters the certificate.
 
     A finite-k large_k member is the exact pullback of
     half_line(sphere(k, Theta^(1/k))) and is certified there: the report's
@@ -420,12 +422,11 @@ def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
     if op.family == LARGE_K and op.k != math.inf:
         op = half_line(sphere(int(op.k), op.theta ** (1.0 / op.k)))
     edge = continuum_edge(op)
-    n = count_eigenvalues_below(op, edge - COUNT_MARGIN, rtol)
-    report = SpectralReport(operator=op, edge=edge, count=n)
-    for j in range(n):
+    fit = fit_threshold(op, rtol)
+    report = SpectralReport(operator=op, edge=edge, count=fit.count,
+                            threshold=fit if threshold else None)
+    for j in range(fit.count):
         report.eigenvalues.append(_locate_eigenvalue(op, j, edge, rtol))
-    if threshold:
-        report.threshold = fit_threshold(op, rtol)
     if scans:
         for mu2 in NEGATIVE_PROBES:
             report.negative_scan.append(
@@ -463,20 +464,11 @@ def _embedded_flatness(op, mu2, edge, rtol):
 
 
 def _sweep_point(args):
-    """SweepPoint at one lambda; args is (kind, k, lam, need).
-
-    need selects the halves: "both" for a grid point, "count" or "fit" for
-    a bisection midpoint, whose predicate reads only that half; the fields
-    of the half not computed are None."""
-    kind, k, lam, need = args
-    op = half_line(geometry(kind, k, lam))
-    cnt = a = b = resid = None
-    if need != "fit":
-        cnt = count_eigenvalues_below(op, continuum_edge(op) - COUNT_MARGIN)
-    if need != "count":
-        fit = fit_threshold(op)
-        a, b, resid = fit.a, fit.b, fit.fit_residual
-    return SweepPoint(lam, cnt, a, b, resid)
+    """SweepPoint at one lambda, args = (kind, k, lam): the count and the
+    fit of one threshold shot (ode_engine.fit_threshold)."""
+    kind, k, lam = args
+    fit = fit_threshold(half_line(geometry(kind, k, lam)))
+    return SweepPoint(lam, fit.count, fit.a, fit.b, fit.fit_residual)
 
 
 def _pool_map(fn, items, jobs):
@@ -489,13 +481,11 @@ def _pool_map(fn, items, jobs):
 def sweep_lambda(kind, k, lam_grid, jobs=1, bisect_to=1e-4) -> SweepReport:
     """Track the threshold slope and gap count along a lambda grid.
 
-    Two independent transition brackets are refined to width `bisect_to`,
-    which must be finite and positive: where the resonance slope b changes
-    sign, and where the gap count first leaves zero. They are located
-    separately and never assumed to coincide. Grid points compute both the
-    count and the threshold fit; a bisection midpoint computes only the
-    half its transition reads (the fit for the slope flip, the count for
-    the onset).
+    Two transition brackets are refined to width `bisect_to`, which must
+    be finite and positive: where the resonance slope b changes sign, and
+    where the gap count first leaves zero. Both are read off one shot per
+    point (ode_engine.fit_threshold), whose count gains the affine tail's
+    zero where b changes sign; each bracket is bisected on its own.
     """
     lams = [float(v) for v in lam_grid]
     if sorted(lams) != lams:
@@ -503,15 +493,15 @@ def sweep_lambda(kind, k, lam_grid, jobs=1, bisect_to=1e-4) -> SweepReport:
     if not (math.isfinite(bisect_to) and bisect_to > 0.0):
         raise DomainError(f"bisect_to must be finite and positive, "
                           f"got {bisect_to!r}")
-    pts = _pool_map(_sweep_point, [(kind, k, v, "both") for v in lams], jobs)
+    pts = _pool_map(_sweep_point, [(kind, k, v) for v in lams], jobs)
 
-    def bracket(crosses, past, need):
+    def bracket(crosses, past):
         # bisect the first grid interval (p, q) where crosses(p, q) holds;
         # past(p, m) tells whether the point m lies beyond the transition
         for p, q, lo, hi in zip(pts, pts[1:], lams, lams[1:]):
             if crosses(p, q):
                 return _bisect(
-                    lambda lam: past(p, _sweep_point((kind, k, lam, need))),
+                    lambda lam: past(p, _sweep_point((kind, k, lam))),
                     lo, hi, bisect_to)
         return None
 
@@ -519,9 +509,9 @@ def sweep_lambda(kind, k, lam_grid, jobs=1, bisect_to=1e-4) -> SweepReport:
         kind, k, lams, pts,
         slope_flip_bracket=bracket(
             lambda p, q: p.resonance_b * q.resonance_b < 0.0,
-            lambda p, m: not m.resonance_b * p.resonance_b > 0.0, "fit"),
+            lambda p, m: not m.resonance_b * p.resonance_b > 0.0),
         onset_bracket=bracket(lambda p, q: p.count == 0 and q.count > 0,
-                              lambda p, m: m.count != 0, "count"))
+                              lambda p, m: m.count != 0))
 
 
 def _migration_point(args):

@@ -481,6 +481,32 @@ def test_fit_threshold_scale_invariants(k, lam):
     assert b == pytest.approx(fit.b, rel=1e-9)
 
 
+def test_fit_threshold_counts_a_zero_on_its_midpoint_once(monkeypatch):
+    # a first leg that ends on f = 0 ends on a zero that neither leg
+    # counts: the kernel counts a zero when f next takes a sign other than
+    # the last nonzero one, and the second leg starts with no sign. Forced
+    # through 0 at x_e with its slope kept, phi is affine on [x_e, inf) to
+    # the fit's 1e-6, and has no other zero there
+    op = gs.half_line(gs.sphere(1, 3.0))
+    assert gs.fit_threshold(op).count == 0
+    real = ode_engine._shoot
+    ends = []
+
+    def shoot(*args):
+        out = real(*args)
+        if not ends:
+            out = out[:8] + (0.0,) + out[9:]
+        ends.append(gs.StartData(*out[7:]))
+        return out
+
+    monkeypatch.setattr(ode_engine, "_shoot", shoot)
+    fit = gs.fit_threshold(op)
+    mid = ends[0]
+    assert mid.f == 0.0 and mid.f_prime != 0.0
+    assert fit.count == 1
+    assert gs.count_zeros(op, 0.25, mid, fit.window[1]) == 0
+
+
 def test_fit_threshold_window_guard(monkeypatch):
     # with the read-out moved in to r = 8, where the potential is 1e-7 off
     # the edge, phi is not affine there, and the read-outs at the window's

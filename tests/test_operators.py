@@ -86,6 +86,22 @@ def test_potential_matches_linearized_nonlinearity(geom):
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("geom", [
+    gs.sphere(40, 1e5), gs.sphere(20, 1e9), gs.yang_mills(1e200),
+    gs.sphere(1, 1.0), gs.sphere(2, 0.7), gs.sphere(3, 4.0),
+    gs.yang_mills(0.5), gs.yang_mills(3.0), gs.sphere(2, 0.0),
+    gs.yang_mills(0.0)])
+def test_potential_meets_the_kernel_potential(geom):
+    # V + 1/4 + (k^2 - 1/4)/sinh^2 r is the kernel's U; with
+    # (lambda tanh(r/2))^(2k) formed first, V overflowed to nan at the
+    # first three members, where U stays finite
+    for r in (1.0, 5.0):
+        u = 0.25 + (geom.k ** 2 - 0.25) / math.sinh(r) ** 2
+        u += gs.potential_V(geom, r)
+        want = gs.effective_potential(gs.half_line(geom), r)
+        assert u == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 def test_potential_negative_everywhere():
     r = np.geomspace(1e-3, 30.0, 300)
     for lam in (0.0, 0.5, 1.0, 2.0, 10.0, 40.0):

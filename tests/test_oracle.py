@@ -65,9 +65,13 @@ def _logder(kind, k, lam, r):
     return kk * (1.0 - t) / ((1.0 + t) * math.sinh(r)) + 0.5 / math.tanh(r)
 
 
-def _rhs(kind, k, lam, mu2):
+def _rhs(kind, k, lam, mu2, m2=None):
+    """f'' = -2W f' - mu2 f; with the binding m2 = 1/4 - mu2 given, mu2 f
+    is taken as f/4 - m2 f, so a binding far below an ulp of 1/4 keeps its
+    digits."""
     def rhs(r, y):
-        return [y[1], -2.0 * _logder(kind, k, lam, r) * y[1] - mu2 * y[0]]
+        mu2f = mu2 * y[0] if m2 is None else 0.25 * y[0] - m2 * y[0]
+        return [y[1], -2.0 * _logder(kind, k, lam, r) * y[1] - mu2f]
     return rhs
 
 
@@ -106,10 +110,10 @@ def phi_shot(kind, k, lam, mu2, r0, r1, y0=None, rtol=1e-13, **kwargs):
                      atol=1e-300, **kwargs)
 
 
-def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=2.5e-14):
-    rhs = _rhs(kind, k, lam, mu2)
+def _mismatch(kind, k, lam, mu2, xm, R=40.0, rtol=2.5e-14, m2=None):
+    rhs = _rhs(kind, k, lam, mu2, m2)
     r0, y0 = _regular_start(kind, k, lam, mu2)
-    m = math.sqrt(0.25 - mu2)
+    m = math.sqrt(0.25 - mu2 if m2 is None else m2)
     fwd = solve_ivp(rhs, (r0, xm), y0, method="DOP853", rtol=rtol,
                     atol=1e-300)
     bwd = solve_ivp(rhs, (R, xm), [1.0, -m - _logder(kind, k, lam, R)],
@@ -143,19 +147,29 @@ def oracle_mu2(kind, k, lam, guess):
     return _root(lambda mu2: _mismatch(kind, k, lam, mu2, xm), guess)
 
 
-def _root(f, guess):
+def oracle_binding(kind, k, lam, guess):
+    """Root in the binding m2 = 1/4 - mu2 of the factored mismatch,
+    bracketed outward from `guess`; for roots next to the edge, where
+    oracle_mu2 cannot bracket and mu2 keeps few digits of the binding."""
+    xm = _core(kind, k, lam)
+    return _root(lambda m2: _mismatch(kind, k, lam, 0.25 - m2, xm, m2=m2),
+                 guess, cap=0.25)
+
+
+def _root(f, guess, cap=0.25 - 1e-6):
     """Root of f, bracketed outward from `guess`.
 
-    The bracket guess (1 -+ 1e-6) widens in log mu2, its half-width
-    doubling each step, so a guess nine decades off is bracketed in about
-    25 steps; the upper end stays 1e-6 below the edge."""
+    The bracket guess (1 -+ 1e-6) widens in log, its half-width doubling
+    each step, so a guess nine decades off is bracketed in about 25 steps;
+    the upper end stays at or below `cap`, by default 1e-6 below the edge
+    in mu2."""
     step = 1e-6
     lo, hi = guess * (1.0 - step), guess * (1.0 + step)
     while f(lo) * f(hi) > 0.0:
         assert step < 300.0, f"no sign change of the mismatch around {guess}"
         step *= 2.0
         lo = guess * math.exp(-step)
-        hi = min(guess * math.exp(step), 0.25 - 1e-6)
+        hi = min(guess * math.exp(step), cap)
     # relative only: the deepest members sit near mu2 = 1e-29
     return brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
 
@@ -257,6 +271,30 @@ def test_large_lambda_certification_matches_oracle(kind, k, lam):
     assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1]
     assert ev.mu2 == pytest.approx(oracle_mu2(kind, k, lam, ev.mu2),
                                    rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,k,lam,rel", [
+    ("sphere", 1, 3.455, 1e-9), ("sphere", 1, 3.46, 1e-9),
+    ("ym", 2, 2.09, 1e-9), ("sphere", 2, 1.687, 1e-9),
+    ("sphere", 4, 1.284, 1e-9), ("sphere", 1, 3.45, 1e-8)])
+def test_near_edge_binding_matches_oracle(kind, k, lam, rel):
+    # roots within 1e-6 of the edge, once reported as an empty gap, held
+    # on their binding 1/4 - mu2 (2.4e-7, 7.9e-7, 5.3e-7, 3.8e-8, 9.9e-7
+    # and 6.1e-9), which mu2 carries to an ulp of 1/4, 2.8e-17: 4.6e-9 of
+    # the last binding, which therefore has rel 1e-8 and may instead
+    # refuse with a named error
+    op = gs.half_line(gs.GeometrySpec(kind, k, lam))
+    try:
+        rep = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
+    except GapspecError:
+        assert rel > 1e-9
+        return
+    assert rep.count == 1
+    ev = rep.eigenvalues[0]
+    assert ev.oscillation == (0, 1)
+    binding = 0.25 - ev.mu2
+    assert binding == pytest.approx(oracle_binding(kind, k, lam, binding),
+                                    rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("k,theta", [(8, 1e6), (16, 1e6), (16, 1e4),

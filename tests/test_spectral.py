@@ -57,8 +57,9 @@ def test_deep_well_eigenvalue_k3():
 
 def test_one_count_bisection_per_eigenvalue(monkeypatch):
     # isolation: 18 halvings of (0, 1/4) down to 1e-6 at the isolation
-    # tolerance; at the caller's tolerance only the count below the edge and
-    # the two certificate counts around the matched root
+    # tolerance; at the caller's tolerance only the two certificate counts
+    # around the matched root, since the count at the edge is read off the
+    # threshold shot
     shots = {}
     real = spectral.count_zeros
 
@@ -73,7 +74,7 @@ def test_one_count_bisection_per_eigenvalue(monkeypatch):
     assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_SPHERE_K2[10.0],
                                                    rel=1e-9)
     assert set(shots) == {1e-11, spectral.ISOLATION_RTOL}
-    assert shots[1e-11] == 3
+    assert shots[1e-11] == 2
     assert shots[spectral.ISOLATION_RTOL] <= 18
 
 
@@ -101,7 +102,9 @@ def test_count_shots_stop_at_asymptotic_radius(monkeypatch):
     monkeypatch.setattr(spectral, "count_zeros", counted)
     ev = _certified(op.geometry)
     assert ev.mu2 == pytest.approx(MU2_SPHERE_K2[10.0], rel=1e-9)
-    assert len(counts) > 20
+    # 18 isolation halvings and the 2 certificate counts; the count at the
+    # edge is the threshold shot's
+    assert len(counts) == 20
     for mu2, x_end, shots in counts:
         x_a = tail_radius(op, mu2)
         assert x_end == x_a
@@ -183,17 +186,22 @@ _WELL_MEMBERS = (
     + [gs.large_k(math.inf, theta) for theta in (100.0, 1e3, 1e4, 1e6)])
 
 
-@pytest.mark.parametrize("op", _WELL_MEMBERS, ids=lambda op: (
-    f"{op.family}-{op.geometry.kind}-{op.k:g}-{op.lam:g}" if op.geometry
-    else f"{op.family}-inf-{op.theta:g}"))
+def _op_id(op):
+    if op.geometry:
+        return f"{op.family}-{op.geometry.kind}-{op.k:g}-{op.lam:g}"
+    return f"{op.family}-inf-{op.theta:g}"
+
+
+@pytest.mark.parametrize("op", _WELL_MEMBERS, ids=_op_id)
 def test_matching_point_lies_in_the_well(op):
     # the map's midpoint lies past every regular start and short of the
-    # tail radius, at both ends of the isolation range, and the potential
-    # is negative there: the scan it replaced put the match under the
-    # barrier (U > 0) from lambda ~ 5e3 on
+    # tail radius, at both ends of the refine's range, whose upper end is
+    # one ulp below the edge, and the potential is negative there: the scan
+    # it replaced put the match under the barrier (U > 0) from lambda ~ 5e3
+    # on
     xm = spectral._matching_point(op)
     edge = gs.continuum_edge(op)
-    for mu2 in (0.0, edge - spectral.COUNT_MARGIN):
+    for mu2 in (0.0, math.nextafter(edge, 0.0)):
         assert gs.series_start(op, mu2).x < xm < tail_radius(op, mu2)
     assert _kernels.pot(*op_code(op), xm) < 0.0
 
@@ -340,7 +348,7 @@ def test_count_at_zero_must_vanish(kind, lam):
     # oracle is in test_oracle.py
     op = gs.half_line(gs.GeometrySpec(kind, 2, lam))
     assert gs.count_eigenvalues_below(op, 0.0) == 0
-    assert gs.count_eigenvalues_below(op, 0.25 - spectral.COUNT_MARGIN) == 1
+    assert gs.count_eigenvalues_below(op, 0.25) == 1
 
 
 def test_matrix_oracle_k2_lambda5():
@@ -602,23 +610,64 @@ def test_bisect_stops_at_adjacent_floats(width):
     assert lo <= 1.5 < hi and hi == np.nextafter(lo, np.inf)
 
 
+# lambda_* of the onset: where the threshold slope b and the edge count
+# flip together (sweep_lambda at bisect_to 1e-6)
+ONSETS = {(gs.SPHERE, 1): 3.449042, (gs.SPHERE, 2): 1.686554,
+          (gs.SPHERE, 3): 1.400245, (gs.SPHERE, 4): 1.283195,
+          (gs.YANG_MILLS, 2): 2.087312}
+EDGE_COUNT_MEMBERS = (
+    [(gs.half_line(gs.GeometrySpec(kind, k, onset + dlam)), int(dlam > 0))
+     for (kind, k), onset in ONSETS.items()
+     for dlam in (-0.2, 0.003, 1.0, 1e3 - onset, 1e5 - onset)]
+    + [(gs.rescaled(gs.sphere(2, 5.0)), 1),
+       (gs.rescaled(gs.yang_mills(10.0)), 1),
+       (gs.large_k(math.inf, 1.5), 0), (gs.large_k(math.inf, 100.0), 1)])
+
+
+@pytest.mark.parametrize("op,want", [
+    pytest.param(op, want, id=_op_id(op)) for op, want in EDGE_COUNT_MEMBERS])
+def test_threshold_shot_count_is_the_edge_count(op, want):
+    # the threshold shot's two legs and the tail's zero past x_b count what
+    # a count to the tail radius at the edge counts, below, just past and
+    # well past the onset, deep in the well, in rho and for k = inf
+    assert gs.fit_threshold(op).count == want
+    assert gs.count_eigenvalues_below(op, gs.continuum_edge(op)) == want
+
+
+@pytest.mark.parametrize("kind,k", [(gs.SPHERE, 1), (gs.SPHERE, 2),
+                                    (gs.SPHERE, 4), (gs.YANG_MILLS, 2)])
+@pytest.mark.parametrize("dlam", [0.001, 0.003, 0.006])
+def test_eigenvalues_next_to_the_edge_are_certified(kind, k, dlam):
+    # just past the onset the binding 1/4 - mu2 runs from 6.6e-9 to 5.4e-5
+    # on these members; a count 1e-6 below the edge reported six of them
+    # empty, and the edge count finds and certifies every one
+    op = gs.half_line(gs.GeometrySpec(kind, k, ONSETS[kind, k] + dlam))
+    rep = gs.find_gap_eigenvalues(op, scans=False)
+    assert rep.count == 1 and rep.threshold.b < 0.0
+    ev = rep.eigenvalues[0]
+    assert ev.oscillation == (0, 1)
+    assert ev.wronskian_residual < 1e-8
+    assert ev.bracket[0] <= ev.mu2 <= ev.bracket[1] <= 0.25
+    assert ev.mu2 < 0.25
+
+
 def test_sweep_brackets_transitions_k1():
     rep = gs.sweep_lambda(gs.SPHERE, 1, [3.0, 3.5, 4.0], bisect_to=0.01)
     lo, hi = rep.slope_flip_bracket
     assert 3.4 < lo < hi <= 3.5
     assert hi - lo <= 0.01 + 1e-12
-    # counted on the whole half-line, the onset lies just past the slope
-    # flip (about 3.449): the count stops COUNT_MARGIN below the edge
-    slope_hi = hi
-    lo, hi = rep.onset_bracket
-    assert slope_hi <= lo < hi <= 3.5
+    # counted at the edge itself, the tail's zero enters exactly where b
+    # changes sign (about 3.449), so the onset bisection takes the same
+    # halves: a count 1e-6 below the edge put it past the flip
+    assert rep.onset_bracket == rep.slope_flip_bracket
     counts = {p.lam: p.count for p in rep.points}
     assert counts[3.0] == 0 and counts[4.0] == 1
 
 
-def test_sweep_midpoints_compute_only_the_deciding_half(monkeypatch):
-    # grid points compute both halves; each slope-flip midpoint only the
-    # threshold fit and each onset midpoint only the count
+def test_sweep_reads_count_and_fit_off_one_shot(monkeypatch):
+    # every grid point and every midpoint of either bisection makes one
+    # threshold shot, which gives both its count and its fit; the sweep
+    # makes no count of its own
     calls = {"count": 0, "fit": 0}
 
     def counted(name, fn):
@@ -632,10 +681,10 @@ def test_sweep_midpoints_compute_only_the_deciding_half(monkeypatch):
     monkeypatch.setattr(spectral, "fit_threshold",
                         counted("fit", spectral.fit_threshold))
     rep = gs.sweep_lambda(gs.SPHERE, 1, [3.0, 3.5, 4.0], bisect_to=1e-3)
-    # each bracket is 0.5/2^9 wide: 9 midpoints, plus the 3 grid points
-    assert calls == {"count": 12, "fit": 12}
+    # each bracket is 0.5/2^9 wide: 2 x 9 midpoints, plus the 3 grid points
+    assert calls == {"count": 0, "fit": 21}
     assert rep.slope_flip_bracket == (3.4482421875, 3.44921875)
-    assert rep.onset_bracket == (3.4609375, 3.4619140625)
+    assert rep.onset_bracket == (3.4482421875, 3.44921875)
 
 
 def test_migration_sphere_k2():
