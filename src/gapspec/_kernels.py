@@ -35,6 +35,13 @@ normal form's potential in s for pot alone: no shot runs it, because that
 member is the exact pullback of the half-line sphere (code 0) at
 lambda = Theta^(1/k).
 
+Past a shift radius x_s a forward shot may integrate f_s = f exp(sig x)
+instead, with sig the far-field exponent of f's growing solution
+exp(-sig x), which f_s turns into a constant (an affine function at the
+edge), so the steps grow all the way out (rk_shoot). Its error test holds
+f_s' to rtol max(|f_s'|, |sig f_s|), since f' is about -sig f there.
+Every state that goes in or comes out, stored samples included, is in f.
+
 Potentials are assembled from cancellation-free pieces: x^2/(1+x^2)^2 is
 evaluated as 1/(x + 1/x)^2 and the Yang-Mills factor Q(Q-2) as -4y/(1+y)^2,
 so no subtraction of nearly equal quantities occurs anywhere on the domain.
@@ -97,7 +104,10 @@ def pot(code, kk, p, x):
     if code == 0:
         sh = math.sinh(x)
         om2 = 1.0 / (sh * sh)
-        xi = (p * math.tanh(0.5 * x)) ** kk
+        try:
+            xi = (p * math.tanh(0.5 * x)) ** kk
+        except Exception:       # overflow: saturate, as in logder
+            xi = math.inf
         if xi <= 0.0:
             v = 0.0
         else:
@@ -145,7 +155,13 @@ def logder(code, kk, p, x):
         T = math.tanh(0.5 * x)
         y = p * T
         if code == 0:
-            y = y ** kk
+            # plain Python raises OverflowError where numba's numpy error
+            # model returns inf; the power saturates to inf either way
+            # (numba compiles no narrower clause than `except Exception`)
+            try:
+                y = y ** kk
+            except Exception:
+                y = math.inf
         t = y * y
         return (kk * (2.0 / (1.0 + t) - 1.0) * (1.0 - T * T)
                 + 0.5 * (1.0 + T * T)) / (2.0 * T)
@@ -195,7 +211,7 @@ def pot_array(code, kk, p, xs, out):
 
 @_jit
 def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
-             rtol, atol, max_steps, max_step, store):
+             rtol, atol, max_steps, max_step, store, x_s, sig):
     """Adaptive RK5(4) for f = phi/zeta, with a running log scale.
 
     Integrates f' = g, g' = -mu2 f - 2W g (W from logder) from x0 to x1
@@ -206,6 +222,19 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
     true values are exp(lg) * stored. Zeros of f are counted at every sign
     change. Accepted steps are stored only when `store` is set; otherwise
     the sample arrays have length 1.
+
+    A forward shot (x0 < x1) with sig != 0 that reaches past the shift
+    radius x_s integrates f_s = f exp(sig x) from max(x0, x_s) on:
+    f_s'' + 2(W - sig) f_s' + (mu2 + sig^2 - 2 sig W) f_s = 0. Past x_s
+    the far-field exponent sig makes the growing solution constant (or
+    affine at the edge), so the steps grow to the end. A step lands
+    exactly on x_s, where the state turns into f_s (g += sig f,
+    lg += sig x) with the step size kept. f_s' is held to rtol times the
+    largest of |f_s'| and |sig f_s|: there f' is about -sig f, so this
+    asks of f_s' what the relative test asks of f'. States going in and
+    out, stored samples included, are in f (g - sig f_s, lg - sig x);
+    zero counts are those of f, since exp(sig x) > 0. With sig = 0, or
+    x_s = inf, the shot is that of f throughout.
 
     Returns (status, nstored, xs, fs, gs, lgs, nzeros,
              x_end, f_end, g_end, lg_end).
@@ -219,6 +248,7 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
     x, f, g, lg = x0, f0, g0, lg0
     span = abs(x1 - x0)
     direc = 1.0 if x1 >= x0 else -1.0
+    tol = 1e-14 * max(span, 1.0)
 
     nst = 0
     if store:
@@ -229,6 +259,20 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
         nst = 1
     nzero = 0
     sgn = 1.0 if f > 0.0 else (-1.0 if f < 0.0 else 0.0)
+
+    # the shift s in force (0 before x_s) and the radius xw still ahead
+    s = 0.0
+    xw = math.inf
+    if sig != 0.0 and x0 < x1 and x_s < x1:
+        if x_s <= x0:
+            s = sig
+            g += s * f
+            lg += s * x
+        else:
+            xw = x_s
+    # g' = -(mu2 - s^2) f - 2 (W - s)(g - s f) is the f_s equation
+    # regrouped; at s = 0 it is f's slope, rounding and all
+    c = mu2 - s * s
 
     # first step: small relative to both the span and the start abscissa,
     # since near a regular singular point the solution varies on scale |x|
@@ -241,12 +285,12 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
 
     # each stage's first slope is its state's g
     k1f = g
-    k1g = -mu2 * f - 2.0 * logder(code, kk, p, x) * g
+    k1g = -c * f - 2.0 * (logder(code, kk, p, x) - s) * (g - s * f)
 
     status = OK
     steps = 0
     rejects = 0
-    while (x1 - x) * direc > 1e-14 * max(span, 1.0):
+    while (x1 - x) * direc > tol:
         if steps >= max_steps:
             status = MAXSTEPS
             break
@@ -255,50 +299,58 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
             break
         if (x + h - x1) * direc > 0.0:
             h = x1 - x
+        land = x + h > xw - tol
+        if land:
+            h = xw - x
 
         yf = f + h * _A21 * k1f
         yg = g + h * _A21 * k1g
         k2f = yg
-        k2g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C2 * h) * yg
+        k2g = (-c * yf - 2.0 * (logder(code, kk, p, x + _C2 * h) - s)
+               * (yg - s * yf))
 
         yf = f + h * (_A31 * k1f + _A32 * k2f)
         yg = g + h * (_A31 * k1g + _A32 * k2g)
         k3f = yg
-        k3g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C3 * h) * yg
+        k3g = (-c * yf - 2.0 * (logder(code, kk, p, x + _C3 * h) - s)
+               * (yg - s * yf))
 
         yf = f + h * (_A41 * k1f + _A42 * k2f + _A43 * k3f)
         yg = g + h * (_A41 * k1g + _A42 * k2g + _A43 * k3g)
         k4f = yg
-        k4g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C4 * h) * yg
+        k4g = (-c * yf - 2.0 * (logder(code, kk, p, x + _C4 * h) - s)
+               * (yg - s * yf))
 
         yf = f + h * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f)
         yg = g + h * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g)
         k5f = yg
-        k5g = -mu2 * yf - 2.0 * logder(code, kk, p, x + _C5 * h) * yg
+        k5g = (-c * yf - 2.0 * (logder(code, kk, p, x + _C5 * h) - s)
+               * (yg - s * yf))
 
         # stage 6 and the FSAL stage 7 share the abscissa x + h, and so W
         xa = x + h
-        w2 = -2.0 * logder(code, kk, p, xa)
+        w2 = -2.0 * (logder(code, kk, p, xa) - s)
         yf = f + h * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f
                       + _A65 * k5f)
         yg = g + h * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g
                       + _A65 * k5g)
         k6f = yg
-        k6g = -mu2 * yf + w2 * yg
+        k6g = -c * yf + w2 * (yg - s * yf)
 
         y1f = f + h * (_A71 * k1f + _A73 * k3f + _A74 * k4f + _A75 * k5f
                        + _A76 * k6f)
         y1g = g + h * (_A71 * k1g + _A73 * k3g + _A74 * k4g + _A75 * k5g
                        + _A76 * k6g)
         k7f = y1g
-        k7g = -mu2 * y1f + w2 * y1g
+        k7g = -c * y1f + w2 * (y1g - s * y1f)
 
         ef = h * (_E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f
                   + _E7 * k7f)
         eg = h * (_E1 * k1g + _E3 * k3g + _E4 * k4g + _E5 * k5g + _E6 * k6g
                   + _E7 * k7g)
-        sf = atol + rtol * max(abs(f), abs(y1f))
-        sg = atol + rtol * max(abs(g), abs(y1g))
+        mf = max(abs(f), abs(y1f))
+        sf = atol + rtol * mf
+        sg = atol + rtol * max(abs(g), abs(y1g), abs(s) * mf)
         err = math.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
 
         if err <= 1.0:
@@ -312,6 +364,8 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
             x = xa
             if (x1 - x) * direc <= 0.0:
                 x = x1
+            if land:
+                x = xw
             f = y1f
             g = y1g
             k1f = k7f
@@ -319,19 +373,28 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
 
             mag = max(abs(f), abs(g))
             if mag > 1e100 or (0.0 < mag < 1e-100):
-                c = 1.0 / mag
-                f *= c
-                g *= c
-                k1f *= c
-                k1g *= c
+                inv = 1.0 / mag
+                f *= inv
+                g *= inv
+                k1f *= inv
+                k1g *= inv
                 lg += math.log(mag)
 
             if store:
                 xs[nst] = x
                 fs[nst] = f
-                gs[nst] = g
-                lgs[nst] = lg
+                gs[nst] = g - s * f
+                lgs[nst] = lg - s * x
                 nst += 1
+            if land:
+                # into f_s at x_s; the next step keeps this one's size
+                s = sig
+                xw = math.inf
+                g += s * f
+                lg += s * x
+                c = mu2 - s * s
+                k1f = g
+                k1g = -c * f - 2.0 * (logder(code, kk, p, x) - s) * (g - s * f)
             rejects = 0
             fac = 5.0
             if err > 0.0:
@@ -347,7 +410,7 @@ def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
             h = max_step * direc
         steps += 1
 
-    return (status, nst, xs, fs, gs, lgs, nzero, x, f, g, lg)
+    return (status, nst, xs, fs, gs, lgs, nzero, x, f, g - s * f, lg - s * x)
 
 
 # a step's six distinct stage abscissae are x + c h: stages 6 and 7 share x + h

@@ -53,6 +53,20 @@ max(1e-12 m^2, 1e-17) of its edge, m^2 = edge - mu2, by the bound
 there is exp(+-m x), or affine at the edge. Counts stop there and count
 the tail's zero in closed form, the decaying match leg starts there, and
 the threshold shot, also the count at the edge, is read off there.
+
+Short of the tail, past the shift radius x_s (shift_radius), the potential
+is within 1e-2 of its edge, and f's growing solution is about
+exp(-sigma x), on which Dormand-Prince steps stay short, since they follow
+the solution's own scale. So every forward shot that stores nothing and
+reaches past x_s integrates f exp(sigma x) from there (_kernels.rk_shoot),
+in which that solution is constant, or affine at the edge, and the steps
+grow to the end: the counts, both legs of fit_threshold and endpoint_state
+without a mesh. Their end states are in f. Stored traces keep f
+everywhere (the refine's mesh builds, the embedded scans, renormalized_f
+and the eigenmode), since their far-field samples would thin out, and so
+do backward legs and mesh walks. x_s lies past the map's midpoint, where
+the match legs meet, and a shot from the origin that switched at once
+would lose relative digits of deep wells, where f' carries mu2.
 """
 
 import math
@@ -261,7 +275,13 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     a decaying f far out instead of rtol. The kernel's atol is 1e-300,
     which keeps a component that is exactly zero throughout (f' at
     mu2 = 0) from dividing 0 by 0. An rtol outside (0, 1), nan included,
-    raises DomainError."""
+    raises DomainError.
+
+    A forward shot that stores nothing and reaches past the shift radius
+    x_s (shift_radius) integrates f exp(sigma x) from x_s on, with the
+    far-field exponent sigma (_far_exponent), in which the growing
+    solution is constant (see _kernels.rk_shoot); its end state is in f.
+    Stored shots and backward shots integrate f throughout."""
     _check_rtol(rtol)
     code, kk, p = op_code(op)
     if code == _kernels.LARGEK_FIN:
@@ -274,8 +294,13 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     if x_end == start.x:
         raise DomainError("empty integration interval")
     f, g, lg = _normalized(start)
-    out = _kernels.rk_shoot(code, kk, p, mu2, start.x, f, g, lg,
-                            x_end, rtol, 1e-300, MAX_STEPS, max_step, store)
+    x_s = None if store or x_end < start.x else shift_radius(op)
+    if x_s is None or not x_s < x_end:
+        x_s, sigma = math.inf, 0.0
+    else:
+        sigma = _far_exponent(op, mu2)
+    out = _kernels.rk_shoot(code, kk, p, mu2, start.x, f, g, lg, x_end, rtol,
+                            1e-300, MAX_STEPS, max_step, store, x_s, sigma)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
@@ -328,6 +353,57 @@ def tail_radius(op, mu2):
         return -0.5 * math.log(tau)
     r_a = math.asinh(math.sqrt((op.k * op.k + 0.25) / tau))
     return 0.5 * op.lam * r_a if op.family == RESCALED else r_a
+
+
+# the potential is within SHIFT_EPS of its edge past the shift radius
+SHIFT_EPS = 1e-2
+
+
+def map_midpoint(op):
+    """The harmonic map's midpoint, lambda tanh(r/2) = 1, in the operator's
+    own coordinate: 2 artanh(1/lambda) in r, lambda artanh(1/lambda) in
+    rho, and rho = 1, s = -log log Theta, for k = inf. None where lambda
+    (Theta for k = inf) is <= 1, which has no midpoint."""
+    p = op_code(op)[2]
+    if not p > 1.0:
+        return None
+    if op.family == LARGE_K:
+        return -math.log(math.log(p))
+    r = 2.0 * math.atanh(1.0 / p)
+    return 0.5 * p * r if op.family == RESCALED else r
+
+
+def shift_radius(op):
+    """Closed-form point x_s past which forward unstored shots integrate
+    f exp(sigma x) (see _shoot): the potential is within SHIFT_EPS of its
+    edge there, by the bound of tail_radius, and x_s lies at or past the
+    map's midpoint (map_midpoint), where the match legs meet, so no match
+    leg switches. r_s = max(asinh(sqrt((k^2 + 1/4)/eps)), midpoint),
+    rho_s = lambda r_s/2 for the rescaled family, and
+    s_s = max(-log(eps)/2, midpoint) for k = inf. None for the euclidean
+    family and the finite-k large-k normal form, as for tail_radius."""
+    code = op_code(op)[0]
+    if code in (_kernels.EUCLIDEAN, _kernels.LARGEK_FIN):
+        return None
+    if op.family == LARGE_K:
+        x_s = -0.5 * math.log(SHIFT_EPS)
+    else:
+        x_s = math.asinh(math.sqrt((op.k * op.k + 0.25) / SHIFT_EPS))
+        if op.family == RESCALED:
+            x_s *= 0.5 * op.lam
+    mid = map_midpoint(op)
+    return x_s if mid is None else max(x_s, mid)
+
+
+def _far_exponent(op, mu2):
+    """sigma with f ~ exp(-sigma x) for the growing far-field solution:
+    sqrt(edge) - m = mu2/(sqrt(edge) + m), m = sqrt(edge - mu2), below
+    the edge, and sqrt(edge), where f exp(sigma x) is affine or
+    oscillates with constant amplitude, at and above it."""
+    edge = continuum_edge(op)
+    if not mu2 < edge:
+        return math.sqrt(edge)
+    return mu2 / (math.sqrt(edge) + math.sqrt(edge - mu2))
 
 
 def _require_tail(op, mu2):
@@ -505,6 +581,10 @@ def fit_threshold(op, rtol=1e-11):
     the edge. `count`, the Sturm count at the edge, is the zeros of the
     shot's legs, start to x_e and x_e to x_b, plus the tail's past x_b
     (_tail_zeros); a zero on x_e, which neither leg counts, is added once.
+    Both legs integrate f exp(sigma x), sigma = sqrt(edge), past the shift
+    radius (see _shoot). That is phi = a + b x times exp(sigma x)/zeta,
+    which tends to a constant, so the steps grow all the way to x_b; both
+    end states, and so the read-outs, are in f.
     """
     edge = continuum_edge(op)
     start = series_start(op, edge)

@@ -144,16 +144,27 @@ def potential_V(geometry, r):
     xi = (lambda tanh(r/2))^k. Yang-Mills: 6 Q(Q-2)/sinh^2 r =
     -24/((t + 1/t)^2 sinh^2 r), t = lambda tanh(r/2). Both assembled without
     cancellation, as in the kernel's potential (_kernels.pot): an xi or t
-    that overflows to inf, or is 0, gives V = 0, its limit.
+    that overflows to inf, or is 0, gives V = 0, its limit. At r = 0,
+    where the product is 0 * inf, V is its limit, -c lambda^2/4 with
+    sinh(r)/t -> 2/lambda: -2 lambda^2 for the sphere at k = 1, -6 lambda^2
+    for Yang-Mills, and 0 for the sphere at k >= 2, where t vanishes
+    faster than sinh r.
     """
     r = np.asarray(r, dtype=float)
     t = geometry.lam * np.tanh(0.5 * r)
     c = 8.0 * float(geometry.k) ** 2 if geometry.kind == SPHERE else 24.0
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if geometry.kind == SPHERE:
             t = t ** geometry.k
         s = np.sinh(r) * (t + 1.0 / t)
-        return -c / (s * s)
+        v = -c / (s * s)
+    at_zero = r == 0.0
+    if np.any(at_zero):
+        lim = 0.0
+        if geometry.kind != SPHERE or geometry.k == 1:
+            lim = -0.25 * c * geometry.lam ** 2
+        v = np.where(at_zero, lim, v)[()]
+    return v
 
 
 def effective_potential(op, x):

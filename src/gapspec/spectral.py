@@ -73,7 +73,8 @@ from .errors import DomainError, EigenvalueMissing, InconsistentCertificate
 from .harmonic_maps import geometry, sphere
 from .ode_engine import (StepMesh, ThresholdFit, count_zeros,
                          endpoint_state, fit_threshold, integrate,
-                         series_start, tail_radius, tail_start_decaying)
+                         map_midpoint, series_start, tail_radius,
+                         tail_start_decaying)
 from .operators import (EUCLIDEAN, LARGE_K, RESCALED, OperatorSpec,
                         continuum_edge, half_line, large_k, op_code)
 
@@ -237,14 +238,12 @@ def _matching_point(op):
     member matches at rho = 1, where C(rho) is smallest. lambda <= 1
     (Theta <= 1) has no midpoint, no well and no gap eigenvalue, and raises
     DomainError."""
-    p = op_code(op)[2]
-    if not p > 1.0:
-        raise DomainError(f"lambda (Theta for k = inf) = {p:g} <= 1: the "
-                          f"map has no midpoint, and no well to match in")
-    if op.family == LARGE_K:
-        return -math.log(math.log(p))
-    r = 2.0 * math.atanh(1.0 / p)
-    return 0.5 * p * r if op.family == RESCALED else r
+    x_m = map_midpoint(op)
+    if x_m is None:
+        raise DomainError(f"lambda (Theta for k = inf) = {op_code(op)[2]:g} "
+                          f"<= 1: the map has no midpoint, and no well to "
+                          f"match in")
+    return x_m
 
 
 def _match_starts(op, mu2, xm):
@@ -450,7 +449,11 @@ def _embedded_flatness(op, mu2, edge, rtol):
     """
     kappa = math.sqrt(mu2 - edge)
     code, kk, p = op_code(op)
-    R = {RESCALED: 30.0 * op.lam, LARGE_K: 20.0}.get(op.family, 60.0)
+    R = 60.0
+    if op.family == RESCALED:
+        R = 30.0 * op.lam
+    elif op.family == LARGE_K:
+        R = 20.0
     tr = integrate(op, mu2, series_start(op, mu2), R, rtol=rtol)
     sel = tr.grid >= tr.grid[0] + 0.5 * (tr.grid[-1] - tr.grid[0])
     xs = tr.grid[sel]

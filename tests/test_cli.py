@@ -244,6 +244,16 @@ def test_largek_command_theta_1e6(capsys):
         assert 0.0 < pt["mu2"] < 2e-9
 
 
+def test_power_overflow_member_exits_0_or_3():
+    # (lambda tanh(r/2))^40 overflows at lambda = 1e9; the float power
+    # once let a bare OverflowError out of the kernel, and the command
+    # exited 1 with a traceback. Now the member certifies, or raises a
+    # GapspecError, which main reports by name with exit code 3
+    rc = main(["spectrum", "--geometry", "sphere", "--k", "40", "--lambda",
+               "1e9", "--no-timestamp"])
+    assert rc in (0, 3)
+
+
 def test_renorm_command(capsys):
     doc = _json_out(capsys, ["renorm", "--k", "2", "--lambda", "20",
                              "--no-timestamp"])

@@ -14,7 +14,7 @@ from gapspec.errors import (DomainError, FitUnreliable, SeriesRadiusExceeded,
                             TailNotAsymptotic)
 from gapspec.operators import op_code
 from gapspec.ode_engine import (_edge_readout, _free_radius, _series_coeffs,
-                                _series_radius, tail_radius)
+                                _series_radius, shift_radius, tail_radius)
 
 from conftest import (B_SPHERE_K1, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM)
@@ -352,6 +352,97 @@ def test_count_zeros_matches_trace():
                 assert tr.grid[last] > x_a
 
 
+_SHIFT_MEMBERS = (
+    [gs.half_line(gs.sphere(k, lam))
+     for k, lam in ((1, 5.0), (2, 10.0), (3, 10.0), (4, 10.0))]
+    + [gs.half_line(gs.yang_mills(10.0)), gs.rescaled(gs.sphere(2, 10.0)),
+       gs.large_k(math.inf, 100.0)])
+
+
+@pytest.mark.parametrize("op", _SHIFT_MEMBERS, ids=(
+    "sphere1", "sphere2", "sphere3", "sphere4", "ym", "rescaled", "k_inf"))
+def test_shifted_count_is_the_stored_count(monkeypatch, op):
+    # count_zeros integrates f exp(sigma x) past the shift radius, and the
+    # stored shot keeps f throughout; exp(sigma x) > 0, so they count the
+    # same zeros: deep below the gap, at the zero mode, 1e-10 (in
+    # half-line units) either side of the gap eigenvalue mu2_0, at the edge
+    # and above it, where the count is on (start, x_end]
+    edge = gs.continuum_edge(op)
+    unit = 4.0 * edge
+    ev = gs.find_gap_eigenvalues(op, scans=False,
+                                 threshold=False).eigenvalues[0].mu2
+    probes = [unit * m for m in (-4.0, -1e-3, 0.0, 0.2, 0.25, 0.3, 1.0)]
+    probes += [ev - 1e-10 * unit, ev + 1e-10 * unit]
+    x_s = shift_radius(op)
+    shifts = []
+    real_shoot = _kernels.rk_shoot
+
+    def shoot(*args):
+        if not args[13]:
+            shifts.append(args[14:])
+        return real_shoot(*args)
+
+    monkeypatch.setattr(_kernels, "rk_shoot", shoot)
+    counts = {}
+    for mu2 in probes:
+        start = gs.series_start(op, mu2)
+        x_end = tail_radius(op, min(mu2, edge))
+        assert start.x < x_s < x_end
+        tr = gs.integrate(op, mu2, start, x_end)
+        n = tr.zero_count
+        if mu2 <= edge:
+            n += ode_engine._tail_zeros(op, mu2, tr.end)
+        shifts.clear()
+        counts[mu2] = gs.count_zeros(op, mu2, start, x_end)
+        assert counts[mu2] == n, mu2
+        assert shifts == [(x_s, ode_engine._far_exponent(op, mu2))]
+        assert (shifts[0][1] == 0.0) == (mu2 == 0.0)
+    assert counts[probes[-1]] == counts[probes[-2]] + 1
+
+
+def test_shift_radius_closed_forms():
+    # r_s puts the tail bound (k^2 + 1/4)/sinh^2 r at 1e-2 unless the map's
+    # midpoint lies farther out; rho_s = lambda r_s/2, and for k = inf
+    # exp(-2 s_s) = 1e-2 unless s = -log log Theta lies farther out
+    eps = ode_engine.SHIFT_EPS
+    for k, lam in ((1, 5.0), (2, 10.0), (8, 1.5), (2, 1.0001), (3, 0.5)):
+        op = gs.half_line(gs.sphere(k, lam))
+        r_s = shift_radius(op)
+        mid = 2.0 * math.atanh(1.0 / lam) if lam > 1.0 else 0.0
+        assert r_s >= mid
+        if r_s > mid:
+            assert (k * k + 0.25) / math.sinh(r_s) ** 2 == pytest.approx(eps)
+        assert r_s < tail_radius(op, 0.25)
+        assert shift_radius(gs.rescaled(op.geometry)) == pytest.approx(
+            0.5 * lam * r_s, rel=1e-15)
+    for theta, s_s in ((100.0, -0.5 * math.log(eps)),
+                       (0.5, -0.5 * math.log(eps)),
+                       (math.exp(math.exp(-3.0)), 3.0)):
+        assert shift_radius(gs.large_k(math.inf, theta)) == pytest.approx(
+            s_s, rel=1e-12)
+    for op in (gs.euclidean(2), gs.large_k(8, 100.0)):
+        assert shift_radius(op) is None
+
+
+@pytest.mark.skipif(_kernels.USE_NUMBA,
+                    reason="compiled kernels call logder unseen")
+def test_fit_threshold_steps_grow_past_the_shift_radius(monkeypatch):
+    # both threshold legs integrate f exp(x/2) past the shift radius, where
+    # the edge solution is affine and the steps grow to the tail radius;
+    # integrating f throughout takes 3855 evaluations of W here
+    calls = [0]
+    real_logder = _kernels.logder
+
+    def logder(*args):
+        calls[0] += 1
+        return real_logder(*args)
+
+    monkeypatch.setattr(_kernels, "logder", logder)
+    fit = gs.fit_threshold(gs.half_line(gs.sphere(2, 10.0)))
+    assert fit.count == 1
+    assert calls[0] <= 3000
+
+
 def _tail_bound(op, x, c):
     """c/sinh^2 r of the half-line families, at r = 2 rho/lambda times
     4/lambda^2 for the rescaled one, and exp(-2s) for k = inf."""
@@ -565,14 +656,28 @@ def test_renormalized_guards():
 
 
 def test_endpoint_state_matches_trace_end():
+    # short of the shift radius the unstored shot is the stored one; past
+    # it the unstored shot integrates f exp(sigma x) on steps of its own,
+    # and each shot holds every step's local error to rtol relative on a
+    # solution that does not amplify it, so their true end values agree
+    # to a hundred steps' worth of rtol
     op = gs.half_line(gs.yang_mills(2.0))
     start = gs.series_start(op, 0.1)
-    tr = gs.integrate(op, 0.1, start, 15.0)
-    end = gs.endpoint_state(op, 0.1, start, 15.0)
+    x_s = shift_radius(op)
+    for x_end in (0.8 * x_s, x_s):
+        tr = gs.integrate(op, 0.1, start, x_end)
+        end = gs.endpoint_state(op, 0.1, start, x_end)
+        assert end.x == tr.end.x
+        assert end.f == pytest.approx(tr.end.f, rel=1e-12)
+        assert end.f_prime == pytest.approx(tr.end.f_prime, rel=1e-12)
+        assert end.log_scale == pytest.approx(tr.end.log_scale, abs=1e-12)
+    rtol = 1e-11
+    tr = gs.integrate(op, 0.1, start, 15.0, rtol=rtol)
+    end = gs.endpoint_state(op, 0.1, start, 15.0, rtol=rtol)
     assert end.x == tr.end.x
-    assert end.f == pytest.approx(tr.end.f, rel=1e-12)
-    assert end.f_prime == pytest.approx(tr.end.f_prime, rel=1e-12)
-    assert end.log_scale == pytest.approx(tr.end.log_scale, abs=1e-12)
+    for u, v in ((end.f, tr.end.f), (end.f_prime, tr.end.f_prime)):
+        assert u * math.exp(end.log_scale) == pytest.approx(
+            v * math.exp(tr.end.log_scale), rel=100.0 * rtol, abs=0.0)
 
 
 def test_scale_ledger_reconstruction():

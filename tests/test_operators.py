@@ -102,6 +102,34 @@ def test_potential_meets_the_kernel_potential(geom):
         assert u == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.parametrize("geom,lim", [
+    (gs.sphere(1, 1.0), -2.0), (gs.sphere(1, 3.0), -18.0),
+    (gs.sphere(2, 5.0), 0.0), (gs.sphere(3, 0.5), 0.0),
+    (gs.yang_mills(2.0), -24.0), (gs.yang_mills(0.5), -1.5)])
+def test_potential_limit_at_the_origin(geom, lim):
+    # sinh(r) (t + 1/t) is 0 * inf at r = 0, once nan with a RuntimeWarning;
+    # V's limit is -2 lambda^2 (sphere, k = 1), 0 (k >= 2) and -6 lambda^2
+    # (Yang-Mills), which V approaches from small r
+    assert gs.potential_V(geom, 0.0) == lim
+    v = gs.potential_V(geom, np.array([0.0, 1e-8, 1e-7, 1e-6]))
+    assert v[0] == lim
+    assert v[1:] == pytest.approx(lim, rel=1e-9, abs=1e-8)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 30.0])
+def test_kernel_power_saturates_past_overflow(r):
+    # (lambda tanh(r/2))^k overflows at sphere(40, 1e9), where the float
+    # power once raised OverflowError; the kernel's U and W take their
+    # limits there, the map's potential 0 and (1 - t)/(1 + t) = -1
+    code, kk, p = op_code(gs.half_line(gs.sphere(40, 1e9)))
+    u = _kernels.pot(code, kk, p, r)
+    assert u == pytest.approx(0.25 + (kk * kk - 0.25) / math.sinh(r) ** 2,
+                              rel=1e-15)
+    T = math.tanh(0.5 * r)
+    w = (-kk * (1.0 - T * T) + 0.5 * (1.0 + T * T)) / (2.0 * T)
+    assert _kernels.logder(code, kk, p, r) == pytest.approx(w, rel=1e-15)
+
+
 def test_potential_negative_everywhere():
     r = np.geomspace(1e-3, 30.0, 300)
     for lam in (0.0, 0.5, 1.0, 2.0, 10.0, 40.0):

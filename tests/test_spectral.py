@@ -122,8 +122,10 @@ def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     # the refine's backward build shot at tail_radius(op, hi), where the
     # counts at its upper end hi stop, and every walk of its mesh at that
     # same node, which lies at or past tail_radius(op, mu2) for every
-    # walked mu2 <= hi; every kernel shot passes rk_shoot the 14 positional
-    # arguments the benchmark's tracer reads (args[13] is store)
+    # walked mu2 <= hi; every kernel shot passes rk_shoot its 16 positional
+    # arguments, of which the benchmark's tracer reads args[13], store, and
+    # no stored or backward shot switches to f exp(sigma x) (args[14] is the
+    # shift radius x_s)
     shots, walks = [], []
     real_shoot = _kernels.rk_shoot
     real_endpoint = spectral.endpoint_state
@@ -140,10 +142,12 @@ def test_match_tail_shots_start_at_asymptotic_radius(monkeypatch, op):
     monkeypatch.setattr(spectral, "endpoint_state", endpoint)
     rep = gs.find_gap_eigenvalues(op, scans=False, threshold=False)
     assert rep.count == 1
-    assert all(len(args) == 14 and isinstance(args[13], bool)
+    assert all(len(args) == 16 and isinstance(args[13], bool)
                for args in shots)
     builds = [args for args in shots if args[13]]
     assert len(builds) == 2
+    assert all(args[14] == math.inf for args in shots
+               if args[13] or args[8] < args[4])
     backward = [args for args in builds if args[8] < args[4]]  # x1 < x0
     assert len(backward) == 1
     hi, x_hi = backward[0][3], backward[0][4]
@@ -564,6 +568,18 @@ def test_scans_clear_for_random_geometries():
         assert rep.negative_scan_clear
         assert rep.embedded_scan_clear
         assert rep.count <= 1    # unique simple eigenvalue at most
+
+
+def test_scans_clear_for_k_inf():
+    # the embedded scan once looked up 30 lambda for every family, and
+    # lambda is None for large-k members, so this raised a TypeError
+    rep = gs.find_gap_eigenvalues(gs.large_k(math.inf, 100.0))
+    assert rep.count == 1
+    assert rep.eigenvalues[0].mu2 == pytest.approx(MU2_LARGEK_INF_100,
+                                                   rel=1e-9)
+    assert rep.negative_scan_clear
+    assert rep.embedded_scan_clear
+    assert len(rep.embedded_scan) == len(spectral.EMBEDDED_FACTORS)
 
 
 def test_rescaled_family_scales_eigenvalue():
