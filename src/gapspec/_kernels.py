@@ -21,19 +21,18 @@ Operator families are encoded for dispatch inside compiled code as an integer
     2  rescaled sphere (rho)   kk = k,  p = lambda
     3  rescaled Yang-Mills     kk = 2,  p = lambda
     4  Euclidean limit (rho)   kk = k
-    5  large-k, finite k (s)   kk = k,  p = Theta   (potential only)
     6  large-k, k = inf (s)    p = Theta
 
-Codes 2-3 are codes 0-1 at r = 2 rho/lambda, times 4/lambda^2. Every
-code but 5 has a closed-form zero mode zeta > 0 with log-derivative W
-(logder), U = W^2 + W', and every shot integrates f = phi/zeta of
-phi'' = (U - mu2) phi: f'' = -2W f' - mu2 f, in the family's own
-coordinate, for code 6 in s = -log log(Theta/rho), where d/ds is
-omega^-1 rho d/drho. phi = zeta f is formed only where a caller reports
-phi, through the closed-form log zeta (logzeta). Code 5 holds the finite-k
-normal form's potential in s for pot alone: no shot runs it, because that
-member is the exact pullback of the half-line sphere (code 0) at
-lambda = Theta^(1/k).
+Codes 2-3 are codes 0-1 at r = 2 rho/lambda. Every code has a
+closed-form zero mode zeta > 0 with log-derivative W (logder), and every
+shot integrates f = phi/zeta of phi'' = (U - mu2) phi, U = W^2 + W':
+f'' = -2W f' - mu2 f, in the family's own coordinate, for code 6 in
+s = -log log(Theta/rho), where d/ds is omega^-1 rho d/drho. No kernel
+evaluates U (operators.effective_potential does). phi = zeta f is formed
+only where a caller reports phi, through the closed-form log zeta
+(logzeta). The finite-k normal form has no code: it is the exact pullback
+of the half-line sphere (code 0) at lambda = Theta^(1/k), and is shot
+there.
 
 Past a shift radius x_s a forward shot may integrate f_s = f exp(sig x)
 instead, with sig the far-field exponent of f's growing solution
@@ -41,10 +40,6 @@ exp(-sig x), which f_s turns into a constant (an affine function at the
 edge), so the steps grow all the way out (rk_shoot). Its error test holds
 f_s' to rtol max(|f_s'|, |sig f_s|), since f' is about -sig f there.
 Every state that goes in or comes out, stored samples included, is in f.
-
-Potentials are assembled from cancellation-free pieces: x^2/(1+x^2)^2 is
-evaluated as 1/(x + 1/x)^2 and the Yang-Mills factor Q(Q-2) as -4y/(1+y)^2,
-so no subtraction of nearly equal quantities occurs anywhere on the domain.
 """
 
 import math
@@ -70,7 +65,6 @@ HALF_YM = 1
 RESC_SPHERE = 2
 RESC_YM = 3
 EUCLIDEAN = 4
-LARGEK_FIN = 5
 LARGEK_INF = 6
 
 # integrator status
@@ -95,52 +89,8 @@ _E5, _E6, _E7 = -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
 
 
 @_jit
-def pot(code, kk, p, x):
-    """Effective potential U at coordinate x (s for codes 5-6)."""
-    # 1/sinh^2 underflows to 0 long before sinh overflows past 710, so the
-    # potential sits at its limit there (codes 2-3 reach this test at r)
-    if code < 2 and x > 710.0:
-        return 0.25
-    if code == 0:
-        sh = math.sinh(x)
-        om2 = 1.0 / (sh * sh)
-        try:
-            xi = (p * math.tanh(0.5 * x)) ** kk
-        except Exception:       # overflow: saturate, as in logder
-            xi = math.inf
-        if xi <= 0.0:
-            v = 0.0
-        else:
-            s = xi + 1.0 / xi
-            v = -8.0 * kk * kk * om2 / (s * s)
-        return 0.25 + (kk * kk - 0.25) * om2 + v
-    if code == 1:
-        sh = math.sinh(x)
-        om2 = 1.0 / (sh * sh)
-        t = p * math.tanh(0.5 * x)
-        s = t + 1.0 / t if t > 0.0 else math.inf  # y = t^2 may overflow
-        return 0.25 + 3.75 * om2 - 24.0 * om2 / (s * s)
-    if code < 4:
-        return 4.0 / (p * p) * pot(code - 2, kk, p, 2.0 * x / p)
-    if code == 4:
-        xi = x ** kk
-        s = xi + 1.0 / xi
-        return (kk * kk - 0.25) / (x * x) - 8.0 * kk * kk / (x * x * s * s)
-    # large-k families in s; L = log(Theta/rho)
-    L = math.exp(-x)
-    rho = p * math.exp(-L)
-    r2 = rho * rho
-    opr = 1.0 + r2
-    cr = (1.0 - 6.0 * r2 + r2 * r2) / (opr * opr)
-    if code == 6:
-        return 0.25 + L * L * cr
-    shk = math.sinh(L / kk)
-    return 0.25 + (kk * shk) * (kk * shk) * cr - 0.25 * shk * shk
-
-
-@_jit
 def logder(code, kk, p, x):
-    """Log-derivative W = zeta'/zeta of the zero mode, every code but 5.
+    """Log-derivative W = zeta'/zeta of the zero mode.
 
     W = kk (1 - t)/((1 + t) sinh r) + coth(r)/2 with t = (lambda T)^(2k)
     for the sphere and (lambda T)^2 for Yang-Mills, T = tanh(r/2), written
@@ -204,19 +154,12 @@ def logzeta(code, kk, p, x):
 
 
 @_jit
-def pot_array(code, kk, p, xs, out):
-    for i in range(xs.shape[0]):
-        out[i] = pot(code, kk, p, xs[i])
-
-
-@_jit
 def rk_shoot(code, kk, p, mu2, x0, f0, g0, lg0, x1,
              rtol, atol, max_steps, max_step, store, x_s, sig):
     """Adaptive RK5(4) for f = phi/zeta, with a running log scale.
 
     Integrates f' = g, g' = -mu2 f - 2W g (W from logder) from x0 to x1
-    (either direction), for every code but 5; the zeros of f are those of
-    phi. Each component's error is held to atol + rtol times its own
+    (either direction); the zeros of f are those of phi. Each component's error is held to atol + rtol times its own
     magnitude. Rescales the state to magnitude 1 whenever it leaves
     [1e-100, 1e100], adding the log factor to the running scale lg, so
     true values are exp(lg) * stored. Zeros of f are counted at every sign

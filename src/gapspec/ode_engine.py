@@ -79,11 +79,14 @@ from .errors import (DomainError, FitUnreliable, GapspecError,
                      SeriesRadiusExceeded, StepSizeUnderflow,
                      TailNotAsymptotic)
 from .harmonic_maps import GeometrySpec
-from .operators import (LARGE_K, RESCALED, RESCALED_RHO,
+from .operators import (EUCLIDEAN, LARGE_K, RESCALED, RESCALED_RHO,
                         OperatorSpec, continuum_edge, half_line, op_code,
                         rescaled, zero_mode)
 
 MAX_STEPS = 400_000
+# the step control's absolute floor, the smallest subnormal: it only keeps
+# a component that is exactly zero throughout from dividing 0 by 0
+ATOL = 5e-324
 
 
 @dataclass(frozen=True)
@@ -272,10 +275,12 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     The step control is relative only: each of f and f' is held to rtol
     times its own magnitude. f is about 1 while f' is about mu2 x, so a
     common absolute floor would bound the error of f' in deep wells and of
-    a decaying f far out instead of rtol. The kernel's atol is 1e-300,
-    which keeps a component that is exactly zero throughout (f' at
-    mu2 = 0) from dividing 0 by 0. An rtol outside (0, 1), nan included,
-    raises DomainError.
+    a decaying f far out instead of rtol. The kernel's atol is ATOL, the
+    smallest subnormal, which keeps a component that is exactly zero
+    throughout (f' at mu2 = 0) from dividing 0 by 0 and holds f' relative
+    down to the bottom of the double range. An rtol outside (0, 1), nan
+    included, raises DomainError; so does the finite-k large-k normal
+    form, which has no kernel code (operators.op_code).
 
     A forward shot that stores nothing and reaches past the shift radius
     x_s (shift_radius) integrates f exp(sigma x) from x_s on, with the
@@ -284,9 +289,6 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     Stored shots and backward shots integrate f throughout."""
     _check_rtol(rtol)
     code, kk, p = op_code(op)
-    if code == _kernels.LARGEK_FIN:
-        raise DomainError("no shot runs the finite-k large-k normal form: "
-                          "shoot its half-line pullback")
     if not math.isfinite(x_end):
         raise DomainError(f"a shot must end at a finite point, got {x_end}")
     if op.family != LARGE_K and (start.x <= 0.0 or x_end <= 0.0):
@@ -300,7 +302,7 @@ def _shoot(op, mu2, start, x_end, rtol, max_step, store):
     else:
         sigma = _far_exponent(op, mu2)
     out = _kernels.rk_shoot(code, kk, p, mu2, start.x, f, g, lg, x_end, rtol,
-                            1e-300, MAX_STEPS, max_step, store, x_s, sigma)
+                            ATOL, MAX_STEPS, max_step, store, x_s, sigma)
     status = out[0]
     if status == _kernels.UNDERFLOW:
         raise StepSizeUnderflow(
@@ -326,33 +328,37 @@ def integrate(op, mu2, start, x_end, rtol=1e-11, max_step=0.0
         log_scale=lgs[:nst].copy(), zero_count=int(nzero))
 
 
+def _flat_radius(op, tau):
+    """Closed-form point past which |U - edge| <= tau in half-line units,
+    from the flat-tail bound |U - 1/4| <= (k^2 + 1/4)/sinh^2 r (k = inf:
+    exp(-2s)): asinh(sqrt((k^2 + 1/4)/tau)) in r, lambda/2 times that in
+    rho, -log(tau)/2 in s. None for the euclidean family (no gap, no flat
+    tail) and the finite-k large-k normal form (shot on its pullback).
+
+    Every half-line member obeys the bound, since U - 1/4 =
+    (k^2 cos 2Q - 1/4)/sinh^2 r, and Yang-Mills is the same with k = 2 and
+    1 - 6y/(1 + y)^2, in [-1/2, 1], in place of cos 2Q. The k = inf normal
+    form has |U - 1/4| = L^2 |C(rho)| <= exp(-2s).
+    """
+    if op.family == EUCLIDEAN or (op.family == LARGE_K and op.k != math.inf):
+        return None
+    if op.family == LARGE_K:
+        return -0.5 * math.log(tau)
+    r = math.asinh(math.sqrt((op.k * op.k + 0.25) / tau))
+    return 0.5 * op.lam * r if op.family == RESCALED else r
+
+
 def tail_radius(op, mu2):
     """Closed-form point x_a past which the potential is its edge for a
-    state at mu2, to max(1e-12 m^2, 1e-17); None for the finite-k large-k
-    normal form (shot on its pullback) and the euclidean family (no gap,
-    no flat tail).
-
-    Every half-line member obeys |U - 1/4| <= (k^2 + 1/4)/sinh^2 r, since
-    U - 1/4 = (k^2 cos 2Q - 1/4)/sinh^2 r, and Yang-Mills is the same with
-    k = 2 and 1 - 6y/(1 + y)^2, in [-1/2, 1], in place of cos 2Q. The k = inf
-    normal form has |U - 1/4| = L^2 |C(rho)| <= exp(-2s). x_a puts the bound
-    at tau = max(1e-12 m^2, 1e-17), m^2 = edge - mu2 in half-line units:
-    r_a = asinh(sqrt((k^2 + 1/4)/tau)), rho_a = lambda r_a/2 for the
-    rescaled family, s_a = -log(tau)/2 for k = inf. The floor is below half
-    an ulp of 1/4, so at and near the edge x_a is where U is 1/4 to
-    rounding (r_a = 21.0 for k = 2).
+    state at mu2: _flat_radius at tau = max(1e-12 m^2, 1e-17),
+    m^2 = edge - mu2 in half-line units; None where _flat_radius is. The
+    floor is below half an ulp of 1/4, so at and near the edge x_a is
+    where U is 1/4 to rounding (r_a = 21.0 for k = 2).
     """
-    code = op_code(op)[0]
-    if code in (_kernels.EUCLIDEAN, _kernels.LARGEK_FIN):
-        return None
     m2 = continuum_edge(op) - mu2
     if op.family == RESCALED:
         m2 *= 0.25 * op.lam ** 2
-    tau = max(1e-12 * m2, 1e-17)
-    if op.family == LARGE_K:
-        return -0.5 * math.log(tau)
-    r_a = math.asinh(math.sqrt((op.k * op.k + 0.25) / tau))
-    return 0.5 * op.lam * r_a if op.family == RESCALED else r_a
+    return _flat_radius(op, max(1e-12 * m2, 1e-17))
 
 
 # the potential is within SHIFT_EPS of its edge past the shift radius
@@ -375,22 +381,13 @@ def map_midpoint(op):
 
 def shift_radius(op):
     """Closed-form point x_s past which forward unstored shots integrate
-    f exp(sigma x) (see _shoot): the potential is within SHIFT_EPS of its
-    edge there, by the bound of tail_radius, and x_s lies at or past the
+    f exp(sigma x) (see _shoot): the larger of _flat_radius at SHIFT_EPS,
+    past which the potential is within SHIFT_EPS of its edge, and the
     map's midpoint (map_midpoint), where the match legs meet, so no match
-    leg switches. r_s = max(asinh(sqrt((k^2 + 1/4)/eps)), midpoint),
-    rho_s = lambda r_s/2 for the rescaled family, and
-    s_s = max(-log(eps)/2, midpoint) for k = inf. None for the euclidean
-    family and the finite-k large-k normal form, as for tail_radius."""
-    code = op_code(op)[0]
-    if code in (_kernels.EUCLIDEAN, _kernels.LARGEK_FIN):
+    leg switches. None where _flat_radius is."""
+    x_s = _flat_radius(op, SHIFT_EPS)
+    if x_s is None:
         return None
-    if op.family == LARGE_K:
-        x_s = -0.5 * math.log(SHIFT_EPS)
-    else:
-        x_s = math.asinh(math.sqrt((op.k * op.k + 0.25) / SHIFT_EPS))
-        if op.family == RESCALED:
-            x_s *= 0.5 * op.lam
     mid = map_midpoint(op)
     return x_s if mid is None else max(x_s, mid)
 
@@ -499,7 +496,7 @@ def _walk(mesh, mu2, start, x_end, rtol):
     gs = np.empty(nodes.shape[0] - 1)
     f, g, lg = _kernels.mesh_walk(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
                                   *_normalized(start), fs, gs)
-    if not np.all(_kernels.step_errors(m, e, fs, gs, rtol, 1e-300) <= 1.0):
+    if not np.all(_kernels.step_errors(m, e, fs, gs, rtol, ATOL) <= 1.0):
         return None
     return StartData(float(nodes[-1]), float(f), float(g), float(lg))
 

@@ -114,7 +114,9 @@ def large_k(k, theta):
 
 
 def op_code(op):
-    """Kernel dispatch triple (code, kk, p) for an OperatorSpec."""
+    """Kernel dispatch triple (code, kk, p) for an OperatorSpec. The
+    finite-k large-k normal form has no kernel code, and raises
+    DomainError: it is shot on its half-line pullback."""
     if op.family == HALF_LINE:
         code = _kernels.HALF_SPHERE if op.geometry.kind == SPHERE else _kernels.HALF_YM
         return code, float(op.k), op.geometry.lam
@@ -123,9 +125,11 @@ def op_code(op):
         return code, float(op.k), op.geometry.lam
     if op.family == EUCLIDEAN:
         return _kernels.EUCLIDEAN, float(op.k), 0.0
-    if op.k == math.inf:
-        return _kernels.LARGEK_INF, 0.0, op.theta
-    return _kernels.LARGEK_FIN, float(op.k), op.theta
+    if op.k != math.inf:
+        raise DomainError(
+            "no kernel runs the finite-k large-k normal form: shoot its "
+            "half-line pullback half_line(sphere(k, Theta^(1/k)))")
+    return _kernels.LARGEK_INF, 0.0, op.theta
 
 
 def continuum_edge(op):
@@ -143,12 +147,11 @@ def potential_V(geometry, r):
     Sphere: k^2 (cos 2Q - 1)/sinh^2 r = -8 k^2/((xi + 1/xi)^2 sinh^2 r) with
     xi = (lambda tanh(r/2))^k. Yang-Mills: 6 Q(Q-2)/sinh^2 r =
     -24/((t + 1/t)^2 sinh^2 r), t = lambda tanh(r/2). Both assembled without
-    cancellation, as in the kernel's potential (_kernels.pot): an xi or t
-    that overflows to inf, or is 0, gives V = 0, its limit. At r = 0,
-    where the product is 0 * inf, V is its limit, -c lambda^2/4 with
-    sinh(r)/t -> 2/lambda: -2 lambda^2 for the sphere at k = 1, -6 lambda^2
-    for Yang-Mills, and 0 for the sphere at k >= 2, where t vanishes
-    faster than sinh r.
+    cancellation: an xi or t that overflows to inf, or is 0, gives V = 0,
+    its limit. At r = 0, where the product is 0 * inf, V is its limit,
+    -c lambda^2/4 with sinh(r)/t -> 2/lambda: -2 lambda^2 for the sphere at
+    k = 1, -6 lambda^2 for Yang-Mills, and 0 for the sphere at k >= 2,
+    where t vanishes faster than sinh r.
     """
     r = np.asarray(r, dtype=float)
     t = geometry.lam * np.tanh(0.5 * r)
@@ -168,25 +171,35 @@ def potential_V(geometry, r):
 
 
 def effective_potential(op, x):
-    """Potential block U with phi'' = (U - mu2) phi (half-line families) or
-    the large-k block 1/4 - omega^-2/(4k^2) + omega^-2 C(rho) in its rho
-    variable, evaluated by the integrator's own kernel (for large-k at
-    s = -log log(Theta/rho)).
+    """Potential block U with phi'' = (U - mu2) phi, vectorized in x: on
+    the half-line 1/4 + (k^2 - 1/4)/sinh^2 r + potential_V, exactly 1/4
+    past r = 710 (sinh overflows there); the rescaled family that at
+    r = 2 rho/lambda times 4/lambda^2; the euclidean and large-k closed
+    forms of the module docstring in their rho (omega^-1 = L at k = inf).
+    No shot evaluates U: shots run on the zero mode's W, U = W^2 + W'.
     """
-    arr = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     lo, hi = op.domain
-    if np.any(arr <= lo) or np.any(arr >= hi):
+    if np.any(x <= lo) or np.any(x >= hi):
         raise DomainError(f"coordinate outside open domain ({lo}, {hi})")
-    code, kk, p = op_code(op)
-    if op.family == LARGE_K:
-        # the kernel holds the large-k block in s = -log log(Theta/rho)
-        arr = -np.log(np.log(op.theta / arr))
-    if np.ndim(x) == 0:
-        return _kernels.pot(code, kk, p, float(arr))
-    flat = np.ascontiguousarray(arr.ravel())
-    out = np.empty_like(flat)
-    _kernels.pot_array(code, kk, p, flat, out)
-    return out.reshape(arr.shape)
+    k = float(op.k)
+    if op.family in (HALF_LINE, RESCALED):
+        r = x if op.family == HALF_LINE else 2.0 * x / op.lam
+        with np.errstate(over="ignore"):
+            sh2 = np.sinh(r) ** 2
+        u = 0.25 + (k * k - 0.25) / sh2 + potential_V(op.geometry, r)
+        u = np.where(r > 710.0, 0.25, u)
+        if op.family == RESCALED:
+            u = 4.0 / (op.lam * op.lam) * u
+    elif op.family == EUCLIDEAN:
+        s = x ** k + x ** -k
+        u = (k * k - 0.25) / (x * x) - 8.0 * k * k / (x * x * s * s)
+    else:
+        L = np.log(op.theta / x)
+        om_inv = L if k == math.inf else k * np.sinh(L / k)
+        c = (1.0 - 6.0 * x * x + x ** 4) / (1.0 + x * x) ** 2
+        u = 0.25 + om_inv * om_inv * (c - 0.25 / (k * k))
+    return float(u) if u.ndim == 0 else u
 
 
 PHYSICAL_R = "physical_r"

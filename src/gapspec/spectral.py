@@ -17,7 +17,9 @@ Every eigenvalue is established twice, by independent routes:
     is the threshold shot's count at the edge (ode_engine.fit_threshold).
     Cheap counts at rtol 1e-7 halve (0, edge) until the jump is isolated to
     at most 1e-6; they only choose where the match looks, up to an ulp
-    below the edge, the smallest binding resolved (2.8e-17 at 1/4).
+    below the edge (2.8e-17 at 1/4). The certificate resolves far less:
+    bindings 1/4 - mu2 near 1e-9 and below raise InconsistentCertificate
+    (see find_gap_eigenvalues).
     The certificate rests on two counts at the caller's tolerance, at the
     ends of a bracket at most 1e-10 wide around the matched root;
   * a matching refinement: the normalized Wronskian of the regular shot
@@ -55,14 +57,20 @@ Threshold behavior is read off in closed form from the affine far field
 phi = a + b x of the regular solution at the continuum edge
 (ode_engine.fit_threshold), whose slope b vanishes exactly when a
 resonance sits at the edge. The scan below the gap counts zero states
-there. The embedded scan records the drift of the WKB amplitude of
-continuum shots over [R/2, R], R = 60 in r (30 lambda in rho, 20 in s);
-there U - edge is about exp(-R), and the amplitude's derivative is
-2 phi phi' (U - edge)/kappa^2, so the drift measures integration error
-only and cannot see a trapped state.
+there. It checks the code, not the spectrum: zeta > 0 factors the
+operator as H = A*A, A = d/dx - W, so H >= 0 has no state below 0. The
+embedded scan records the drift of the WKB amplitude of continuum shots
+over the second half of a shot to R = 60 in r (30 lambda in rho, 20 in
+s); the amplitude's derivative is 2 phi phi' (U - edge)/kappa^2, so the
+drift cannot see a trapped state. In r, U - edge is about exp(-R) over
+the window, and the drift is integration error. For k = inf,
+U - 1/4 <= exp(-2s) is still about 6e-8 where the window starts, and the
+drifts reach 1.4e-7, only a factor 7 under EMBEDDED_FLATNESS_TOL (see
+_embedded_flatness).
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -85,7 +93,8 @@ ISOLATION_WIDTH = 1e-6
 WRONSKIAN_TOL = 1e-8
 EMBEDDED_FACTORS = (1.04, 1.2, 1.6, 2.0, 2.8, 4.0)
 # 0.0 closes the sweep: the count there is exactly the number of
-# eigenvalues below the gap
+# eigenvalues below the gap. H = A*A >= 0 (see the module docstring), so
+# the probes check the code, not the spectrum
 NEGATIVE_PROBES = (-4.0, -1.0, -0.25, -1e-3, 0.0)
 EMBEDDED_FLATNESS_TOL = 1e-6
 
@@ -124,11 +133,10 @@ class SpectralReport:
     @property
     def embedded_scan_clear(self):
         """True when every continuum probe's WKB amplitude drifted by less
-        than EMBEDDED_FLATNESS_TOL over [R/2, R].
-
-        The drift is near 1e-11 here. Over that window U - edge is about
-        exp(-R), so the amplitude is flat for every solution, trapped or
-        not: the drift measures integration error, not point spectrum."""
+        than EMBEDDED_FLATNESS_TOL over its window. The drift measures
+        integration error, not point spectrum: near 1e-11 in r, and up to
+        1.4e-7 for k = inf, where U - 1/4 is not yet negligible over the
+        window (_embedded_flatness)."""
         return bool(self.embedded_scan) and all(
             f < EMBEDDED_FLATNESS_TOL for _, f in self.embedded_scan)
 
@@ -363,7 +371,9 @@ def _locate_eigenvalue(op, index, edge, rtol):
     two counts at the caller's tolerance, at the ends of a bracket at most
     BRACKET_WIDTH wide around the root, must read (index, index + 1). If
     any step raises InconsistentCertificate, all three are redone once with
-    the isolation at the caller's tolerance.
+    the isolation at the caller's tolerance. A matched root below the
+    normal range (sys.float_info.min, 2.2e-308), whose subnormal digits no
+    test shows, raises DomainError.
     """
     def count(mu2, tol):
         return count_eigenvalues_below(op, mu2, tol)
@@ -378,6 +388,11 @@ def _locate_eigenvalue(op, index, edge, rtol):
                 raise InconsistentCertificate(
                     f"matched root {mu2:.12g} for index {index} lies "
                     f"outside the gap (0, {edge:g})")
+            if mu2 < sys.float_info.min:
+                raise DomainError(
+                    f"matched root {mu2:.6g} for index {index} is subnormal,"
+                    f" below the normal floor {sys.float_info.min:.6g}: its "
+                    f"relative digits are not resolved")
             # 0.45, not 0.5, so that rounding keeps hi - lo <= BRACKET_WIDTH
             lo = max(mu2 - 0.45 * BRACKET_WIDTH, 0.0)
             hi = min(mu2 + 0.45 * BRACKET_WIDTH, edge)
@@ -403,7 +418,12 @@ def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
     `scans`). The count and the read-out come from one threshold shot,
     always made. Every shot's step control is relative, at rtol (see
     ode_engine._shoot). Raises InconsistentCertificate when an eigenvalue
-    fails its certificate, as one within an ulp of the edge does.
+    fails its certificate, as one too close to the edge does: sphere(1, .),
+    yang_mills(.) and sphere(2, .) at lambda_* + 1e-4 (lambda_* =
+    3.44904219206, 2.08731243421 and 1.68655447784; bindings 1/4 - mu2 of
+    6.7e-11, 7.3e-10 and 1.9e-9) raise with Wronskian residuals 2.7e-6,
+    2.4e-8 and 1.7e-7, and so they do at lambda_* + 1e-5 and 1e-6, while
+    bindings from 6.1e-9 (sphere(1, 3.45)) upward have certified.
 
     The certified bracket width (BRACKET_WIDTH, 1e-10) and the Wronskian
     residual bound (1e-8) are absolute. Below mu2 of about 1e-10 the count
@@ -438,14 +458,18 @@ def find_gap_eigenvalues(op, rtol=1e-11, scans=True,
 
 
 def _embedded_flatness(op, mu2, edge, rtol):
-    """Amplitude drift of the shot inside the continuum over [R/2, R],
-    R = 60 in r, the same point 30 lambda in rho, and 20 in s.
+    """Amplitude drift of the shot inside the continuum over the second
+    half of its span, from the series start to R = 60 in r, the same point
+    30 lambda in rho, and 20 in s.
 
     Returns max/min - 1 of the WKB amplitude sqrt(phi^2 + (phi'/kappa)^2),
     phi = zeta f and phi' = zeta (f' + W f), over the window. Its
-    derivative is 2 phi phi' (U - edge)/kappa^2, and U - edge is about
+    derivative is 2 phi phi' (U - edge)/kappa^2. In r, U - edge is about
     exp(-R) there, so the drift is the shot's integration error: it is
-    near 1e-11 for every solution, scattering or trapped.
+    near 1e-11 for every solution, scattering or trapped. For k = inf the
+    window starts near s = 8.3 (the shot starts near s = -3.4), where
+    U - 1/4 <= exp(-2s) is about 6e-8, and the drifts of
+    large_k(inf, 100) reach 1.4e-7, a factor 7 under EMBEDDED_FLATNESS_TOL.
     """
     kappa = math.sqrt(mu2 - edge)
     code, kk, p = op_code(op)

@@ -86,22 +86,6 @@ def test_potential_matches_linearized_nonlinearity(geom):
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("geom", [
-    gs.sphere(40, 1e5), gs.sphere(20, 1e9), gs.yang_mills(1e200),
-    gs.sphere(1, 1.0), gs.sphere(2, 0.7), gs.sphere(3, 4.0),
-    gs.yang_mills(0.5), gs.yang_mills(3.0), gs.sphere(2, 0.0),
-    gs.yang_mills(0.0)])
-def test_potential_meets_the_kernel_potential(geom):
-    # V + 1/4 + (k^2 - 1/4)/sinh^2 r is the kernel's U; with
-    # (lambda tanh(r/2))^(2k) formed first, V overflowed to nan at the
-    # first three members, where U stays finite
-    for r in (1.0, 5.0):
-        u = 0.25 + (geom.k ** 2 - 0.25) / math.sinh(r) ** 2
-        u += gs.potential_V(geom, r)
-        want = gs.effective_potential(gs.half_line(geom), r)
-        assert u == pytest.approx(want, rel=1e-13, abs=1e-15)
-
-
 @pytest.mark.parametrize("geom,lim", [
     (gs.sphere(1, 1.0), -2.0), (gs.sphere(1, 3.0), -18.0),
     (gs.sphere(2, 5.0), 0.0), (gs.sphere(3, 0.5), 0.0),
@@ -119,15 +103,19 @@ def test_potential_limit_at_the_origin(geom, lim):
 @pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 30.0])
 def test_kernel_power_saturates_past_overflow(r):
     # (lambda tanh(r/2))^k overflows at sphere(40, 1e9), where the float
-    # power once raised OverflowError; the kernel's U and W take their
-    # limits there, the map's potential 0 and (1 - t)/(1 + t) = -1
-    code, kk, p = op_code(gs.half_line(gs.sphere(40, 1e9)))
-    u = _kernels.pot(code, kk, p, r)
-    assert u == pytest.approx(0.25 + (kk * kk - 0.25) / math.sinh(r) ** 2,
-                              rel=1e-15)
-    T = math.tanh(0.5 * r)
-    w = (-kk * (1.0 - T * T) + 0.5 * (1.0 + T * T)) / (2.0 * T)
-    assert _kernels.logder(code, kk, p, r) == pytest.approx(w, rel=1e-15)
+    # power once raised OverflowError; U and the kernel's W take their
+    # limits there, the map's potential 0 and (1 - t)/(1 + t) = -1. With
+    # (lambda tanh(r/2))^(2k) formed first, V once overflowed to nan at the
+    # other three members, where U is the centrifugal term alone as well
+    for geom in (gs.sphere(40, 1e9), gs.sphere(40, 1e5), gs.sphere(20, 1e9),
+                 gs.yang_mills(1e200)):
+        code, kk, p = op_code(gs.half_line(geom))
+        u = gs.effective_potential(gs.half_line(geom), r)
+        assert u == pytest.approx(
+            0.25 + (kk * kk - 0.25) / math.sinh(r) ** 2, rel=1e-15)
+        T = math.tanh(0.5 * r)
+        w = (-kk * (1.0 - T * T) + 0.5 * (1.0 + T * T)) / (2.0 * T)
+        assert _kernels.logder(code, kk, p, r) == pytest.approx(w, rel=1e-15)
 
 
 def test_potential_negative_everywhere():

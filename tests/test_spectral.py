@@ -12,11 +12,11 @@ from gapspec import _kernels, ode_engine, spectral
 from gapspec.errors import (DomainError, EigenvalueMissing,
                             InconsistentCertificate, TailNotAsymptotic)
 from gapspec.ode_engine import tail_radius
-from gapspec.operators import op_code
 
 from conftest import (MU2_LARGEK_100, MU2_LARGEK_INF_100, MU2_SPHERE_K2,
                       MU2_SPHERE_K3_L40, MU2_YM, B_SPHERE_K1)
-from test_oracle import DEEP_WELLS, oracle_mu2, phi_shot
+from test_oracle import (DEEP_WELLS, _largek_inf_potential, oracle_mu2,
+                         phi_shot)
 
 
 def _certified(geom):
@@ -53,6 +53,28 @@ def test_deep_well_eigenvalue_k3():
     ev = _certified(gs.sphere(3, 40.0))
     assert ev.mu2 == pytest.approx(MU2_SPHERE_K3_L40, rel=1e-9, abs=0.0)
     assert ev.wronskian_residual < 1e-8
+
+
+@pytest.mark.parametrize("k", [38, 39])
+def test_deepest_normal_wells_meet_the_large_lambda_law(k):
+    # mu2 lambda^(2(k-1)) -> k^3 sin(pi/k)/pi, which k = 20..38 meet at
+    # -2.0e-8 relative (the lambda^-2 correction). With an absolute step
+    # floor of 1e-300, f' ~ mu2 x kept no relative digit once below it:
+    # sphere(39, 1e4), mu2 = 1.5e-301, was certified 1.1e-2 off the law.
+    # The scipy oracle shares that floor, so the law referees these
+    ev = _certified(gs.sphere(k, 1e4))
+    law = k ** 3 * math.sin(math.pi / k) / math.pi * 1e4 ** (-2 * (k - 1))
+    assert ev.mu2 == pytest.approx(law, rel=1e-6, abs=0.0)
+    assert ev.oscillation == (0, 1)
+
+
+def test_subnormal_root_raises():
+    # sphere(40, 1e4) has mu2 = 1.6e-309, below the normal range: a
+    # subnormal has fewer digits than the certificate claims, so it is
+    # refused by name rather than reported
+    with pytest.raises(DomainError, match="subnormal"):
+        gs.find_gap_eigenvalues(gs.half_line(gs.sphere(40, 1e4)),
+                                scans=False, threshold=False)
 
 
 def test_one_count_bisection_per_eigenvalue(monkeypatch):
@@ -207,7 +229,10 @@ def test_matching_point_lies_in_the_well(op):
     edge = gs.continuum_edge(op)
     for mu2 in (0.0, math.nextafter(edge, 0.0)):
         assert gs.series_start(op, mu2).x < xm < tail_radius(op, mu2)
-    assert _kernels.pot(*op_code(op), xm) < 0.0
+    if op.family == gs.LARGE_K:     # xm is in s
+        assert _largek_inf_potential(op.theta, xm) < 0.0
+    else:
+        assert gs.effective_potential(op, xm) < 0.0
 
 
 @pytest.mark.parametrize("op", [
